@@ -32,10 +32,10 @@ fn bench_example6(c: &mut Criterion) {
 fn bench_hpf(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_hpf");
     group.sample_size(10);
-    // ownership counting cost grows with the distribution period
-    // B·P (each residue splinters); keep the sweep small enough for a
-    // bench harness — p16_b8 already runs for minutes per query.
-    for (procs, block) in [(4i64, 2i64), (8, 4)] {
+    // Projecting the cycle index builds B splinters (residue-stepped
+    // §5.2 offsets), not the ~(B·P)²/2 candidates a unit-stepped loop
+    // would, so the period can grow well past the paper's P=8, B=4.
+    for (procs, block) in [(4i64, 2i64), (8, 4), (16, 8)] {
         group.bench_with_input(
             BenchmarkId::new("ownership_count", format!("p{procs}_b{block}")),
             &(procs, block),

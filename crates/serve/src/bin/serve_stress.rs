@@ -23,8 +23,12 @@
 //!    and to the same run with a deterministic `kill` / `wedge` /
 //!    `delay` fault armed mid-stream: a killed or wedged shard's
 //!    requests are re-dispatched, never lost, never degraded; a `delay`
-//!    never trips the supervisor. The jittered-retry client helper
-//!    rides out deterministic queue-full sheds.
+//!    never trips the supervisor (a one-shard pool is held until the
+//!    stream is queued, so its fault cannot race a submission). A
+//!    second one-shard kill drill races the clients: every reply is
+//!    the baseline's or a §4.6 fallback counted as `rescued`. The
+//!    jittered-retry client helper rides out deterministic queue-full
+//!    sheds.
 //! 7. **Binary codec** — the same request stream, re-framed as binary
 //!    batch frames, decodes to exactly the text transcript's reply
 //!    lines at 1, 2 and 4 shards, chaos off and with a kill drill
@@ -58,8 +62,8 @@ use presburger_gen::{
 };
 use presburger_serve::server::{serve_connection, Gate, Server};
 use presburger_serve::{
-    routing_hash, wire, AdmissionConfig, Chaos, QuotaConfig, RetryPolicy, Ring, ServeConfig,
-    ShardPool, ShardPoolConfig,
+    routing_hash, wire, AdmissionConfig, Chaos, PoolHandle, QuotaConfig, RetryPolicy, Ring,
+    ServeConfig, ShardPool, ShardPoolConfig,
 };
 use presburger_trace::json::JsonObject;
 use presburger_trace::metrics::{AdmitDecision, ReqLane, ReqVerb};
@@ -577,15 +581,22 @@ fn chaos_pool_cfg(shards: usize, depth: usize, chaos: Option<Arc<Chaos>>) -> Sha
 /// `requests` against a supervised pool. `chaos` must be explicit: the
 /// chaos-off baselines pass a disarmed `None` *after* main has cleared
 /// `PRESBURGER_CHAOS` from the environment, so an env-armed drill can
-/// never leak into them. Returns the per-connection transcripts, the
-/// per-shard failover rows, and the final aggregated stats line.
+/// never leak into them. With `hold_until_queued`, the workers start
+/// only once every request is routed, so a fault fires after the
+/// clients have finished submitting. Returns the per-connection
+/// transcripts, the per-shard failover rows, and the final aggregated
+/// stats line.
 fn run_pool_partitioned(
     shards: usize,
     requests: &[GenRequest],
     conns: usize,
     chaos: Option<Arc<Chaos>>,
+    hold_until_queued: bool,
 ) -> (Vec<String>, Vec<ShardRowSnapshot>, String) {
-    let pool = ShardPool::start(chaos_pool_cfg(shards, requests.len() + conns, chaos));
+    let mut cfg = chaos_pool_cfg(shards, requests.len() + conns, chaos);
+    let gate = hold_until_queued.then(|| Gate::new(true));
+    cfg.shard_cfg.hold = gate.clone();
+    let pool = ShardPool::start(cfg);
     let handle = pool.handle();
     let outputs: Vec<_> = (0..conns).map(|_| SharedBuf::new()).collect();
     thread::scope(|scope| {
@@ -603,6 +614,9 @@ fn run_pool_partitioned(
                     .expect("in-memory connection cannot fail");
             });
         }
+        if let Some(gate) = &gate {
+            open_when_queued(&handle, gate, requests.len());
+        }
     });
     let stats = pool.shutdown();
     (
@@ -610,6 +624,19 @@ fn run_pool_partitioned(
         handle.shard_rows(),
         stats,
     )
+}
+
+/// Opens `gate` once the pool has routed `n` requests (giving up after
+/// about ten seconds), so held workers start on a fully queued stream.
+fn open_when_queued(handle: &PoolHandle, gate: &Gate, n: usize) {
+    for _ in 0..10_000 {
+        let routed: u64 = handle.shard_rows().iter().map(|r| r.routed).sum();
+        if routed >= n as u64 {
+            break;
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    gate.open();
 }
 
 /// Reply census of a transcript set: (exact, bounded, err, shed) —
@@ -651,6 +678,13 @@ fn plurality_shard(requests: &[GenRequest], shards: usize) -> usize {
 /// One chaos drill: run with the fault armed, assert the transcripts
 /// are byte-identical to the chaos-off baseline (zero lost, zero
 /// degraded, zero reordered) and return the summed failover rows.
+///
+/// A single shard has no sibling to absorb a submission that lands in
+/// its few-ms restart window: the pool answers such a request inline
+/// with the §4.6 fallback, so byte-identity would depend on how far the
+/// clients got before the fault. A one-shard pool is therefore held
+/// until the whole stream is queued; [`racing_kill_drill`] covers the
+/// ungated case.
 #[allow(clippy::too_many_arguments)]
 fn chaos_drill(
     label: &str,
@@ -664,7 +698,8 @@ fn chaos_drill(
     let chaos = Arc::new(
         Chaos::parse(&format!("{site}:{armed}:3")).expect("drill chaos spec always parses"),
     );
-    let (transcripts, rows, _) = run_pool_partitioned(shards, requests, conns, Some(chaos.clone()));
+    let (transcripts, rows, _) =
+        run_pool_partitioned(shards, requests, conns, Some(chaos.clone()), shards == 1);
     assert!(
         chaos.fired(),
         "{label}: the armed fault never fired (shard {armed} popped < 3 jobs?)"
@@ -680,6 +715,55 @@ fn chaos_drill(
         "{label}: reply census changed under chaos"
     );
     (armed, rows)
+}
+
+/// Phase 6's one-shard kill drill with the worker racing the clients
+/// (see [`chaos_drill`]). Only what the pool guarantees is asserted:
+/// every id is answered exactly once and in order, each reply is the
+/// chaos-off baseline's or the inline fallback (a `bounded failover`
+/// bracket, or an `ERR` if even the bounds fail), and every fallback is
+/// counted as `rescued`.
+fn racing_kill_drill(requests: &[GenRequest], conns: usize, baseline: &[String]) {
+    let label = "drill kill shards=1, racing the clients";
+    let chaos = Arc::new(Chaos::parse("kill:0:3").expect("drill chaos spec always parses"));
+    let (transcripts, rows, _) =
+        run_pool_partitioned(1, requests, conns, Some(chaos.clone()), false);
+    assert!(chaos.fired(), "{label}: the armed fault never fired");
+    assert_eq!(rows[0].crashes, 1, "{label}: crash not detected");
+    assert!(rows[0].restarts >= 1, "{label}: shard not restarted");
+    let (mut differing, mut fallbacks) = (0u64, 0u64);
+    for (c, (got, base)) in transcripts.iter().zip(baseline).enumerate() {
+        let got: Vec<&str> = got.lines().collect();
+        let base: Vec<&str> = base.lines().collect();
+        assert_eq!(
+            got.len(),
+            base.len(),
+            "{label} conn {c}: lost or duplicated replies"
+        );
+        for (g, b) in got.iter().zip(&base) {
+            let id = b.split_whitespace().nth(1).unwrap_or("");
+            let fallback = g.starts_with(&format!("OK {id} bounded failover "))
+                || g.starts_with(&format!("ERR {id} "));
+            fallbacks += u64::from(fallback);
+            if g != b {
+                assert!(
+                    fallback,
+                    "{label} conn {c}: {g:?} is neither the baseline's {b:?} nor a fallback"
+                );
+                differing += 1;
+            }
+        }
+    }
+    let rescued: u64 = rows.iter().map(|r| r.rescued).sum();
+    assert!(
+        differing <= rescued && rescued <= fallbacks,
+        "{label}: {differing} replies differ from the baseline and {fallbacks} are \
+         fallback-shaped, but rescued={rescued}"
+    );
+    println!(
+        "    {label}: {differing} of {} replies differ from the baseline, rescued={rescued}",
+        requests.len()
+    );
 }
 
 fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
@@ -700,7 +784,8 @@ fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
     let mut baselines: std::collections::HashMap<usize, Vec<String>> =
         std::collections::HashMap::new();
     for shards in [1usize, 2, 4] {
-        let (transcripts, rows, stats) = run_pool_partitioned(shards, &requests, conns, None);
+        let (transcripts, rows, stats) =
+            run_pool_partitioned(shards, &requests, conns, None, false);
         for (c, t) in transcripts.iter().enumerate() {
             check_transcript(t, &ids_for(c), &format!("pool shards={shards} conn {c}"));
         }
@@ -780,6 +865,7 @@ fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
         );
         drill_rows.push((site.to_string(), shards, armed, rows));
     }
+    racing_kill_drill(&requests, conns, &baselines[&1]);
 
     // 6c: an env-armed drill (`PRESBURGER_CHAOS`), at
     // `PRESBURGER_SERVE_SHARDS` shards: zero lost responses whatever
@@ -790,9 +876,9 @@ fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
         let base = baselines
             .get(&shards)
             .cloned()
-            .unwrap_or_else(|| run_pool_partitioned(shards, &requests, conns, None).0);
+            .unwrap_or_else(|| run_pool_partitioned(shards, &requests, conns, None, false).0);
         let (transcripts, rows, _) =
-            run_pool_partitioned(shards, &requests, conns, Some(chaos.clone()));
+            run_pool_partitioned(shards, &requests, conns, Some(chaos.clone()), shards == 1);
         for (c, t) in transcripts.iter().enumerate() {
             check_transcript(t, &ids_for(c), &format!("env drill conn {c}"));
         }
@@ -903,7 +989,7 @@ fn phase_binary_protocol(n: usize) {
     // chaos off and with a kill drill armed mid-stream. The binary
     // transcript must *decode to* exactly the text transcript.
     for shards in [1usize, 2, 4] {
-        let (text, _, _) = run_pool_partitioned(shards, &requests, 1, None);
+        let (text, _, _) = run_pool_partitioned(shards, &requests, 1, None, false);
         let run_binary = |chaos: Option<Arc<Chaos>>, label: &str| -> String {
             // Workers stay gated until the whole stream is queued: the
             // drill must race re-dispatch against the *queue*, not
@@ -925,14 +1011,7 @@ fn phase_binary_protocol(n: usize) {
                     serve_connection(&conn_handle, conn_input, conn_out, false)
                         .expect("in-memory binary connection cannot fail");
                 });
-                for _ in 0..10_000 {
-                    let routed: u64 = handle.shard_rows().iter().map(|r| r.routed).sum();
-                    if routed >= n as u64 {
-                        break;
-                    }
-                    thread::sleep(Duration::from_millis(1));
-                }
-                gate.open();
+                open_when_queued(&handle, &gate, n);
             });
             pool.shutdown();
             flatten_binary_transcript(&out.take_bytes(), label)

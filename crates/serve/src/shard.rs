@@ -453,23 +453,18 @@ impl PoolHandle {
         let slot = Slot::new();
         for off in 0..n {
             let i = (target + off) % n;
-            let handle = {
+            let (handle, epoch) = {
                 let shards = lock_ok(&inner.shards);
                 let st = &shards[i];
                 if st.server.is_none() || st.restart_at.is_some() {
                     continue;
                 }
-                st.handle.clone()
+                (st.handle.clone(), st.epoch)
             };
             match handle.try_enqueue(query.clone(), slot.clone()) {
                 Ok(()) => {
                     ShardRow::bump(&inner.rows[i].routed);
-                    lock_ok(&inner.shards)[i].pending.push(Tracked {
-                        query,
-                        slot: slot.clone(),
-                        attempts: 0,
-                        since: Instant::now(),
-                    });
+                    track(inner, i, epoch, query, &slot);
                     return slot;
                 }
                 Err(refused) => match refused.reason {
@@ -705,6 +700,62 @@ fn backoff_ms(cfg: &ShardPoolConfig, consecutive: u32) -> u64 {
         .min(cfg.restart_backoff_max_ms)
 }
 
+/// Records a request that `try_enqueue` just admitted to shard `i` on
+/// restart generation `epoch`. If the supervisor condemned the shard
+/// in between, its pendings were orphaned without this one and its
+/// queue may never run, so the request is orphaned too (a late answer
+/// from the old queue is a harmless duplicate: replies are pure).
+fn track(inner: &PoolInner, i: usize, epoch: u64, query: Query, slot: &Arc<Slot>) {
+    let since = Instant::now();
+    let mut shards = lock_ok(&inner.shards);
+    let st = &mut shards[i];
+    if st.epoch == epoch && st.restart_at.is_none() {
+        st.pending.push(Tracked {
+            query,
+            slot: slot.clone(),
+            attempts: 0,
+            since,
+        });
+        return;
+    }
+    drop(shards);
+    lock_ok(&inner.orphans).push(Orphan {
+        query,
+        slot: slot.clone(),
+        origin: i,
+        attempts: 1,
+        since,
+    });
+}
+
+/// Condemns shard `i`: abandons its server, schedules the restart on
+/// the backoff ladder and moves its unanswered pendings to `orphans`.
+fn condemn(
+    cfg: &ShardPoolConfig,
+    i: usize,
+    st: &mut ShardState,
+    now: Instant,
+    orphans: &mut Vec<Orphan>,
+) {
+    if let Some(server) = st.server.take() {
+        server.abandon();
+    }
+    st.consecutive_restarts += 1;
+    st.restart_at = Some(now + Duration::from_millis(backoff_ms(cfg, st.consecutive_restarts)));
+    for t in st.pending.drain(..) {
+        if t.slot.is_done() {
+            continue;
+        }
+        orphans.push(Orphan {
+            query: t.query,
+            slot: t.slot,
+            origin: i,
+            attempts: t.attempts + 1,
+            since: t.since,
+        });
+    }
+}
+
 /// One supervisor probe: sweep answered pendings, perform due restarts,
 /// condemn crashed/wedged shards (orphaning their pendings), and place
 /// or rescue orphans.
@@ -761,24 +812,7 @@ fn supervise_tick(inner: &Arc<PoolInner>) {
             } else {
                 ShardRow::bump(&inner.rows[i].wedges);
             }
-            if let Some(server) = st.server.take() {
-                server.abandon();
-            }
-            st.consecutive_restarts += 1;
-            st.restart_at =
-                Some(now + Duration::from_millis(backoff_ms(cfg, st.consecutive_restarts)));
-            for t in st.pending.drain(..) {
-                if t.slot.is_done() {
-                    continue;
-                }
-                new_orphans.push(Orphan {
-                    query: t.query,
-                    slot: t.slot,
-                    origin: i,
-                    attempts: t.attempts + 1,
-                    since: t.since,
-                });
-            }
+            condemn(cfg, i, st, now, &mut new_orphans);
         }
     }
     if !new_orphans.is_empty() {
@@ -917,6 +951,7 @@ mod tests {
     use super::*;
     use crate::protocol::parse_request;
     use crate::protocol::Request;
+    use crate::server::Gate;
 
     fn query(line: &str) -> Query {
         match parse_request(line).expect("test query parses") {
@@ -982,5 +1017,58 @@ mod tests {
         let stats = pool.shutdown();
         assert!(stats.starts_with("STATS shards=3 "), "got {stats:?}");
         assert!(stats.contains(" rescued=0 "), "got {stats:?}");
+    }
+
+    #[test]
+    fn request_admitted_as_its_shard_is_condemned_is_answered() {
+        // Every worker stays held, so neither the condemned server nor
+        // its replacement ever runs the request: only the pool's own
+        // tracking can answer it, and with no re-dispatch budget that
+        // answer is a rescue.
+        let gate = Gate::new(true);
+        let pool = ShardPool::start(ShardPoolConfig {
+            shards: 1,
+            shard_cfg: ServeConfig {
+                workers: 1,
+                hold: Some(gate.clone()),
+                default_deadline_ms: None,
+                breaker_failures: 0,
+                ..ServeConfig::default()
+            },
+            probe_interval_ms: 2,
+            restart_backoff_ms: 1,
+            redispatch_budget: 0,
+            ..ShardPoolConfig::default()
+        });
+        let inner = &pool.inner;
+        // `PoolHandle::submit`, with the supervisor condemning the shard
+        // between the enqueue and the tracking.
+        let q = query("count q0 {x : 1 <= x && x <= 9}");
+        let slot = Slot::new();
+        let (handle, epoch) = {
+            let shards = lock_ok(&inner.shards);
+            (shards[0].handle.clone(), shards[0].epoch)
+        };
+        assert!(handle.try_enqueue(q.clone(), slot.clone()).is_ok());
+        let mut orphans = Vec::new();
+        condemn(
+            &inner.cfg,
+            0,
+            &mut lock_ok(&inner.shards)[0],
+            Instant::now(),
+            &mut orphans,
+        );
+        assert!(orphans.is_empty(), "the request is not tracked yet");
+        track(inner, 0, epoch, q, &slot);
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !slot.is_done() && Instant::now() < give_up {
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(slot.is_done(), "the request was lost");
+        let line = slot.wait();
+        assert!(line.starts_with("OK q0 bounded failover "), "got {line:?}");
+        assert_eq!(pool.handle().shard_rows()[0].rescued, 1);
+        gate.open();
+        pool.shutdown();
     }
 }

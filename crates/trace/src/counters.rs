@@ -58,9 +58,12 @@ counters! {
     EliminateExactDisjoint => "eliminate_exact_disjoint" / count,
     /// Variables eliminated exactly through an equality or unit bound.
     EliminateViaEquality => "eliminate_via_equality" / count,
-    /// Splinter clauses produced by exact elimination (before pruning).
+    /// Splinter clauses exact elimination actually built, each charged
+    /// against the `max_splinters` budget. §5.2 offsets whose equations
+    /// normalization would refute are skipped, never built or counted.
     SplintersGenerated => "splinters_generated" / count,
-    /// Splinter clauses dropped because normalization proved them false.
+    /// Built splinter clauses that came out empty: normalization or
+    /// equality elimination proved them false.
     SplintersPruned => "splinters_pruned" / count,
     /// Dark-shadow clauses emitted by exact elimination.
     DarkShadowClauses => "dark_shadow_clauses" / count,

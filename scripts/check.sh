@@ -1,9 +1,36 @@
 #!/usr/bin/env bash
 # Full local gate: build, tests (sequential AND parallel engine), lints,
-# formatting, cross-thread determinism of the experiments output, and
-# the trace-overhead smoke check. Run from the repository root.
+# formatting, cross-thread determinism of the experiments output, the
+# experiments counter baseline, and the trace-overhead smoke check.
+# Run from the repository root.
+#
+#   bash scripts/check.sh                    run every gate
+#   bash scripts/check.sh --record-baseline  re-record
+#                                            scripts/experiments.baseline
+#                                            after an intended counter or
+#                                            answer change, then exit
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Timing legitimately varies run to run: blank the ms / par_speedup
+# columns, normalize wall times quoted inside Measured cells (E3) and
+# the host's core count (S2), and keep everything else — ids, measured
+# values, counters, pass marks. Cells may contain escaped \| so count
+# columns from the end of the row, where ms is third-from-last.
+strip_timing() {
+    awk -F'|' 'BEGIN{OFS="|"} NF>=8 {$(NF-3)=""; $(NF-2)=""}
+        {gsub(/[0-9]+\.[0-9]+ ms/, "_ ms"); gsub(/[0-9]+ core\(s\)/, "_ core(s)"); print}'
+}
+experiments_table() {
+    PRESBURGER_THREADS=$1 cargo run --release -q -p presburger-bench --bin experiments | strip_timing
+}
+baseline=scripts/experiments.baseline
+
+if [ "${1:-}" = "--record-baseline" ]; then
+    experiments_table 1 > "$baseline"
+    echo "recorded $baseline"
+    exit 0
+fi
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
@@ -21,19 +48,23 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> experiments output is identical at 1 and 4 threads"
-# Timing legitimately varies run to run: blank the ms / par_speedup
-# columns and normalize wall times quoted inside Measured cells (E3),
-# then require everything else — ids, measured values, counters, pass
-# marks — to be byte-identical. Cells may contain escaped \| so count
-# columns from the end of the row, where ms is third-from-last.
-strip_timing() {
-    awk -F'|' 'BEGIN{OFS="|"} NF>=8 {$(NF-3)=""; $(NF-2)=""} {gsub(/[0-9]+\.[0-9]+ ms/, "_ ms"); print}'
-}
-out1=$(PRESBURGER_THREADS=1 cargo run --release -q -p presburger-bench --bin experiments | strip_timing)
-out4=$(PRESBURGER_THREADS=4 cargo run --release -q -p presburger-bench --bin experiments | strip_timing)
+# With timing stripped (see strip_timing above), every cell must be
+# byte-identical across thread counts.
+out1=$(experiments_table 1)
+out4=$(experiments_table 4)
 if [ "$out1" != "$out4" ]; then
     echo "FAIL: experiments output differs between 1 and 4 threads" >&2
     diff <(printf '%s\n' "$out1") <(printf '%s\n' "$out4") >&2 || true
+    exit 1
+fi
+
+echo "==> experiments counters and answers match $baseline"
+# The checked-in 1-thread table is the counter baseline: any change to
+# a counter, a measured answer or a pass mark on any E/A/S row fails
+# here. Re-record with `bash scripts/check.sh --record-baseline` when
+# the change is intended, and commit the new baseline with it.
+if ! diff "$baseline" <(printf '%s\n' "$out1") >&2; then
+    echo "FAIL: experiments table differs from $baseline (diff above)" >&2
     exit 1
 fi
 

@@ -259,6 +259,110 @@ fn splinter_budget_degrades_e11() {
     }
 }
 
+/// The §5.2 projection `∃b : n ≤ 1001b ∧ 1002b ≤ n + 5000` guards the
+/// count of `b`: its one non-unit bound pair has gap
+/// `(1001−1)(1002−1) ≥ 10⁶` and offsets stepping by 1002, so the exact
+/// pass would build about 5·10⁸ splinters.
+fn wide_52(s: &mut Space) -> (Formula, Vec<VarId>) {
+    let b = s.var("b");
+    let n = s.var("n");
+    let f = Formula::and(vec![
+        Formula::le(Affine::var(n), Affine::term(b, 1001)),
+        Formula::le(
+            Affine::term(b, 1002),
+            Affine::var(n) + Affine::constant(5000),
+        ),
+    ]);
+    (f, vec![b])
+}
+
+#[test]
+fn splinter_budget_bounds_wide_disjoint_splintering() {
+    // Every region the residue-stepped loop visits builds at least one
+    // splinter, so the splinter cap still stops a loop over 10⁶
+    // regions; the §4.6 rerun uses the real and dark shadows and does
+    // not splinter at all.
+    let mut s = Space::new();
+    let (f, vars) = wide_52(&mut s);
+    let deadline = Duration::from_secs(2);
+    let gov = Governor::new(Budgets {
+        max_splinters: Some(10_000),
+        deadline: Some(deadline),
+        ..Budgets::unlimited()
+    });
+    let started = std::time::Instant::now();
+    let outcome = governed(&s, &f, &vars, &gov);
+    let elapsed = started.elapsed();
+    assert!(elapsed < deadline, "took {elapsed:?}");
+    match outcome {
+        Ok(Outcome::Bounded {
+            lower, upper, why, ..
+        }) => {
+            assert!(
+                matches!(
+                    why,
+                    CountError::BudgetExceeded {
+                        resource: "splinters_generated",
+                        ..
+                    }
+                ),
+                "unexpected why: {why}"
+            );
+            for n in [-5i64, 0, 1, 999, 1000, 4_004_000, 5_005_000, 5_005_001] {
+                // b ∈ [⌈n/1001⌉, ⌊(n+5000)/1002⌋]
+                let exact = ((n + 5000).div_euclid(1002) + (-n).div_euclid(1001) + 1).max(0);
+                let binding = [("n", n)];
+                let (l, u) = (lower.eval_rat(&binding), upper.eval_rat(&binding));
+                assert!(
+                    l <= Rat::from(exact) && Rat::from(exact) <= u,
+                    "bracket violated at n={n}: {l} <= {exact} <= {u}"
+                );
+            }
+        }
+        other => panic!("expected the splinter budget to bound the count, got {other:?}"),
+    }
+
+    // The same pair as a literal existential: under DegradePolicy::Error
+    // the exact pass's splinter trip is the answer, so this times the
+    // capped loop alone.
+    let mut s = Space::new();
+    let a = s.var("a");
+    let b = s.var("b");
+    let f = Formula::and(vec![
+        Formula::between(Affine::constant(0), a, Affine::constant(1_000_000)),
+        Formula::exists(
+            vec![b],
+            Formula::and(vec![
+                Formula::le(Affine::var(a), Affine::term(b, 1001)),
+                Formula::le(
+                    Affine::term(b, 1002),
+                    Affine::var(a) + Affine::constant(5000),
+                ),
+            ]),
+        ),
+    ]);
+    let gov = Governor::new(Budgets {
+        max_splinters: Some(10_000),
+        deadline: Some(deadline),
+        ..Budgets::unlimited()
+    })
+    .with_degrade(DegradePolicy::Error);
+    let started = std::time::Instant::now();
+    let outcome = governed(&s, &f, &[a], &gov);
+    let elapsed = started.elapsed();
+    assert!(elapsed < deadline, "took {elapsed:?}");
+    assert!(
+        matches!(
+            outcome,
+            Err(CountError::BudgetExceeded {
+                resource: "splinters_generated",
+                ..
+            })
+        ),
+        "expected the splinter budget to fire, got {outcome:?}"
+    );
+}
+
 #[test]
 fn coeff_bits_budget_trips_on_bignum_growth() {
     // Σ x⁵ over 1 ≤ a·x ≤ n with a ≈ 3·10⁹: the closed form carries

@@ -13,7 +13,7 @@
 
 use presburger::prelude::*;
 use presburger::trace::{self, Counter, PipelineStats};
-use presburger_apps::{distinct_locations, ArrayRef, LoopNest};
+use presburger_apps::{distinct_locations, ArrayRef, BlockCyclic, LoopNest};
 use presburger_baselines::{fst_locations, tawbi_sum};
 use presburger_omega::eliminate::{eliminate, Shadow};
 use presburger_omega::Conjunct;
@@ -121,13 +121,16 @@ fn e11_splinter_counters_match_the_mechanics() {
         1 + dis.get(Counter::SplintersGenerated) - dis.get(Counter::SplintersPruned),
         "clauses = dark shadow + surviving splinters"
     );
-    // Disjointness costs more splinter candidates than the overlapping
-    // mode; pruning discards the infeasible ones.
-    assert!(
-        dis.get(Counter::SplintersGenerated) > ovl.get(Counter::SplintersGenerated),
-        "{dis}"
-    );
-    assert!(dis.get(Counter::SplintersPruned) > 0, "{dis}");
+    // For a bound pair L ≤ b·β, a·β ≤ U the disjoint mode builds a
+    // splinter only for the (region i, offset j) pairs whose equations
+    // b·U − a·L = i and a·b·β = a·L + j survive normalization's gcd
+    // test. The pairs (b=3, a=3) and (b=2, a=2) have constant
+    // b·U − a·L (21 and 8, at least their gap (a−1)(b−1)), so they
+    // have no region. The two mixed pairs have gap 2, regions i = 0
+    // and 1, and offsets j ≡ 0 (mod 2) and j ≡ 0 (mod 3), so only
+    // j = 0 in each region: 4 splinters, none refuted.
+    assert_eq!(dis.get(Counter::SplintersGenerated), 4, "{dis}");
+    assert_eq!(dis.get(Counter::SplintersPruned), 0, "{dis}");
 
     // Per the derivation above the dark shadow is exactly 5 ≤ α ≤ 27
     // (the paper's quoted 5 ≤ α ≤ 25 under-claims it): the first clause
@@ -146,6 +149,30 @@ fn e11_splinter_counters_match_the_mechanics() {
             "dark shadow should not contain α = {av}"
         );
     }
+}
+
+#[test]
+fn e10_hpf_ownership_builds_few_splinters() {
+    // §3.3: T(0:1024) over 8 processors in blocks of 4. Projecting the
+    // cycle index c out of 0 ≤ t − 4p − 32c ≤ 3 pairs bounds with
+    // coefficient 32 on both sides (gap 31² = 961), but b·U − a·L is
+    // the constant 96 and offsets step by 32, so only the 4 splinters
+    // j = 0, 32, 64, 96 of region 96 are built.
+    let mut s = Space::new();
+    let p = s.var("p");
+    let (counts, st) = metered(|| {
+        BlockCyclic::new(8, 4).elements_on_processor(
+            &s,
+            Affine::constant(0),
+            Affine::constant(1024),
+            p,
+        )
+    });
+    assert!(st.get(Counter::SplintersGenerated) <= 8, "{st}");
+    let per: Vec<i64> = (0..8)
+        .map(|pv| counts.eval_i64(&[("p", pv)]).expect("integral count"))
+        .collect();
+    assert_eq!(per, [129, 128, 128, 128, 128, 128, 128, 128]);
 }
 
 #[test]
