@@ -1,6 +1,8 @@
 //! serve_stress: the serving layer's protocol-invariant stress harness.
 //!
-//! Phases (all must pass; the process exits non-zero on any violation):
+//! Every phase serves through a [`ShardPool`]; the single-server phases
+//! use one shard, as `run_stdio` does. Phases (all must pass; the
+//! process exits non-zero on any violation):
 //!
 //! 1. **Replay determinism** — a fixed-seed stream of generated
 //!    requests is partitioned across concurrent connections and run at
@@ -22,11 +24,9 @@
 //!    2 and 4 shards produces transcripts byte-identical to each other
 //!    and to the same run with a deterministic `kill` / `wedge` /
 //!    `delay` fault armed mid-stream: a killed or wedged shard's
-//!    requests are re-dispatched, never lost, never degraded; a `delay`
-//!    never trips the supervisor (a one-shard pool is held until the
-//!    stream is queued, so its fault cannot race a submission). A
-//!    second one-shard kill drill races the clients: every reply is
-//!    the baseline's or a §4.6 fallback counted as `rescued`. The
+//!    requests are re-dispatched, never lost, never degraded (a
+//!    one-shard pool's submissions that race its restart wait for the
+//!    replacement); a `delay` never trips the supervisor. The
 //!    jittered-retry client helper rides out deterministic queue-full
 //!    sheds.
 //! 7. **Binary codec** — the same request stream, re-framed as binary
@@ -60,7 +60,7 @@ use presburger_gen::{
     admission_request_lines, batched_request_lines, request_lines, AdmissionMix, GenConfig,
     GenRequest,
 };
-use presburger_serve::server::{serve_connection, Gate, Server};
+use presburger_serve::server::{serve_connection, Gate};
 use presburger_serve::{
     routing_hash, wire, AdmissionConfig, Chaos, PoolHandle, QuotaConfig, RetryPolicy, Ring,
     ServeConfig, ShardPool, ShardPoolConfig,
@@ -135,6 +135,25 @@ fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// A one-shard pool over `cfg`: the serving path every single-server
+/// phase drives.
+fn one_shard(cfg: ServeConfig) -> ShardPool {
+    ShardPool::start(ShardPoolConfig {
+        shards: 1,
+        shard_cfg: cfg,
+        ..ShardPoolConfig::default()
+    })
+}
+
+/// One counter off a one-shard pool's `STATS` line.
+fn stat(handle: &PoolHandle, key: &str) -> u64 {
+    let line = handle.stats_line();
+    line.split_whitespace()
+        .find_map(|t| t.strip_prefix(key)?.strip_prefix('='))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {key}= in {line:?}"))
+}
+
 /// Runs `conns` concurrent connections over a fixed round-robin
 /// partition of `requests`; returns the per-connection transcripts and
 /// the wall time.
@@ -151,7 +170,7 @@ fn run_partitioned(
         breaker_failures: 0, // see module docs: env faults stay per-request
         ..ServeConfig::default()
     };
-    let server = Server::start(cfg);
+    let server = one_shard(cfg);
     let started = Instant::now();
     let outputs: Vec<_> = (0..conns).map(|_| SharedBuf::new()).collect();
     thread::scope(|scope| {
@@ -267,7 +286,7 @@ fn phase_shedding() {
         default_deadline_ms: None,
         ..ServeConfig::default()
     };
-    let server = Server::start(cfg);
+    let server = one_shard(cfg);
     let handle = server.handle();
     let slots: Vec<_> = (0..6)
         .map(|i| {
@@ -295,13 +314,13 @@ fn phase_shedding() {
         }
     }
     assert_eq!(sheds, 4, "expected exactly 4 sheds from a 2-deep queue");
-    assert_eq!(handle.stats().sheds(), 4);
+    assert_eq!(stat(&handle, "shed_queue"), 4);
     PHASE2_REQUESTS.store(slots.len() as u64, Ordering::Relaxed);
     let stats = server.shutdown();
     println!("    4/6 shed as required; {stats}");
 }
 
-fn submit_line(handle: &presburger_serve::Handle, line: &str) -> String {
+fn submit_line(handle: &PoolHandle, line: &str) -> String {
     match presburger_serve::parse_request(line).unwrap() {
         presburger_serve::Request::Query(q) => handle.submit(q).wait(),
         _ => unreachable!("stress submits queries only"),
@@ -319,7 +338,7 @@ fn phase_breaker_drill() {
         cache_entries: 0, // every request must hit the engine
         ..ServeConfig::default()
     };
-    let server = Server::start(cfg);
+    let server = one_shard(cfg);
     let handle = server.handle();
 
     // K consecutive worker panics → ERR internal ×3 → breaker opens.
@@ -330,7 +349,7 @@ fn phase_breaker_drill() {
             "fault did not surface as internal: {line}"
         );
     }
-    assert_eq!(handle.stats().breaker_opens(), 1, "breaker failed to open");
+    assert_eq!(stat(&handle, "breaker_opens"), 1, "breaker failed to open");
 
     // Open breaker: the same request now degrades first — answered
     // with §4.6 bounds, without touching the (faulted) exact path.
@@ -339,7 +358,7 @@ fn phase_breaker_drill() {
         line.starts_with("OK b3 bounded breaker_open "),
         "open breaker did not degrade-first: {line}"
     );
-    assert!(handle.stats().degraded_first() >= 1);
+    assert!(stat(&handle, "degraded_first") >= 1);
     assert!(handle.stats_line().contains("breaker=open"));
 
     // After the cooldown, a clean request is the half-open probe; the
@@ -371,7 +390,7 @@ fn phase_drain() {
     let fault_armed = std::env::var("PRESBURGER_FAULT").is_ok();
     // A drain with queued work: everything admitted still answers,
     // within the drain deadline.
-    let server = Server::start(ServeConfig {
+    let server = one_shard(ServeConfig {
         workers: 2,
         default_deadline_ms: None,
         drain_deadline_ms: 10_000,
@@ -413,7 +432,7 @@ fn phase_drain() {
 
     // A zero-deadline drain cancels immediately but still answers
     // everything (bounded or cancelled — never lost).
-    let server = Server::start(ServeConfig {
+    let server = one_shard(ServeConfig {
         workers: 1,
         default_deadline_ms: None,
         drain_deadline_ms: 0,
@@ -447,7 +466,7 @@ fn phase_drain() {
 
 fn phase_latency(n: usize, phase1_n: usize, phase1_elapsed: Duration) {
     println!("==> phase 5: latency ({n} sequential round-trips, histogram-derived)");
-    let server = Server::start(ServeConfig {
+    let server = one_shard(ServeConfig {
         workers: 1,
         default_deadline_ms: None,
         default_budgets: replay_budgets(),
@@ -477,7 +496,7 @@ fn phase_latency(n: usize, phase1_n: usize, phase1_elapsed: Duration) {
     // All percentiles come from the request-telemetry histograms: the
     // previous sorted-60-sample math had unbounded tail error, while a
     // log bucket bounds the relative error by its width.
-    let metrics = &handle.telemetry().metrics;
+    let metrics = handle.request_metrics();
     let overall = metrics.duration_merged(None);
     assert_eq!(
         overall.count, n as u64,
@@ -581,22 +600,15 @@ fn chaos_pool_cfg(shards: usize, depth: usize, chaos: Option<Arc<Chaos>>) -> Sha
 /// `requests` against a supervised pool. `chaos` must be explicit: the
 /// chaos-off baselines pass a disarmed `None` *after* main has cleared
 /// `PRESBURGER_CHAOS` from the environment, so an env-armed drill can
-/// never leak into them. With `hold_until_queued`, the workers start
-/// only once every request is routed, so a fault fires after the
-/// clients have finished submitting. Returns the per-connection
-/// transcripts, the per-shard failover rows, and the final aggregated
-/// stats line.
+/// never leak into them. Returns the per-connection transcripts and the
+/// per-shard failover rows.
 fn run_pool_partitioned(
     shards: usize,
     requests: &[GenRequest],
     conns: usize,
     chaos: Option<Arc<Chaos>>,
-    hold_until_queued: bool,
-) -> (Vec<String>, Vec<ShardRowSnapshot>, String) {
-    let mut cfg = chaos_pool_cfg(shards, requests.len() + conns, chaos);
-    let gate = hold_until_queued.then(|| Gate::new(true));
-    cfg.shard_cfg.hold = gate.clone();
-    let pool = ShardPool::start(cfg);
+) -> (Vec<String>, Vec<ShardRowSnapshot>) {
+    let pool = ShardPool::start(chaos_pool_cfg(shards, requests.len() + conns, chaos));
     let handle = pool.handle();
     let outputs: Vec<_> = (0..conns).map(|_| SharedBuf::new()).collect();
     thread::scope(|scope| {
@@ -614,29 +626,12 @@ fn run_pool_partitioned(
                     .expect("in-memory connection cannot fail");
             });
         }
-        if let Some(gate) = &gate {
-            open_when_queued(&handle, gate, requests.len());
-        }
     });
-    let stats = pool.shutdown();
+    pool.shutdown();
     (
         outputs.iter().map(SharedBuf::take).collect(),
         handle.shard_rows(),
-        stats,
     )
-}
-
-/// Opens `gate` once the pool has routed `n` requests (giving up after
-/// about ten seconds), so held workers start on a fully queued stream.
-fn open_when_queued(handle: &PoolHandle, gate: &Gate, n: usize) {
-    for _ in 0..10_000 {
-        let routed: u64 = handle.shard_rows().iter().map(|r| r.routed).sum();
-        if routed >= n as u64 {
-            break;
-        }
-        thread::sleep(Duration::from_millis(1));
-    }
-    gate.open();
 }
 
 /// Reply census of a transcript set: (exact, bounded, err, shed) —
@@ -677,15 +672,10 @@ fn plurality_shard(requests: &[GenRequest], shards: usize) -> usize {
 
 /// One chaos drill: run with the fault armed, assert the transcripts
 /// are byte-identical to the chaos-off baseline (zero lost, zero
-/// degraded, zero reordered) and return the summed failover rows.
-///
-/// A single shard has no sibling to absorb a submission that lands in
-/// its few-ms restart window: the pool answers such a request inline
-/// with the §4.6 fallback, so byte-identity would depend on how far the
-/// clients got before the fault. A one-shard pool is therefore held
-/// until the whole stream is queued; [`racing_kill_drill`] covers the
-/// ungated case.
-#[allow(clippy::too_many_arguments)]
+/// degraded, zero reordered) and return the summed failover rows. At
+/// one shard the clients race the restart window: a submission that
+/// finds the only shard restarting is orphaned and placed on the
+/// replacement, so the transcripts still match byte for byte.
 fn chaos_drill(
     label: &str,
     site: &str,
@@ -698,8 +688,7 @@ fn chaos_drill(
     let chaos = Arc::new(
         Chaos::parse(&format!("{site}:{armed}:3")).expect("drill chaos spec always parses"),
     );
-    let (transcripts, rows, _) =
-        run_pool_partitioned(shards, requests, conns, Some(chaos.clone()), shards == 1);
+    let (transcripts, rows) = run_pool_partitioned(shards, requests, conns, Some(chaos.clone()));
     assert!(
         chaos.fired(),
         "{label}: the armed fault never fired (shard {armed} popped < 3 jobs?)"
@@ -715,55 +704,6 @@ fn chaos_drill(
         "{label}: reply census changed under chaos"
     );
     (armed, rows)
-}
-
-/// Phase 6's one-shard kill drill with the worker racing the clients
-/// (see [`chaos_drill`]). Only what the pool guarantees is asserted:
-/// every id is answered exactly once and in order, each reply is the
-/// chaos-off baseline's or the inline fallback (a `bounded failover`
-/// bracket, or an `ERR` if even the bounds fail), and every fallback is
-/// counted as `rescued`.
-fn racing_kill_drill(requests: &[GenRequest], conns: usize, baseline: &[String]) {
-    let label = "drill kill shards=1, racing the clients";
-    let chaos = Arc::new(Chaos::parse("kill:0:3").expect("drill chaos spec always parses"));
-    let (transcripts, rows, _) =
-        run_pool_partitioned(1, requests, conns, Some(chaos.clone()), false);
-    assert!(chaos.fired(), "{label}: the armed fault never fired");
-    assert_eq!(rows[0].crashes, 1, "{label}: crash not detected");
-    assert!(rows[0].restarts >= 1, "{label}: shard not restarted");
-    let (mut differing, mut fallbacks) = (0u64, 0u64);
-    for (c, (got, base)) in transcripts.iter().zip(baseline).enumerate() {
-        let got: Vec<&str> = got.lines().collect();
-        let base: Vec<&str> = base.lines().collect();
-        assert_eq!(
-            got.len(),
-            base.len(),
-            "{label} conn {c}: lost or duplicated replies"
-        );
-        for (g, b) in got.iter().zip(&base) {
-            let id = b.split_whitespace().nth(1).unwrap_or("");
-            let fallback = g.starts_with(&format!("OK {id} bounded failover "))
-                || g.starts_with(&format!("ERR {id} "));
-            fallbacks += u64::from(fallback);
-            if g != b {
-                assert!(
-                    fallback,
-                    "{label} conn {c}: {g:?} is neither the baseline's {b:?} nor a fallback"
-                );
-                differing += 1;
-            }
-        }
-    }
-    let rescued: u64 = rows.iter().map(|r| r.rescued).sum();
-    assert!(
-        differing <= rescued && rescued <= fallbacks,
-        "{label}: {differing} replies differ from the baseline and {fallbacks} are \
-         fallback-shaped, but rescued={rescued}"
-    );
-    println!(
-        "    {label}: {differing} of {} replies differ from the baseline, rescued={rescued}",
-        requests.len()
-    );
 }
 
 fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
@@ -784,8 +724,7 @@ fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
     let mut baselines: std::collections::HashMap<usize, Vec<String>> =
         std::collections::HashMap::new();
     for shards in [1usize, 2, 4] {
-        let (transcripts, rows, stats) =
-            run_pool_partitioned(shards, &requests, conns, None, false);
+        let (transcripts, rows) = run_pool_partitioned(shards, &requests, conns, None);
         for (c, t) in transcripts.iter().enumerate() {
             check_transcript(t, &ids_for(c), &format!("pool shards={shards} conn {c}"));
         }
@@ -795,8 +734,8 @@ fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
             "every request must be routed exactly once"
         );
         assert!(
-            stats.contains(" rescued=0 ") && stats.contains(" restarts=0"),
-            "chaos-off run tripped the supervisor: {stats}"
+            rows.iter().all(|r| r.rescued == 0 && r.restarts == 0),
+            "chaos-off run tripped the supervisor: {rows:?}"
         );
         if let Some(base) = baselines.get(&1) {
             assert_eq!(
@@ -865,7 +804,6 @@ fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
         );
         drill_rows.push((site.to_string(), shards, armed, rows));
     }
-    racing_kill_drill(&requests, conns, &baselines[&1]);
 
     // 6c: an env-armed drill (`PRESBURGER_CHAOS`), at
     // `PRESBURGER_SERVE_SHARDS` shards: zero lost responses whatever
@@ -876,9 +814,9 @@ fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
         let base = baselines
             .get(&shards)
             .cloned()
-            .unwrap_or_else(|| run_pool_partitioned(shards, &requests, conns, None, false).0);
-        let (transcripts, rows, _) =
-            run_pool_partitioned(shards, &requests, conns, Some(chaos.clone()), shards == 1);
+            .unwrap_or_else(|| run_pool_partitioned(shards, &requests, conns, None).0);
+        let (transcripts, rows) =
+            run_pool_partitioned(shards, &requests, conns, Some(chaos.clone()));
         for (c, t) in transcripts.iter().enumerate() {
             check_transcript(t, &ids_for(c), &format!("env drill conn {c}"));
         }
@@ -895,7 +833,7 @@ fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
 
     // 6d: the retry helper rides out deterministic queue-full sheds.
     let gate = Gate::new(true);
-    let server = Server::start(ServeConfig {
+    let server = one_shard(ServeConfig {
         workers: 1,
         queue_depth: 1,
         hold: Some(gate.clone()),
@@ -989,30 +927,17 @@ fn phase_binary_protocol(n: usize) {
     // chaos off and with a kill drill armed mid-stream. The binary
     // transcript must *decode to* exactly the text transcript.
     for shards in [1usize, 2, 4] {
-        let (text, _, _) = run_pool_partitioned(shards, &requests, 1, None, false);
+        let (text, _) = run_pool_partitioned(shards, &requests, 1, None);
         let run_binary = |chaos: Option<Arc<Chaos>>, label: &str| -> String {
-            // Workers stay gated until the whole stream is queued: the
-            // drill must race re-dispatch against the *queue*, not
-            // against the client's submission loop — at shards=1 there
-            // is no sibling to absorb a submission that lands in the
-            // few-ms restart window, and that failover is phase 6's
-            // subject, not this phase's.
-            let gate = Gate::new(true);
-            let mut cfg = chaos_pool_cfg(shards, n + 1, chaos);
-            cfg.shard_cfg.hold = Some(gate.clone());
-            let pool = ShardPool::start(cfg);
-            let handle = pool.handle();
+            let pool = ShardPool::start(chaos_pool_cfg(shards, n + 1, chaos));
             let out = SharedBuf::new();
-            thread::scope(|scope| {
-                let conn_handle = handle.clone();
-                let conn_out = out.clone();
-                let conn_input = Cursor::new(input.clone());
-                scope.spawn(move || {
-                    serve_connection(&conn_handle, conn_input, conn_out, false)
-                        .expect("in-memory binary connection cannot fail");
-                });
-                open_when_queued(&handle, &gate, n);
-            });
+            serve_connection(
+                &pool.handle(),
+                Cursor::new(input.clone()),
+                out.clone(),
+                false,
+            )
+            .expect("in-memory binary connection cannot fail");
             pool.shutdown();
             flatten_binary_transcript(&out.take_bytes(), label)
         };
@@ -1060,7 +985,7 @@ fn phase_binary_protocol(n: usize) {
             line: format!("count t{i} {{x : 1 <= x <= {}}}", 1 + i % 9),
         })
         .collect();
-    let server = Server::start(ServeConfig {
+    let server = one_shard(ServeConfig {
         workers: 4,
         queue_depth: total + 1,
         default_deadline_ms: None,
@@ -1133,7 +1058,7 @@ fn phase_binary_protocol(n: usize) {
     // batch against a 2-deep gated queue admits two in position and
     // sheds two; only the shed indices are re-sent.
     let gate = Gate::new(true);
-    let server = Server::start(ServeConfig {
+    let server = one_shard(ServeConfig {
         workers: 1,
         queue_depth: 2,
         hold: Some(gate.clone()),
@@ -1223,7 +1148,7 @@ fn phase_admission(n: usize) {
     let probes = 50usize;
     let depth = 64usize;
     let mk_server = || {
-        Server::start(ServeConfig {
+        one_shard(ServeConfig {
             workers: 2,
             queue_depth: depth,
             default_deadline_ms: None,
@@ -1318,7 +1243,7 @@ fn phase_admission(n: usize) {
     );
     // Cross-check the client-side accounting against the admission
     // telemetry: every decision was observed on the lane that made it.
-    let m = &handle.telemetry().metrics;
+    let m = handle.request_metrics();
     assert_eq!(
         m.admission_total(ReqLane::Interactive, AdmitDecision::Admit),
         probes as u64,
@@ -1357,7 +1282,7 @@ fn phase_admission(n: usize) {
     // tokens, 250 milli-tokens back per attempt, 100 ms advertised per
     // tick. The admit/shed pattern and every computed hint are exact —
     // the ledger runs on a logical clock, not wall time.
-    let server = Server::start(ServeConfig {
+    let server = one_shard(ServeConfig {
         workers: 1,
         default_deadline_ms: None,
         admission: AdmissionConfig {
@@ -1404,7 +1329,7 @@ fn phase_admission(n: usize) {
     // while queued is evicted at pop time; an undeadlined sibling
     // queued behind it still computes exactly.
     let gate = Gate::new(true);
-    let server = Server::start(ServeConfig {
+    let server = one_shard(ServeConfig {
         workers: 1,
         hold: Some(gate.clone()),
         default_deadline_ms: None,

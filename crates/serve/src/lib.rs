@@ -7,15 +7,20 @@
 //! panics a worker, when a stream of adversarial formulas would burn a
 //! full deadline each, and when the process has to go away without
 //! dropping in-flight work. This crate packages those behaviors around
-//! the governed counting pipeline ([`presburger_counting::Governor`]):
+//! the governed counting pipeline ([`presburger_counting::Governor`]).
 //!
-//! * **Admission control** — a bounded queue; a full queue (or a
-//!   draining server) answers `SHED retry_after_ms=…` instead of
-//!   queueing unboundedly ([`server::Server`]). In front of it sits a
-//!   deadline-aware admission layer ([`admission`], DESIGN.md §16):
-//!   strict-priority lanes (`prio=interactive|batch|background`) with
-//!   a background anti-starvation credit, per-client token-bucket
-//!   quotas (`client=…`, refilled by a deterministic logical clock so
+//! There is one front door: a supervised [`ShardPool`]. Every request —
+//! over stdin/stdout ([`run_stdio`], a one-shard pool), over TCP
+//! ([`PoolTcpServer`]), or in process ([`PoolHandle::submit`]) — is
+//! admitted by the pool and answered by one of its shards:
+//!
+//! * **Admission control** — each shard has a bounded queue; a full
+//!   queue (or a draining pool) answers `SHED retry_after_ms=…` instead
+//!   of queueing unboundedly. In front of it sits a deadline-aware
+//!   admission layer ([`admission`], DESIGN.md §16): strict-priority
+//!   lanes (`prio=interactive|batch|background`) with a background
+//!   anti-starvation credit, per-client token-bucket quotas
+//!   (`client=…`, refilled by a deterministic logical clock so
 //!   transcripts stay byte-identical), eviction of requests whose
 //!   deadline expired while queued (answered with §4.6 bounds instead
 //!   of burning a worker), and load-derived `retry_after_ms` hints.
@@ -36,21 +41,21 @@
 //!   and an opt-in JSONL event log ([`telemetry`], DESIGN.md §12).
 //!   Telemetry is observational only: responses and replay transcripts
 //!   are byte-identical with it on or off.
-//! * **Supervised sharding** — a [`shard::ShardPool`] runs N bulkhead-
-//!   isolated servers behind a consistent-hash router and a supervisor
-//!   that detects crashed/wedged shards, restarts them with capped
-//!   backoff, and re-dispatches orphaned requests to siblings (falling
-//!   back to §4.6 bounds) so an admitted request never loses its
-//!   response — even with `PRESBURGER_CHAOS` ([`chaos`]) killing a
+//! * **Supervised sharding** — the pool runs N bulkhead-isolated shards
+//!   behind a consistent-hash router and a supervisor that detects
+//!   crashed/wedged shards, restarts them with capped backoff, and
+//!   re-dispatches orphaned requests to siblings or the replacement
+//!   (falling back to §4.6 bounds) so an admitted request never loses
+//!   its response — even with `PRESBURGER_CHAOS` ([`chaos`]) killing a
 //!   shard mid-run. Clients pair it with [`retry`]'s deterministic
 //!   jittered backoff on `SHED`. (DESIGN.md §14.)
 //!
-//! The wire protocol is newline-delimited text over stdin/stdout
-//! ([`server::run_stdio`]) or TCP ([`server::TcpServer`]); see
-//! [`protocol`] for the grammar and DESIGN.md §11 for the design
-//! rationale. The `serve_stress` binary floods a server with generated
-//! request streams and asserts zero lost/duplicated/misordered
-//! responses and byte-identical replay.
+//! The wire protocol is newline-delimited text or, auto-detected per
+//! connection, the binary codec of [`wire`]; see [`protocol`] for the
+//! grammar and DESIGN.md §11 for the design rationale. The
+//! `serve_stress` binary floods pools with generated request streams
+//! and asserts zero lost/duplicated/misordered responses and
+//! byte-identical replay.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,7 +78,7 @@ pub use cache::ResultCache;
 pub use chaos::{Chaos, ChaosSite};
 pub use protocol::{parse_request, Overrides, ProtocolError, Query, Request, ServeError, Verb};
 pub use retry::{submit_batch_with_retry, submit_with_retry, RetryPolicy};
-pub use server::{run_stdio, Gate, Handle, ServeConfig, Server, Service, Slot, TcpServer};
+pub use server::{run_stdio, Gate, ServeConfig, Slot};
 pub use shard::{routing_hash, PoolHandle, PoolTcpServer, Ring, ShardPool, ShardPoolConfig};
 pub use telemetry::{FlightRecord, RequestTelemetry, Telemetry, TelemetrySettings};
 pub use wire::{serve_binary_connection, BinClient, Reply, WireRequest};

@@ -54,9 +54,10 @@
 //! dumps the slow-request flight recorder as one JSON object per line
 //! (see `server::telemetry` and DESIGN.md §12), and `shards` reports
 //! per-shard supervision state (`SHARDS shards=N` followed by one
-//! `shard=<i> …` row per shard; a standalone server reports itself as
-//! its own single shard — see `server::shard` and DESIGN.md §14). The
-//! legacy one-line `stats` remains unchanged.
+//! `shard=<i> …` row per shard — see `server::shard` and DESIGN.md
+//! §14). The legacy one-line `stats` remains unchanged: a one-shard
+//! pool answers with its shard's counters, a larger pool with a
+//! `STATS shards=N …` aggregate.
 
 use crate::admission::Lane;
 use presburger_counting::Budgets;
@@ -223,7 +224,7 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Errors from running a server (`run_stdio` / `TcpServer`).
+/// Errors from running a server (`run_stdio` / `PoolTcpServer`).
 #[derive(Debug)]
 pub enum ServeError {
     /// Socket/stdio failure.

@@ -1,15 +1,18 @@
-//! The server core: admission queue, worker pool, request processing,
-//! drain, and the stdio / TCP connection drivers.
+//! One shard's server core — admission queue, worker pool, request
+//! processing, drain — plus the stdio / TCP connection drivers that
+//! front a [`ShardPool`].
 //!
 //! # Life of a request
 //!
 //! 1. A connection driver reads one line and parses it
 //!    ([`crate::protocol::parse_request`]). Control verbs and protocol
-//!    errors are answered inline; queries go to [`Server::submit`].
-//! 2. `submit` either enqueues a [`Job`] (bounded queue) or answers
-//!    `SHED` immediately — when the queue is full or the server is
-//!    draining. Admission and the draining check happen under one lock,
-//!    so a request can never slip in behind a drain.
+//!    errors are answered inline (`control_slot`); queries go to
+//!    [`PoolHandle::submit`].
+//! 2. The pool meters the client's quota, sheds if it is draining, and
+//!    routes the query to a shard, whose `Handle::try_enqueue` either
+//!    enqueues a job (bounded queue) or refuses it. Admission and the
+//!    shard's draining check happen under one lock, so a request can
+//!    never slip in behind a drain.
 //! 3. A worker pops the job and runs the whole computation — parsing
 //!    the formula, governing the count, rendering the reply — inside
 //!    `catch_unwind`. A panic poisons only that request (`ERR …
@@ -22,15 +25,16 @@
 //!
 //! With deadline-free requests the entire response stream is a pure
 //! function of the request stream: budget trips are deterministic
-//! (per-clause accounting, PR 3), cache keys include budget overrides,
-//! and per-connection FIFO writers fix the interleaving. `serve_stress`
+//! (per-clause accounting), cache keys include budget overrides, and
+//! per-connection FIFO writers fix the interleaving. `serve_stress`
 //! asserts byte-identical transcripts across runs and worker counts.
 
-use crate::admission::{self, AdmissionConfig, Lane, LaneQueues, QuotaDecision, QuotaLedger};
+use crate::admission::{self, AdmissionConfig, Lane, LaneQueues};
 use crate::breaker::{Breaker, Plan};
 use crate::cache::ResultCache;
-use crate::chaos::{self, ChaosSite};
+use crate::chaos::{self, Chaos, ChaosSite};
 use crate::protocol::{self, err_line, parse_request, shed_line, Query, Request, ServeError, Verb};
+use crate::shard::{PoolHandle, ShardPool, ShardPoolConfig};
 use crate::sync::{lock_ok, wait_ok};
 use crate::telemetry::{RequestTelemetry, Telemetry, TelemetrySettings};
 use presburger_counting::{
@@ -50,9 +54,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Server configuration. `Default` gives a single-worker server with a
-/// 64-deep queue, a 5 s default deadline, a 3-strike breaker and a
-/// 256-entry / 1 MiB cache.
+/// Per-shard server configuration. `Default` gives a single-worker
+/// shard with a 64-deep queue, a 5 s default deadline, a 3-strike
+/// breaker and a 256-entry / 1 MiB cache.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Worker threads draining the admission queue.
@@ -93,12 +97,6 @@ pub struct ServeConfig {
     /// Test hook: when set, workers wait on this gate before popping
     /// each job, making queue-full sheds deterministic.
     pub hold: Option<Arc<Gate>>,
-    /// Which shard of a [`crate::shard::ShardPool`] this server is
-    /// (labels chaos injection). `0` for standalone servers.
-    pub shard_index: usize,
-    /// Deterministic chaos injection shared by every shard of a pool
-    /// (see [`crate::chaos`]). `None` = no chaos.
-    pub chaos: Option<Arc<chaos::Chaos>>,
     /// Deadline-aware admission control: priority lanes, per-client
     /// quotas, expired-request eviction, load-derived hints (see
     /// [`crate::admission`], DESIGN.md §16). The defaults preserve the
@@ -123,8 +121,6 @@ impl Default for ServeConfig {
             fault_spec: None,
             telemetry: TelemetrySettings::default(),
             hold: None,
-            shard_index: 0,
-            chaos: None,
             admission: AdmissionConfig::default(),
         }
     }
@@ -229,18 +225,19 @@ struct Job {
     enqueued: Instant,
 }
 
-/// Why [`Handle::try_enqueue`] refused a query.
+/// Why a shard refused (or the pool's front door shed) a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Refusal {
-    /// The server is draining (or condemned). The pool treats this as
+    /// The shard is draining (or condemned). The pool treats this as
     /// "shard going away mid-race" and re-routes instead of shedding.
     Draining,
     /// The bounded admission queue is full — genuine backpressure.
     QueueFull,
-    /// The client is over its token-bucket quota ([`QuotaLedger`]).
-    /// Only front doors produce this (never [`Handle::try_enqueue`]):
-    /// metering happens once per arrival, so a pool's failover loop
-    /// cannot double-charge the shared ledger.
+    /// The client is over its token-bucket quota
+    /// ([`crate::admission::QuotaLedger`]).
+    /// Only the pool's front door produces this (never
+    /// [`Handle::try_enqueue`]): metering happens once per arrival, so a
+    /// failover hop cannot double-charge the shared ledger.
     Quota,
 }
 
@@ -251,10 +248,24 @@ pub(crate) struct Refused {
     pub line: String,
 }
 
+/// Why a request is answered with the budgeted §4.6 bounds instead of a
+/// governed run ([`Handle::rescue`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Rescue {
+    /// It arrived already expired (`deadline_ms=0`): answered at
+    /// admission, never queued.
+    EvictedAtAdmission,
+    /// Its deadline lapsed while it sat queued: answered at pop time.
+    EvictedInQueue,
+    /// It outlived its shard and no sibling could take it in time: the
+    /// supervisor's terminal fallback.
+    Failover,
+}
+
 /// Atomic server statistics, rendered by `STATS` and the final drain
 /// line.
 #[derive(Default)]
-pub struct Stats {
+pub(crate) struct Stats {
     admitted: AtomicU64,
     ok: AtomicU64,
     errors: AtomicU64,
@@ -274,7 +285,7 @@ impl Stats {
         field.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Sheds issued (queue-full + draining).
+    /// Sheds issued (queue-full, quota and draining).
     pub fn sheds(&self) -> u64 {
         self.shed_queue.load(Ordering::Relaxed) + self.shed_drain.load(Ordering::Relaxed)
     }
@@ -298,25 +309,14 @@ impl Stats {
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits.load(Ordering::Relaxed)
     }
-
-    /// Verify-mode mismatches detected (should stay 0).
-    pub fn verify_mismatches(&self) -> u64 {
-        self.verify_mismatches.load(Ordering::Relaxed)
-    }
-
-    /// Closed→open breaker transitions.
-    pub fn breaker_opens(&self) -> u64 {
-        self.breaker_opens.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered degrade-first while the breaker was open.
-    pub fn degraded_first(&self) -> u64 {
-        self.degraded_first.load(Ordering::Relaxed)
-    }
 }
 
 struct Inner {
     cfg: ServeConfig,
+    /// This server's index in its pool (labels chaos injection).
+    shard: usize,
+    /// Deterministic chaos shared by every shard of the pool.
+    chaos: Option<Arc<Chaos>>,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
     inflight: AtomicUsize,
@@ -334,11 +334,6 @@ struct Inner {
     /// Bumped on every job pop and completion. A shard with inflight
     /// work whose heartbeat stops advancing is wedged.
     heartbeat: AtomicU64,
-    /// Per-client quota ledger; `None` when quotas are off. A shard
-    /// pool passes one shared ledger to every shard
-    /// ([`Server::start_shared`]), though only the pool's front door
-    /// meters it.
-    ledger: Option<Arc<QuotaLedger>>,
 }
 
 struct QueueState {
@@ -347,36 +342,25 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// A running server: a worker pool behind a bounded admission queue.
-/// Cheap to clone-share via [`Server::handle`]; drop order does not
-/// matter (workers exit on drain/shutdown).
-pub struct Server {
+/// One shard of a [`ShardPool`]: a worker pool behind a bounded
+/// admission queue. Started, restarted and abandoned by the pool's
+/// supervisor; drop order does not matter (workers exit on
+/// drain/shutdown).
+pub(crate) struct Server {
     inner: Arc<Inner>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
-/// A shareable handle for submitting requests and draining.
+/// A shareable handle on one shard, for the pool's router and
+/// supervisor.
 #[derive(Clone)]
-pub struct Handle {
+pub(crate) struct Handle {
     inner: Arc<Inner>,
 }
 
 impl Server {
-    /// Starts the worker pool. A quota ledger (when configured) is
-    /// created fresh for this server; shard pools use
-    /// [`Server::start_shared`] so all shards meter one ledger.
-    pub fn start(cfg: ServeConfig) -> Server {
-        let ledger = cfg
-            .admission
-            .quota
-            .map(|q| Arc::new(QuotaLedger::new(q, cfg.admission.max_clients)));
-        Server::start_shared(cfg, ledger)
-    }
-
-    /// Starts the worker pool with an externally owned quota ledger —
-    /// how a [`crate::shard::ShardPool`] gives every shard (including
-    /// supervisor restarts) the same per-client clocks.
-    pub(crate) fn start_shared(cfg: ServeConfig, ledger: Option<Arc<QuotaLedger>>) -> Server {
+    /// Starts shard `shard`'s worker pool, with the pool's `chaos`.
+    pub(crate) fn start(cfg: ServeConfig, shard: usize, chaos: Option<Arc<Chaos>>) -> Server {
         // Cross-request memoization: the shared read-mostly tier makes
         // sub-problem results (eliminations, Smith forms, Faulhaber
         // polynomials) O(1) hits across requests and worker threads.
@@ -384,7 +368,7 @@ impl Server {
         // encodings, so they can never go stale (see
         // `presburger_trace::memo`).
         trace::memo::enable_shared(true);
-        if cfg.chaos.is_some() {
+        if chaos.is_some() {
             chaos::install_chaos_hook();
         }
         let workers = cfg.workers.max(1);
@@ -404,7 +388,8 @@ impl Server {
             telemetry: Telemetry::new(cfg.telemetry.clone()),
             workers_alive: AtomicUsize::new(0),
             heartbeat: AtomicU64::new(0),
-            ledger,
+            shard,
+            chaos,
             cfg,
         });
         let handles = (0..workers)
@@ -434,23 +419,22 @@ impl Server {
         }
     }
 
-    /// A shareable submit/drain handle.
-    pub fn handle(&self) -> Handle {
+    /// A shareable handle.
+    pub(crate) fn handle(&self) -> Handle {
         Handle {
             inner: self.inner.clone(),
         }
     }
 
-    /// Drains and joins the worker pool. Returns the final stats line.
-    pub fn shutdown(mut self) -> String {
-        let line = self.handle().drain();
+    /// Drains and joins the worker pool.
+    pub(crate) fn shutdown(mut self) {
+        self.handle().drain();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
         // Workers are gone, so every accepted event is already in the
         // channel; close() flushes them all to the file.
         self.inner.telemetry.close_event_log();
-        line
     }
 
     /// Condemns a crashed or wedged server: stops admission, tells the
@@ -460,7 +444,7 @@ impl Server {
     /// healthy worker that finishes anyway publishes the identical line
     /// its re-dispatched twin computes (see [`Slot::fulfil`]), while a
     /// cancelled one would publish a different, racy answer.
-    pub fn abandon(mut self) {
+    pub(crate) fn abandon(mut self) {
         {
             let mut q = lock_ok(&self.inner.queue);
             q.draining = true;
@@ -474,133 +458,31 @@ impl Server {
 }
 
 impl Handle {
-    /// Admits a query, or sheds it. Always returns a slot that will be
-    /// (or already is) fulfilled with exactly one response line.
+    /// Enqueues each `(query, slot)` in input order under **one**
+    /// queue-lock reservation, so a batch never interleaves with other
+    /// submitters; returns one result per job. Once the shard is
+    /// draining or the queue fills, every later job is refused too.
     ///
-    /// This is a quota **front door**: the client's logical clock
-    /// advances exactly once per call, before any queue interaction, so
-    /// the decision is a pure function of the client's attempt sequence.
-    pub fn submit(&self, query: Query) -> Arc<Slot> {
-        let verb = query.verb;
-        let lane = query.lane();
-        // Quota first: a client pays for offered load, whatever becomes
-        // of the request afterwards.
-        if let Some(line) = self.check_quota(&query) {
-            self.note_shed(Refusal::Quota, verb, lane);
-            return Slot::ready(line);
-        }
-        // A request that arrives already expired (deadline_ms=0) is
-        // answered with the budgeted §4.6 bounds instead of queueing.
-        if self.inner.cfg.admission.evict_expired
-            && effective_deadline_ms(&self.inner.cfg, &query) == Some(0)
-        {
-            return Slot::ready(self.evict_reply(&query, lane));
-        }
-        let slot = Slot::new();
-        match self.try_enqueue(query, slot.clone()) {
-            Ok(()) => slot,
-            Err(refused) => {
-                self.note_shed(refused.reason, verb, lane);
-                Slot::ready(refused.line)
-            }
-        }
-    }
-
-    /// Meters one admission attempt against the quota ledger; returns
-    /// the rendered `SHED` line when the client is over quota.
-    pub(crate) fn check_quota(&self, query: &Query) -> Option<String> {
-        let ledger = self.inner.ledger.as_ref()?;
-        let client = query.client.as_deref().unwrap_or(ANON_CLIENT);
-        match ledger.check(client) {
-            QuotaDecision::Admit => None,
-            QuotaDecision::Shed { retry_after_ms } => {
-                let reason = admission::shed_reason(
-                    "quota",
-                    query.lane(),
-                    retry_after_ms,
-                    self.inner.cfg.admission.detail,
-                );
-                Some(shed_line(&query.id, retry_after_ms, &reason))
-            }
-        }
-    }
-
-    /// Answers an expired request with the budgeted §4.6 bounds (`OK …
-    /// bounded evicted lo ; hi`) and tallies it as admitted + ok — the
-    /// request *was* accepted and answered, just without burning a
-    /// governed run.
-    pub(crate) fn evict_reply(&self, query: &Query, lane: Lane) -> String {
+    /// A refusal leaves its slot untouched and is not tallied: only a
+    /// shed actually *delivered* to a client counts
+    /// ([`Handle::note_shed`]), and the pool re-routes `Draining`
+    /// refusals (a condemned shard) instead of delivering them.
+    pub(crate) fn try_enqueue(&self, jobs: Vec<(Query, Arc<Slot>)>) -> Vec<Result<(), Refused>> {
         let inner = &self.inner;
-        inner.stats.bump(&inner.stats.admitted);
-        trace::bump(Counter::ServeRequests);
-        let line = bounds_reply(
-            query,
-            &inner.cfg.default_budgets,
-            inner.cfg.default_deadline_ms,
-            "evicted",
-        );
-        if line.starts_with("OK") {
-            inner.stats.bump(&inner.stats.ok);
-        } else {
-            inner.stats.bump(&inner.stats.errors);
-        }
-        inner
-            .telemetry
-            .metrics
-            .observe_admission(req_lane(lane), AdmitDecision::Evicted);
-        line
-    }
-
-    /// Admits a whole batch under **one** queue-lock reservation: every
-    /// query is admitted or shed in a single critical section, so a
-    /// batch can never interleave with other submitters. Partial-shed
-    /// semantics: queries are considered in order; once the server is
-    /// draining or the queue fills, the remaining queries get `SHED`
-    /// slots *in position* while earlier admissions stand. Returns one
-    /// slot per query, in input order.
-    pub fn submit_batch(&self, queries: Vec<Query>) -> Vec<Arc<Slot>> {
-        let inner = &self.inner;
-        let mut slots = Vec::with_capacity(queries.len());
-        let mut sheds: Vec<(Refusal, Verb, Lane)> = Vec::new();
-        // Inner requests that arrived already expired get their
-        // positional `OK bounded evicted` reply *after* the lock drops:
-        // the decision is made in the critical section (deterministic),
-        // the bounds pass is not run under it.
-        let mut evictions: Vec<(Arc<Slot>, Query, Lane)> = Vec::new();
+        let mut results = Vec::with_capacity(jobs.len());
         let mut admitted = 0usize;
         {
             let mut q = lock_ok(&inner.queue);
-            for query in queries {
+            for (query, slot) in jobs {
                 let lane = query.lane();
-                // Quota meters every batched arrival, admitted or not —
-                // positionally, in frame order (ledger locks nest under
-                // the queue lock; nothing takes them the other way).
-                if let Some(line) = self.check_quota(&query) {
-                    slots.push(Slot::ready(line));
-                    sheds.push((Refusal::Quota, query.verb, lane));
-                    continue;
-                }
                 if q.draining || q.shutdown {
-                    let reason = admission::shed_reason(
-                        "draining",
-                        lane,
-                        inner.cfg.retry_after_ms,
-                        inner.cfg.admission.detail,
-                    );
-                    slots.push(Slot::ready(shed_line(
-                        &query.id,
-                        inner.cfg.retry_after_ms,
-                        &reason,
-                    )));
-                    sheds.push((Refusal::Draining, query.verb, lane));
-                    continue;
-                }
-                if inner.cfg.admission.evict_expired
-                    && effective_deadline_ms(&inner.cfg, &query) == Some(0)
-                {
-                    let slot = Slot::new();
-                    slots.push(slot.clone());
-                    evictions.push((slot, query, lane));
+                    let hint = inner.cfg.retry_after_ms;
+                    let reason =
+                        admission::shed_reason("draining", lane, hint, inner.cfg.admission.detail);
+                    results.push(Err(Refused {
+                        reason: Refusal::Draining,
+                        line: shed_line(&query.id, hint, &reason),
+                    }));
                     continue;
                 }
                 if q.jobs.len() >= inner.cfg.queue_depth {
@@ -611,16 +493,17 @@ impl Handle {
                         hint,
                         inner.cfg.admission.detail,
                     );
-                    slots.push(Slot::ready(shed_line(&query.id, hint, &reason)));
-                    sheds.push((Refusal::QueueFull, query.verb, lane));
+                    results.push(Err(Refused {
+                        reason: Refusal::QueueFull,
+                        line: shed_line(&query.id, hint, &reason),
+                    }));
                     continue;
                 }
-                let slot = Slot::new();
                 q.jobs.push(
                     lane,
                     Job {
                         query,
-                        slot: slot.clone(),
+                        slot,
                         lane,
                         enqueued: Instant::now(),
                     },
@@ -638,22 +521,16 @@ impl Handle {
                     .telemetry
                     .metrics
                     .observe_admission(req_lane(lane), AdmitDecision::Admit);
-                slots.push(slot);
+                results.push(Ok(()));
             }
         }
-        // Tallies and wakeups ride outside the critical section.
-        for (reason, verb, lane) in sheds {
-            self.note_shed(reason, verb, lane);
-        }
+        // Wakeups ride outside the critical section.
         match admitted {
             0 => {}
             1 => inner.queue_cv.notify_one(),
             _ => inner.queue_cv.notify_all(),
         }
-        for (slot, query, lane) in evictions {
-            slot.fulfil(self.evict_reply(&query, lane));
-        }
-        slots
+        results
     }
 
     /// The `retry_after_ms` on a `queue_full` shed: the static default,
@@ -673,68 +550,10 @@ impl Handle {
         admission::load_hint_ms(depth, mean_us, cfg.retry_after_ms, LOAD_HINT_CAP_MS)
     }
 
-    /// Re-admits an orphaned query, re-using the caller's existing slot
-    /// so the connection writer waiting on it is none the wiser. Unlike
-    /// [`Handle::submit`], a refusal does **not** touch the slot or the
-    /// shed counters — the supervisor owns the fallback for requests it
-    /// could not place. Returns whether the query was admitted.
-    pub fn resubmit(&self, query: Query, slot: Arc<Slot>) -> bool {
-        self.try_enqueue(query, slot).is_ok()
-    }
-
-    /// Enqueues `(query, slot)` or refuses without touching the slot.
-    /// Refusals are not tallied here: only a shed actually *delivered*
-    /// to a client counts ([`Handle::note_shed`]); the pool re-routes
-    /// mid-restart refusals instead of delivering them.
-    pub(crate) fn try_enqueue(&self, query: Query, slot: Arc<Slot>) -> Result<(), Refused> {
-        let inner = &self.inner;
-        let lane = query.lane();
-        let mut q = lock_ok(&inner.queue);
-        if q.draining || q.shutdown {
-            let reason = admission::shed_reason(
-                "draining",
-                lane,
-                inner.cfg.retry_after_ms,
-                inner.cfg.admission.detail,
-            );
-            return Err(Refused {
-                reason: Refusal::Draining,
-                line: shed_line(&query.id, inner.cfg.retry_after_ms, &reason),
-            });
-        }
-        if q.jobs.len() >= inner.cfg.queue_depth {
-            let hint = self.queue_full_hint(q.jobs.len() as u64, lane);
-            let reason =
-                admission::shed_reason("queue_full", lane, hint, inner.cfg.admission.detail);
-            return Err(Refused {
-                reason: Refusal::QueueFull,
-                line: shed_line(&query.id, hint, &reason),
-            });
-        }
-        q.jobs.push(
-            lane,
-            Job {
-                query,
-                slot,
-                lane,
-                enqueued: Instant::now(),
-            },
-        );
-        let depth = q.jobs.len() as u64;
-        inner.stats.bump(&inner.stats.admitted);
-        inner
-            .stats
-            .queue_depth_peak
-            .fetch_max(depth, Ordering::Relaxed);
-        trace::record_max(Counter::ServeQueueDepthPeak, depth);
-        trace::bump(Counter::ServeRequests);
-        inner
-            .telemetry
-            .metrics
-            .observe_admission(req_lane(lane), AdmitDecision::Admit);
-        drop(q);
-        inner.queue_cv.notify_one();
-        Ok(())
+    /// Answers `query` with the budgeted §4.6 bounds (see
+    /// [`Inner::rescue`]).
+    pub(crate) fn rescue(&self, query: &Query, why: Rescue) -> String {
+        self.inner.rescue(query, why).line
     }
 
     /// Tallies a shed that was actually delivered to a client. Quota
@@ -767,18 +586,10 @@ impl Handle {
     /// Gracefully drains the server: stops admitting, waits for queued
     /// and in-flight work up to the drain deadline, then cancels the
     /// rest (cancelled requests still answer — with §4.6 bounds when
-    /// possible). Returns the final stats line. Idempotent; secondary
-    /// callers get the stats line without re-draining.
-    pub fn drain(&self) -> String {
+    /// possible). Idempotent.
+    pub(crate) fn drain(&self) {
         let inner = &self.inner;
-        {
-            let mut q = lock_ok(&inner.queue);
-            if q.draining {
-                // Someone else is draining; fall through to wait below.
-            } else {
-                q.draining = true;
-            }
-        }
+        lock_ok(&inner.queue).draining = true;
         inner.queue_cv.notify_all();
 
         let deadline = Instant::now() + Duration::from_millis(inner.cfg.drain_deadline_ms);
@@ -797,13 +608,9 @@ impl Handle {
                 thread::sleep(Duration::from_millis(5));
             }
         }
-        {
-            let mut q = lock_ok(&inner.queue);
-            q.shutdown = true;
-        }
+        lock_ok(&inner.queue).shutdown = true;
         inner.queue_cv.notify_all();
         inner.drained.store(true, Ordering::Relaxed);
-        self.stats_line()
     }
 
     fn idle(&self) -> bool {
@@ -812,7 +619,7 @@ impl Handle {
     }
 
     /// The `STATS` line: space-separated `key=value` counters.
-    pub fn stats_line(&self) -> String {
+    pub(crate) fn stats_line(&self) -> String {
         let s = &self.inner.stats;
         let breaker = lock_ok(&self.inner.breaker);
         let cache = lock_ok(&self.inner.cache);
@@ -838,57 +645,89 @@ impl Handle {
         )
     }
 
-    /// Read-only access to the counters (for harnesses).
-    pub fn stats(&self) -> &Stats {
+    /// Read-only access to the counters.
+    pub(crate) fn stats(&self) -> &Stats {
         &self.inner.stats
     }
 
     /// The request-scoped telemetry hub (histograms, flight recorder).
-    pub fn telemetry(&self) -> &Telemetry {
+    pub(crate) fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
     }
 
-    /// The `metrics` verb's reply: Prometheus text exposition, `# EOF`
-    /// terminated.
-    pub fn metrics_text(&self) -> String {
-        self.inner.telemetry.metrics_text()
-    }
-
-    /// The `flightrec` verb's reply: one JSON object per retained slow
-    /// request, `# EOF` terminated.
-    pub fn flight_dump(&self) -> String {
-        self.inner.telemetry.flight_dump()
-    }
-
-    /// Whether a drain has completed.
-    pub fn is_drained(&self) -> bool {
+    /// Whether a drain (or condemnation) has completed.
+    pub(crate) fn is_drained(&self) -> bool {
         self.inner.drained.load(Ordering::Relaxed)
     }
 
     /// Worker threads currently alive (supervisor health probe).
-    pub fn workers_alive(&self) -> usize {
+    pub(crate) fn workers_alive(&self) -> usize {
         self.inner.workers_alive.load(Ordering::SeqCst)
     }
 
     /// Worker threads this server was configured with.
-    pub fn expected_workers(&self) -> usize {
+    pub(crate) fn expected_workers(&self) -> usize {
         self.inner.cfg.workers.max(1)
     }
 
     /// Monotone worker progress counter (bumped on every job pop and
     /// completion). Stalls with inflight work mean a wedge.
-    pub fn heartbeat(&self) -> u64 {
+    pub(crate) fn heartbeat(&self) -> u64 {
         self.inner.heartbeat.load(Ordering::Relaxed)
     }
 
     /// Jobs currently being processed by workers.
-    pub fn inflight(&self) -> usize {
+    pub(crate) fn inflight(&self) -> usize {
         self.inner.inflight.load(Ordering::Relaxed)
     }
 
     /// Jobs waiting in the admission queue.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         lock_ok(&self.inner.queue).jobs.len()
+    }
+}
+
+impl Inner {
+    /// The one §4.6 rescue: a fresh budgeted bound pass for `query`
+    /// (`OK <id> bounded <evicted|failover> lo ; hi`, or `ERR` when even
+    /// the bounds fail), tallied on this shard as `ok` or `errors` — and
+    /// as `admitted` when the request never reached the queue. Evictions
+    /// also count as an `evicted` admission decision. Never cached.
+    fn rescue(&self, query: &Query, why: Rescue) -> Reply {
+        let stats = &self.stats;
+        if why == Rescue::EvictedAtAdmission {
+            stats.bump(&stats.admitted);
+            trace::bump(Counter::ServeRequests);
+        }
+        let label = if why == Rescue::Failover {
+            "failover"
+        } else {
+            "evicted"
+        };
+        let line = bounds_reply(
+            query,
+            &self.cfg.default_budgets,
+            self.cfg.default_deadline_ms,
+            label,
+        );
+        let outcome = if line.starts_with("OK") {
+            stats.bump(&stats.ok);
+            ReqOutcome::Bounded
+        } else {
+            stats.bump(&stats.errors);
+            ReqOutcome::Err
+        };
+        if why != Rescue::Failover {
+            self.telemetry
+                .metrics
+                .observe_admission(req_lane(query.lane()), AdmitDecision::Evicted);
+        }
+        Reply {
+            line,
+            outcome,
+            engine: Duration::ZERO,
+            formula: query.formula_text.clone(),
+        }
     }
 }
 
@@ -908,11 +747,6 @@ fn req_lane(lane: Lane) -> ReqLane {
         Lane::Background => ReqLane::Background,
     }
 }
-
-/// The quota identity of a query that reached an in-process front door
-/// without a `client=` option or a connection-scoped identity. Outside
-/// the id charset, so it can never collide with a real client.
-const ANON_CLIENT: &str = "@anon";
 
 /// Cap on a load-derived `queue_full` hint.
 const LOAD_HINT_CAP_MS: u64 = 60_000;
@@ -948,12 +782,7 @@ fn worker_loop(inner: &Arc<Inner>) {
         // with no lock held. A `kill` therefore never poisons a lock
         // (drill metrics stay clean) and the held job is provably
         // unanswered, which is exactly what the supervisor must recover.
-        if let Some(site) = inner
-            .cfg
-            .chaos
-            .as_ref()
-            .and_then(|c| c.on_job(inner.cfg.shard_index))
-        {
+        if let Some(site) = inner.chaos.as_ref().and_then(|c| c.on_job(inner.shard)) {
             match site {
                 ChaosSite::Delay => thread::sleep(Duration::from_millis(40)),
                 ChaosSite::Kill => std::panic::panic_any(chaos::ChaosKill),
@@ -976,8 +805,8 @@ fn worker_loop(inner: &Arc<Inner>) {
         let baseline = inner.telemetry.counter_baseline();
         let started = Instant::now();
         // Expired in queue: answer immediately with the budgeted §4.6
-        // bounds (the same rescue path shards use) instead of burning a
-        // governed run on a reply the client has given up on.
+        // bounds instead of burning a governed run on a reply the client
+        // has given up on.
         let evict = inner.cfg.admission.evict_expired
             && effective_deadline_ms(&inner.cfg, &job.query)
                 .is_some_and(|d| queue_wait >= Duration::from_millis(d));
@@ -985,7 +814,7 @@ fn worker_loop(inner: &Arc<Inner>) {
         // including inside rendering — poisons only this request.
         let reply = catch_unwind(AssertUnwindSafe(|| {
             if evict {
-                evicted_reply(inner, &job.query, job.lane)
+                inner.rescue(&job.query, Rescue::EvictedInQueue)
             } else {
                 process(inner, &job.query, queue_wait)
             }
@@ -1039,35 +868,6 @@ struct Reply {
     engine: Duration,
     /// Canonically re-rendered formula (raw text when parsing failed).
     formula: String,
-}
-
-/// The pop-time eviction reply: a queued-past-deadline request answered
-/// with the budgeted §4.6 bounds. Counted as `ok` (the request *was*
-/// answered) plus an `evicted` admission decision; never cached.
-fn evicted_reply(inner: &Arc<Inner>, query: &Query, lane: Lane) -> Reply {
-    let line = bounds_reply(
-        query,
-        &inner.cfg.default_budgets,
-        inner.cfg.default_deadline_ms,
-        "evicted",
-    );
-    let outcome = if line.starts_with("OK") {
-        inner.stats.bump(&inner.stats.ok);
-        ReqOutcome::Bounded
-    } else {
-        inner.stats.bump(&inner.stats.errors);
-        ReqOutcome::Err
-    };
-    inner
-        .telemetry
-        .metrics
-        .observe_admission(req_lane(lane), AdmitDecision::Evicted);
-    Reply {
-        line,
-        outcome,
-        engine: Duration::ZERO,
-        formula: query.formula_text.clone(),
-    }
 }
 
 /// Computes the response for one query. Runs on a worker, inside its
@@ -1381,23 +1181,10 @@ fn bounds(
     }
 }
 
-/// The supervisor's terminal fallback for an orphaned request no shard
-/// could take: a fresh budgeted §4.6 bound pass (`OK … bounded failover
-/// lo ; hi`) or an `ERR` — never silence. Self-contained (no server
-/// state) because the shard that admitted the request is gone.
-pub(crate) fn fallback_reply(
-    query: &Query,
-    default_budgets: &Budgets,
-    default_deadline_ms: Option<u64>,
-) -> String {
-    bounds_reply(query, default_budgets, default_deadline_ms, "failover")
-}
-
 /// A self-contained budgeted §4.6 bound reply: `OK <id> bounded <why>
-/// lo ; hi`, or an `ERR` when the query does not even parse. Shared by
-/// the supervisor's orphan fallback (`why = "failover"`) and
-/// expired-request eviction (`why = "evicted"`).
-pub(crate) fn bounds_reply(
+/// lo ; hi`, or an `ERR` when the query does not even parse (see
+/// [`Inner::rescue`]).
+fn bounds_reply(
     query: &Query,
     default_budgets: &Budgets,
     default_deadline_ms: Option<u64>,
@@ -1450,116 +1237,50 @@ pub(crate) fn bounds_reply(
     }
 }
 
-/// What a connection driver needs from the thing answering requests.
-/// Implemented by the single-server [`Handle`] and the shard pool's
-/// [`crate::shard::PoolHandle`], so every front-end (stdio, TCP,
-/// in-process harnesses) works unchanged against either.
-pub trait Service: Clone + Send + Sync + 'static {
-    /// Admits or sheds a query; the returned slot is (or will be)
-    /// fulfilled with exactly one response line.
-    fn submit(&self, query: Query) -> Arc<Slot>;
-    /// Admits a batch of queries, one slot per query in input order.
-    /// The default scatters each query through [`Service::submit`]
-    /// (which is how a shard pool fans a batch across its ring);
-    /// single-server handles override it with an atomic one-reservation
-    /// admission that defines partial-shed semantics.
-    fn submit_batch(&self, queries: Vec<Query>) -> Vec<Arc<Slot>> {
-        queries.into_iter().map(|q| self.submit(q)).collect()
-    }
-    /// Observational hook: a connection driver saw one request frame
-    /// (or, with `batch = Some(k)`, a batch frame of `k` inner
-    /// requests) on the given codec. Feeds the per-codec request
-    /// counters and the batch-size histogram; replies are unaffected.
-    fn observe_wire(&self, codec: ReqCodec, batch: Option<u64>) {
-        let _ = (codec, batch);
-    }
-    /// Gracefully drains; returns the final stats line.
-    fn drain(&self) -> String;
-    /// The `stats` verb's one-line reply.
-    fn stats_line(&self) -> String;
-    /// The `metrics` verb's Prometheus exposition, `# EOF` terminated.
-    fn metrics_text(&self) -> String;
-    /// The `flightrec` verb's dump, `# EOF` terminated.
-    fn flight_dump(&self) -> String;
-    /// The `shards` verb's health/topology block, `# EOF` terminated.
-    fn shards_text(&self) -> String;
-    /// Whether a drain has completed.
-    fn is_drained(&self) -> bool;
-    /// Whether the service meters per-client quotas. Connection drivers
-    /// then stamp a connection-scoped identity (`@conn-<n>`, outside
-    /// the `client=` charset so it can never collide) on queries that
-    /// carry none — the default scope the tentpole spec asks for.
-    fn wants_client_identity(&self) -> bool {
-        false
-    }
-}
-
 /// Process-wide connection sequence for synthetic `@conn-<n>` quota
 /// identities.
 static CONN_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// A fresh connection-scoped quota identity.
-pub(crate) fn next_conn_client() -> String {
-    format!("@conn-{}", CONN_SEQ.fetch_add(1, Ordering::Relaxed))
+/// The quota identity for a connection's queries that carry no
+/// `client=` option: a fresh `@conn-<n>` (outside the `client=`
+/// charset, so it can never collide) when the pool meters quotas, and
+/// nothing otherwise (so quota-free pools stay allocation-identical).
+pub(crate) fn conn_client(handle: &PoolHandle) -> Option<String> {
+    handle
+        .meters_quota()
+        .then(|| format!("@conn-{}", CONN_SEQ.fetch_add(1, Ordering::Relaxed)))
 }
 
-impl Service for Handle {
-    fn submit(&self, query: Query) -> Arc<Slot> {
-        Handle::submit(self, query)
-    }
-    fn submit_batch(&self, queries: Vec<Query>) -> Vec<Arc<Slot>> {
-        Handle::submit_batch(self, queries)
-    }
-    fn observe_wire(&self, codec: ReqCodec, batch: Option<u64>) {
-        let m = &self.inner.telemetry.metrics;
-        m.observe_codec_requests(codec, batch.unwrap_or(1));
-        if let Some(k) = batch {
-            m.observe_batch(k);
+/// Answers a control request inline — the same replies on either codec.
+/// A `drain` sets `saw_drain`, so the driver stops reading.
+pub(crate) fn control_slot(handle: &PoolHandle, req: Request, saw_drain: &mut bool) -> Arc<Slot> {
+    Slot::ready(match req {
+        Request::Query(_) => unreachable!("queries are dispatched via submit"),
+        Request::Ping(Some(id)) => format!("PONG {id}"),
+        Request::Ping(None) => "PONG".to_string(),
+        Request::Stats => handle.stats_line(),
+        Request::Metrics => handle.metrics_text(),
+        Request::FlightRec => handle.flight_dump(),
+        Request::Shards => handle.shards_text(),
+        Request::Drain => {
+            *saw_drain = true;
+            format!("{}\nBYE", handle.drain())
         }
-    }
-    fn drain(&self) -> String {
-        Handle::drain(self)
-    }
-    fn stats_line(&self) -> String {
-        Handle::stats_line(self)
-    }
-    fn metrics_text(&self) -> String {
-        Handle::metrics_text(self)
-    }
-    fn flight_dump(&self) -> String {
-        Handle::flight_dump(self)
-    }
-    fn shards_text(&self) -> String {
-        // A standalone server is its own single shard.
-        format!(
-            "SHARDS shards=1\nshard=0 state=standalone epoch=0 workers={} alive={} \
-             inflight={} queued={}\n# EOF",
-            self.expected_workers(),
-            self.workers_alive(),
-            self.inflight(),
-            self.queued(),
-        )
-    }
-    fn is_drained(&self) -> bool {
-        Handle::is_drained(self)
-    }
-    fn wants_client_identity(&self) -> bool {
-        self.inner.ledger.is_some()
-    }
+    })
 }
 
 /// Serves one connection: reads newline-delimited requests from
 /// `reader`, answers each with exactly one line on `writer`, in request
-/// order. Returns after `drain` (server-wide) or EOF; when
-/// `drain_on_eof` is set, EOF triggers a server drain and the final
+/// order. Returns after `drain` (pool-wide) or EOF; when
+/// `drain_on_eof` is set, EOF triggers a pool drain and the final
 /// stats line is emitted before returning.
 ///
 /// The codec is auto-detected from the first byte: a connection that
 /// opens with the binary magic prefix ([`crate::wire::MAGIC`]) is
 /// handed to [`crate::wire::serve_binary_connection`]; anything else —
 /// every existing client — gets the text protocol unchanged.
-pub fn serve_connection<S: Service>(
-    handle: &S,
+pub fn serve_connection(
+    handle: &PoolHandle,
     mut reader: impl BufRead,
     mut writer: impl Write + Send + 'static,
     drain_on_eof: bool,
@@ -1587,10 +1308,7 @@ pub fn serve_connection<S: Service>(
             },
         )?;
 
-    // Quota identity of queries on this connection that carry no
-    // `client=` option (only minted when the service meters quotas, so
-    // quota-free servers stay allocation-identical).
-    let conn_client = handle.wants_client_identity().then(next_conn_client);
+    let conn_client = conn_client(handle);
     let mut saw_drain = false;
     for line in reader.lines() {
         let line = match line {
@@ -1613,19 +1331,7 @@ pub fn serve_connection<S: Service>(
                 }
                 handle.submit(q)
             }
-            Ok(Request::Ping(id)) => Slot::ready(match id {
-                Some(id) => format!("PONG {id}"),
-                None => "PONG".to_string(),
-            }),
-            Ok(Request::Stats) => Slot::ready(handle.stats_line()),
-            Ok(Request::Metrics) => Slot::ready(handle.metrics_text()),
-            Ok(Request::FlightRec) => Slot::ready(handle.flight_dump()),
-            Ok(Request::Shards) => Slot::ready(handle.shards_text()),
-            Ok(Request::Drain) => {
-                saw_drain = true;
-                let stats = handle.drain();
-                Slot::ready(format!("{stats}\nBYE"))
-            }
+            Ok(req) => control_slot(handle, req, &mut saw_drain),
             Err(e) => Slot::ready(err_line(e.id.as_deref().unwrap_or("-"), e.kind, &e.detail)),
         };
         if tx.send(slot).is_err() {
@@ -1647,67 +1353,28 @@ pub fn serve_connection<S: Service>(
     }
 }
 
-/// Runs a server over stdin/stdout: one request per line, one response
-/// per line, drain on EOF or on a `drain` request. Returns the final
-/// stats line.
+/// Runs a one-shard pool over stdin/stdout: one request per line, one
+/// response per line, drain on EOF or on a `drain` request. Returns the
+/// final stats line.
 pub fn run_stdio(cfg: ServeConfig) -> Result<String, ServeError> {
     validate(&cfg)?;
-    let server = Server::start(cfg);
-    let handle = server.handle();
+    let pool = ShardPool::start(ShardPoolConfig {
+        shards: 1,
+        shard_cfg: cfg,
+        // A long exact run (`--timeout` past the 5 s wedge default, or
+        // no deadline at all) is not a wedge: crashes are still caught.
+        wedge_timeout_ms: u64::MAX,
+        ..ShardPoolConfig::default()
+    });
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    serve_connection(&handle, stdin.lock(), stdout, true)?;
-    Ok(server.shutdown())
+    serve_connection(&pool.handle(), stdin.lock(), stdout, true)?;
+    Ok(pool.shutdown())
 }
 
-/// A TCP front-end: accepts connections and serves each on its own
-/// thread until [`TcpServer::drain`] (or a client sends `drain`).
-pub struct TcpServer {
-    server: Server,
-    addr: std::net::SocketAddr,
-    accept_thread: thread::JoinHandle<()>,
-}
-
-impl TcpServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// starts accepting.
-    pub fn bind(addr: &str, cfg: ServeConfig) -> Result<TcpServer, ServeError> {
-        validate(&cfg)?;
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let server = Server::start(cfg);
-        let handle = server.handle();
-        let accept_thread = thread::Builder::new()
-            .name("serve-accept".to_string())
-            .spawn(move || accept_loop(listener, handle))?;
-        Ok(TcpServer {
-            server,
-            addr: local,
-            accept_thread,
-        })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// A submit/drain handle.
-    pub fn handle(&self) -> Handle {
-        self.server.handle()
-    }
-
-    /// Drains the server and stops accepting. Returns the final stats
-    /// line.
-    pub fn shutdown(self) -> String {
-        let line = self.server.shutdown();
-        let _ = self.accept_thread.join();
-        line
-    }
-}
-
-pub(crate) fn accept_loop<S: Service>(listener: TcpListener, handle: S) {
+/// Accepts connections until the pool drains, serving each on its own
+/// thread.
+pub(crate) fn accept_loop(listener: TcpListener, handle: PoolHandle) {
     loop {
         if handle.is_drained() {
             return;
@@ -1729,7 +1396,7 @@ pub(crate) fn accept_loop<S: Service>(listener: TcpListener, handle: S) {
     }
 }
 
-fn serve_tcp_connection<S: Service>(handle: &S, stream: TcpStream) -> Result<(), ServeError> {
+fn serve_tcp_connection(handle: &PoolHandle, stream: TcpStream) -> Result<(), ServeError> {
     stream.set_nonblocking(false)?;
     let reader = std::io::BufReader::new(stream.try_clone()?);
     serve_connection(handle, reader, stream, false)

@@ -1,10 +1,13 @@
 //! The supervised shard pool: N bulkhead-isolated servers behind a
-//! consistent-hash router and a health-checking supervisor.
+//! consistent-hash router and a health-checking supervisor. The pool is
+//! the crate's only front door: every connection driver, `run_stdio`
+//! included (a one-shard pool), answers requests through a
+//! [`PoolHandle`].
 //!
 //! # Topology
 //!
-//! A [`ShardPool`] runs `shards` independent [`Server`]s — each with its
-//! own admission queue, worker pool, result cache, circuit breaker and
+//! A [`ShardPool`] runs `shards` independent shard servers — each with
+//! its own admission queue, worker pool, result cache, circuit breaker and
 //! telemetry, so one shard's overload, breaker trip or crash never
 //! bleeds into another (bulkhead isolation). A router hashes each
 //! query's *canonical* formula encoding ([`routing_hash`]) onto a
@@ -23,12 +26,15 @@
 //!   every job pop and completion) has not advanced for
 //!   `wedge_timeout_ms`.
 //!
-//! A condemned shard is [`Server::abandon`]ed (admission stopped,
-//! wedged threads detached, never joined) and restarted with capped
-//! exponential backoff. Its admitted-but-unanswered requests are
-//! orphaned and re-dispatched to ring-successor siblings — or, once the
-//! `redispatch_budget` is spent or `rescue_after_ms` has passed, rescued
-//! with a fresh §4.6 bound pass (`OK … bounded failover lo ; hi`). An
+//! A condemned shard is abandoned (admission stopped, wedged threads
+//! detached, never joined) and restarted with capped exponential
+//! backoff. Its admitted-but-unanswered requests are orphaned and
+//! re-dispatched to ring-successor siblings or its own replacement —
+//! or, once the `redispatch_budget` is spent or `rescue_after_ms` has
+//! passed, rescued with a fresh §4.6 bound pass (`OK … bounded failover
+//! lo ; hi`). A submission that finds every shard restarting is
+//! orphaned the same way, so even a one-shard pool rides out a crash
+//! with exact answers. An
 //! admitted request therefore gets **exactly one** reply: exact,
 //! bounded, or `ERR` — never silence. Duplicate fulfilment (the
 //! orphaned worker finishing anyway) is harmless because replies are
@@ -45,13 +51,13 @@
 //!
 //! See DESIGN.md §14 for the full design rationale.
 
-use crate::admission::{self, QuotaLedger};
+use crate::admission::{self, QuotaDecision, QuotaLedger};
 use crate::chaos::Chaos;
 use crate::protocol::{shed_line, Query, ServeError, Verb};
-use crate::server::{self, Handle, Refusal, ServeConfig, Server, Service, Slot};
+use crate::server::{self, Handle, Refusal, Refused, Rescue, ServeConfig, Server, Slot};
 use crate::sync::lock_ok;
 use presburger_omega::{parse_formula, Space};
-use presburger_trace::metrics::ReqCodec;
+use presburger_trace::metrics::{ReqCodec, RequestMetrics};
 use presburger_trace::shard::{render_prometheus, ShardRow, ShardRowSnapshot};
 use presburger_trace::{self as trace};
 use std::net::TcpListener;
@@ -66,10 +72,9 @@ use std::time::{Duration, Instant};
 /// of 2 hops before the §4.6 fallback.
 #[derive(Clone, Debug)]
 pub struct ShardPoolConfig {
-    /// Number of shards (each a full [`Server`]); at least 1.
+    /// Number of shards (each a full server); at least 1.
     pub shards: usize,
-    /// Per-shard server configuration (`shard_index` and `chaos` are
-    /// overwritten per shard by the pool).
+    /// Per-shard server configuration, shared by every shard.
     pub shard_cfg: ServeConfig,
     /// Virtual nodes per shard on the consistent-hash ring.
     pub vnodes: usize,
@@ -110,6 +115,11 @@ impl Default for ShardPoolConfig {
         }
     }
 }
+
+/// The quota identity of a query that reached the pool without a
+/// `client=` option or a connection-scoped identity. Outside the id
+/// charset, so it can never collide with a real client.
+const ANON_CLIENT: &str = "@anon";
 
 /// FNV-1a, the crate's routing hash primitive (stable across runs and
 /// platforms, unlike `DefaultHasher`).
@@ -229,8 +239,8 @@ struct Orphan {
     since: Instant,
 }
 
-/// One shard's supervision state (the [`Server`] plus what the
-/// supervisor knows about it).
+/// One shard's supervision state (its server plus what the supervisor
+/// knows about it).
 struct ShardState {
     /// The live server; `None` while condemned and awaiting restart.
     server: Option<Server>,
@@ -265,10 +275,10 @@ struct PoolInner {
     /// the supervisor.
     rows: Vec<Arc<ShardRow>>,
     /// The pool-wide quota ledger (when `shard_cfg.admission.quota` is
-    /// set), shared by every shard *including supervisor restarts* so a
-    /// client's token bucket survives failover. Metered only at the
-    /// pool front door ([`PoolHandle::submit`]) — never inside the
-    /// routing loop, where a failover hop would double-charge.
+    /// set), outliving every shard restart so a client's token bucket
+    /// survives failover. Metered only at the pool front door
+    /// ([`PoolHandle::submit_batch`]) — never inside the routing loop,
+    /// where a failover hop would double-charge.
     ledger: Option<Arc<QuotaLedger>>,
     draining: AtomicBool,
     drained: AtomicBool,
@@ -281,22 +291,11 @@ pub struct ShardPool {
     supervisor: Option<thread::JoinHandle<()>>,
 }
 
-/// A shareable submit/drain handle for a [`ShardPool`]; implements
-/// [`Service`], so every connection driver works against it unchanged.
+/// A shareable submit/drain handle for a [`ShardPool`]: what every
+/// connection driver answers requests through.
 #[derive(Clone)]
 pub struct PoolHandle {
     inner: Arc<PoolInner>,
-}
-
-fn shard_server_cfg(
-    cfg: &ShardPoolConfig,
-    index: usize,
-    chaos: &Option<Arc<Chaos>>,
-) -> ServeConfig {
-    let mut sc = cfg.shard_cfg.clone();
-    sc.shard_index = index;
-    sc.chaos = chaos.clone();
-    sc
 }
 
 impl ShardPool {
@@ -320,8 +319,7 @@ impl ShardPool {
         let now = Instant::now();
         let states: Vec<ShardState> = (0..shards_n)
             .map(|i| {
-                let server =
-                    Server::start_shared(shard_server_cfg(&cfg, i, &chaos), ledger.clone());
+                let server = Server::start(cfg.shard_cfg.clone(), i, chaos.clone());
                 let handle = server.handle();
                 ShardState {
                     server: Some(server),
@@ -377,7 +375,7 @@ impl ShardPool {
 
     /// Drains every shard, rescues any leftover orphans, stops the
     /// supervisor and joins what can be joined. Returns the final
-    /// aggregated stats line.
+    /// `STATS` line.
     pub fn shutdown(mut self) -> String {
         let line = self.handle().drain();
         self.stop.store(true, Ordering::Relaxed);
@@ -392,7 +390,7 @@ impl ShardPool {
                 .collect()
         };
         for server in servers {
-            let _ = server.shutdown();
+            server.shutdown();
         }
         line
     }
@@ -408,50 +406,79 @@ impl Drop for ShardPool {
 }
 
 impl PoolHandle {
-    /// Routes and admits a query. The routed shard gets it unless that
+    /// Routes and admits one query (see [`PoolHandle::submit_batch`]).
+    pub fn submit(&self, query: Query) -> Arc<Slot> {
+        self.submit_batch(vec![query])
+            .pop()
+            .expect("invariant: one slot per query")
+    }
+
+    /// Routes and admits a batch of queries; returns one slot per query,
+    /// in input order, each (or later) fulfilled with exactly one line.
+    ///
+    /// The front door (DESIGN.md §16) runs once per query, in order:
+    /// the per-client quota is metered against the pool-shared ledger
+    /// (so a failover hop can never double-charge), then a draining pool
+    /// sheds, then a request whose effective deadline is already zero is
+    /// answered at once with §4.6 bounds. Each decision is tallied on the
+    /// routed shard, keeping `shards`/`STATS` rows a pure function of the
+    /// request stream at any shard count. The surviving queries are
+    /// grouped by routed shard and each group is admitted under that
+    /// shard's single queue-lock reservation (`Handle::try_enqueue`):
+    /// when its queue fills mid-batch, the rest of the group sheds *in
+    /// position* while earlier admissions stand.
+    pub fn submit_batch(&self, queries: Vec<Query>) -> Vec<Arc<Slot>> {
+        let inner = &self.inner;
+        let mut slots = Vec::with_capacity(queries.len());
+        let mut groups: Vec<Vec<(Query, Arc<Slot>)>> = vec![Vec::new(); inner.rows.len()];
+        for query in queries {
+            let target = inner.ring.route(routing_hash(&query));
+            let shard = || lock_ok(&inner.shards)[target].handle.clone();
+            let shed = match self.check_quota(&query) {
+                Some(line) => Some((Refusal::Quota, line)),
+                None if inner.draining.load(Ordering::Relaxed) => {
+                    Some((Refusal::Draining, self.draining_line(&query)))
+                }
+                None => None,
+            };
+            if let Some((reason, line)) = shed {
+                shard().note_shed(reason, query.verb, query.lane());
+                slots.push(Slot::ready(line));
+            } else if inner.cfg.shard_cfg.admission.evict_expired
+                && server::effective_deadline_ms(&inner.cfg.shard_cfg, &query) == Some(0)
+            {
+                slots.push(Slot::ready(
+                    shard().rescue(&query, Rescue::EvictedAtAdmission),
+                ));
+            } else {
+                let slot = Slot::new();
+                slots.push(slot.clone());
+                groups[target].push((query, slot));
+            }
+        }
+        for (target, group) in groups.into_iter().enumerate() {
+            self.admit(target, group);
+        }
+        slots
+    }
+
+    /// Admits one routed group. The routed shard takes it unless that
     /// shard is mid-restart, in which case the first accepting ring
     /// successor does (failover-on-submit — a condemned shard must not
-    /// turn into client-visible sheds). Queue-full backpressure from the
-    /// accepting shard *is* delivered as `SHED`. If every shard is down
-    /// at once, the request is answered inline with the §4.6 fallback —
-    /// never silence.
-    ///
-    /// Admission (DESIGN.md §16) happens *here*, once, before routing:
-    /// the per-client quota is metered against the pool-shared ledger
-    /// (so a failover hop can never double-charge), and a request whose
-    /// effective deadline is already zero is answered immediately with
-    /// §4.6 bounds instead of being queued. Both decisions are charged
-    /// to the routed shard's counters, keeping `shards`/`STATS` rows a
-    /// pure function of the request stream at any shard count.
-    pub fn submit(&self, query: Query) -> Arc<Slot> {
+    /// turn into client-visible sheds). Queue-full refusals are
+    /// delivered as `SHED`; a shard condemned between the pick and the
+    /// enqueue passes its refusals on to the next sibling. A request no
+    /// shard can take right now — every shard is restarting — is
+    /// orphaned, and the supervisor places it on the first replacement
+    /// (or rescues it after `rescue_after_ms`); only a draining pool
+    /// sheds it instead.
+    fn admit(&self, target: usize, mut group: Vec<(Query, Arc<Slot>)>) {
         let inner = &self.inner;
-        let lane = query.lane();
-        if inner.draining.load(Ordering::Relaxed) {
-            let hint = inner.cfg.shard_cfg.retry_after_ms;
-            let reason = admission::shed_reason(
-                "draining",
-                lane,
-                hint,
-                inner.cfg.shard_cfg.admission.detail,
-            );
-            return Slot::ready(shed_line(&query.id, hint, &reason));
-        }
         let n = inner.rows.len();
-        let target = inner.ring.route(routing_hash(&query));
-        let evict_now = inner.cfg.shard_cfg.admission.evict_expired
-            && server::effective_deadline_ms(&inner.cfg.shard_cfg, &query) == Some(0);
-        if inner.ledger.is_some() || evict_now {
-            let target_handle = lock_ok(&inner.shards)[target].handle.clone();
-            if let Some(line) = target_handle.check_quota(&query) {
-                target_handle.note_shed(Refusal::Quota, query.verb, lane);
-                return Slot::ready(line);
-            }
-            if evict_now {
-                return Slot::ready(target_handle.evict_reply(&query, lane));
-            }
-        }
-        let slot = Slot::new();
         for off in 0..n {
+            if group.is_empty() {
+                return;
+            }
             let i = (target + off) % n;
             let (handle, epoch) = {
                 let shards = lock_ok(&inner.shards);
@@ -461,52 +488,115 @@ impl PoolHandle {
                 }
                 (st.handle.clone(), st.epoch)
             };
-            match handle.try_enqueue(query.clone(), slot.clone()) {
-                Ok(()) => {
-                    ShardRow::bump(&inner.rows[i].routed);
-                    track(inner, i, epoch, query, &slot);
-                    return slot;
-                }
-                Err(refused) => match refused.reason {
-                    // The shard was condemned between the pick and the
-                    // enqueue: try the next sibling.
-                    Refusal::Draining => continue,
-                    // Genuine backpressure: deliver the shed.
-                    Refusal::QueueFull => {
-                        handle.note_shed(Refusal::QueueFull, query.verb, query.lane());
-                        return Slot::ready(refused.line);
+            let results = handle.try_enqueue(group.clone());
+            let (mut admitted, mut rerouted) = (Vec::new(), Vec::new());
+            for ((query, slot), result) in group.into_iter().zip(results) {
+                match result {
+                    Ok(()) => admitted.push((query, slot)),
+                    Err(Refused {
+                        reason: Refusal::Draining,
+                        ..
+                    }) => rerouted.push((query, slot)),
+                    Err(refused) => {
+                        handle.note_shed(refused.reason, query.verb, query.lane());
+                        slot.fulfil(refused.line);
                     }
-                    // Quotas are metered at the front door only;
-                    // `try_enqueue` never produces this.
-                    Refusal::Quota => unreachable!("try_enqueue never sheds on quota"),
-                },
+                }
+            }
+            inner.rows[i]
+                .routed
+                .fetch_add(admitted.len() as u64, Ordering::Relaxed);
+            track(inner, i, epoch, admitted);
+            group = rerouted;
+        }
+        if group.is_empty() {
+            return;
+        }
+        if inner.draining.load(Ordering::Relaxed) {
+            let handle = lock_ok(&inner.shards)[target].handle.clone();
+            for (query, slot) in group {
+                handle.note_shed(Refusal::Draining, query.verb, query.lane());
+                slot.fulfil(self.draining_line(&query));
+            }
+            return;
+        }
+        let since = Instant::now();
+        inner.rows[target]
+            .routed
+            .fetch_add(group.len() as u64, Ordering::Relaxed);
+        lock_ok(&inner.orphans).extend(group.into_iter().map(|(query, slot)| Orphan {
+            query,
+            slot,
+            origin: target,
+            attempts: 0,
+            since,
+        }));
+    }
+
+    /// Meters one admission attempt against the quota ledger; returns
+    /// the rendered `SHED` line when the client is over quota.
+    fn check_quota(&self, query: &Query) -> Option<String> {
+        let ledger = self.inner.ledger.as_ref()?;
+        let client = query.client.as_deref().unwrap_or(ANON_CLIENT);
+        match ledger.check(client) {
+            QuotaDecision::Admit => None,
+            QuotaDecision::Shed { retry_after_ms } => {
+                let reason = admission::shed_reason(
+                    "quota",
+                    query.lane(),
+                    retry_after_ms,
+                    self.inner.cfg.shard_cfg.admission.detail,
+                );
+                Some(shed_line(&query.id, retry_after_ms, &reason))
             }
         }
-        // Every shard is condemned or restarting: answer inline.
-        ShardRow::bump(&inner.rows[target].rescued);
-        Slot::ready(server::fallback_reply(
-            &query,
-            &inner.cfg.shard_cfg.default_budgets,
-            inner.cfg.shard_cfg.default_deadline_ms,
-        ))
+    }
+
+    /// The `SHED … reason=draining` line for a query that reached a
+    /// draining pool.
+    fn draining_line(&self, query: &Query) -> String {
+        let cfg = &self.inner.cfg.shard_cfg;
+        let reason = admission::shed_reason(
+            "draining",
+            query.lane(),
+            cfg.retry_after_ms,
+            cfg.admission.detail,
+        );
+        shed_line(&query.id, cfg.retry_after_ms, &reason)
+    }
+
+    /// Whether the pool meters per-client quotas. Connection drivers
+    /// then stamp a connection-scoped identity on queries that carry
+    /// none ([`server::conn_client`]).
+    pub(crate) fn meters_quota(&self) -> bool {
+        self.inner.ledger.is_some()
+    }
+
+    /// Observational hook: a connection driver saw one request frame
+    /// (or, with `batch = Some(k)`, a batch frame of `k` inner requests)
+    /// on `codec`. Codec traffic is connection-level, not shard-level,
+    /// so it is charged to shard 0's current telemetry hub; replies are
+    /// unaffected.
+    pub(crate) fn observe_wire(&self, codec: ReqCodec, batch: Option<u64>) {
+        let h = lock_ok(&self.inner.shards)[0].handle.clone();
+        let m = &h.telemetry().metrics;
+        m.observe_codec_requests(codec, batch.unwrap_or(1));
+        if let Some(k) = batch {
+            m.observe_batch(k);
+        }
     }
 
     /// Gracefully drains the pool: stops admitting, drains every shard
     /// in parallel (each under its own drain deadline), rescues anything
-    /// still unanswered, and returns the aggregated stats line.
+    /// still unanswered, and returns the final `STATS` line.
     /// Idempotent.
     pub fn drain(&self) -> String {
         let inner = &self.inner;
         inner.draining.store(true, Ordering::Relaxed);
-        let handles: Vec<Handle> = lock_ok(&inner.shards)
-            .iter()
-            .map(|st| st.handle.clone())
-            .collect();
+        let handles = self.handles();
         thread::scope(|scope| {
             for h in &handles {
-                scope.spawn(move || {
-                    let _ = h.drain();
-                });
+                scope.spawn(move || h.drain());
             }
         });
         // Belt and braces: anything the shard drains could not answer
@@ -537,34 +627,42 @@ impl PoolHandle {
         self.stats_line()
     }
 
-    /// The aggregated `STATS` line: shard count, summed server counters
-    /// (current epochs), and the pool-level failover counters.
+    /// The current-epoch handle of every shard, in shard order.
+    fn handles(&self) -> Vec<Handle> {
+        lock_ok(&self.inner.shards)
+            .iter()
+            .map(|st| st.handle.clone())
+            .collect()
+    }
+
+    /// The `STATS` line. A one-shard pool answers with its shard's own
+    /// line; larger pools sum the shards' server counters (current
+    /// epochs) and add the pool-level failover counters.
     pub fn stats_line(&self) -> String {
-        let inner = &self.inner;
+        let handles = self.handles();
+        if let [only] = &handles[..] {
+            return only.stats_line();
+        }
         let (mut admitted, mut ok, mut errors, mut sheds, mut cache_hits) = (0, 0, 0, 0, 0);
-        {
-            let shards = lock_ok(&inner.shards);
-            for st in shards.iter() {
-                let s = st.handle.stats();
-                admitted += s.admitted();
-                ok += s.ok();
-                errors += s.errors();
-                sheds += s.sheds();
-                cache_hits += s.cache_hits();
-            }
+        for h in &handles {
+            let s = h.stats();
+            admitted += s.admitted();
+            ok += s.ok();
+            errors += s.errors();
+            sheds += s.sheds();
+            cache_hits += s.cache_hits();
         }
         let (mut redispatched, mut rescued, mut restarts) = (0, 0, 0);
-        for row in &inner.rows {
-            let s = row.snapshot();
-            redispatched += s.redispatched;
-            rescued += s.rescued;
-            restarts += s.restarts;
+        for row in self.shard_rows() {
+            redispatched += row.redispatched;
+            rescued += row.rescued;
+            restarts += row.restarts;
         }
         format!(
             "STATS shards={} admitted={admitted} ok={ok} errors={errors} sheds={sheds} \
              cache_hits={cache_hits} redispatched={redispatched} rescued={rescued} \
              restarts={restarts}",
-            inner.rows.len(),
+            handles.len(),
         )
     }
 
@@ -609,11 +707,22 @@ impl PoolHandle {
         out
     }
 
-    /// The `metrics` verb's reply: the `presburger_shard_*` families
-    /// plus the process-wide memoization totals, `# EOF` terminated.
+    /// The shards' request telemetry (current epochs), merged
+    /// element-wise into one registry.
+    pub fn request_metrics(&self) -> RequestMetrics {
+        let merged = RequestMetrics::new(true);
+        for h in self.handles() {
+            merged.absorb(&h.telemetry().metrics);
+        }
+        merged
+    }
+
+    /// The `metrics` verb's reply: the merged request telemetry, the
+    /// `presburger_shard_*` families, and the process-wide memoization
+    /// totals, `# EOF` terminated.
     pub fn metrics_text(&self) -> String {
-        let rows: Vec<ShardRowSnapshot> = self.inner.rows.iter().map(|r| r.snapshot()).collect();
-        let mut out = render_prometheus(&rows);
+        let mut out = self.request_metrics().render_prometheus();
+        out.push_str(&render_prometheus(&self.shard_rows()));
         out.push_str(&trace::memo::prometheus_text());
         out.push_str("# EOF");
         out
@@ -622,12 +731,8 @@ impl PoolHandle {
     /// The `flightrec` verb's reply: every shard's retained slow
     /// requests, in shard order, `# EOF` terminated.
     pub fn flight_dump(&self) -> String {
-        let handles: Vec<Handle> = lock_ok(&self.inner.shards)
-            .iter()
-            .map(|st| st.handle.clone())
-            .collect();
         let mut out = String::new();
-        for h in handles {
+        for h in self.handles() {
             for r in h.telemetry().flight_records() {
                 out.push_str(&r.to_json());
                 out.push('\n');
@@ -647,48 +752,6 @@ impl PoolHandle {
     pub fn shard_rows(&self) -> Vec<ShardRowSnapshot> {
         self.inner.rows.iter().map(|r| r.snapshot()).collect()
     }
-
-    /// Number of shards in the pool.
-    pub fn shards(&self) -> usize {
-        self.inner.rows.len()
-    }
-}
-
-impl Service for PoolHandle {
-    fn submit(&self, query: Query) -> Arc<Slot> {
-        PoolHandle::submit(self, query)
-    }
-    // submit_batch keeps the trait default: each query routes through
-    // `PoolHandle::submit`, i.e. a batch scatters across the ring
-    // (per-query consistent hashing) and gathers via its slots.
-    fn observe_wire(&self, codec: ReqCodec, batch: Option<u64>) {
-        // Codec traffic is connection-level, not shard-level: charge it
-        // to shard 0's current-epoch telemetry hub so a pool still
-        // exposes the per-codec families.
-        let h = lock_ok(&self.inner.shards)[0].handle.clone();
-        Service::observe_wire(&h, codec, batch);
-    }
-    fn drain(&self) -> String {
-        PoolHandle::drain(self)
-    }
-    fn stats_line(&self) -> String {
-        PoolHandle::stats_line(self)
-    }
-    fn metrics_text(&self) -> String {
-        PoolHandle::metrics_text(self)
-    }
-    fn flight_dump(&self) -> String {
-        PoolHandle::flight_dump(self)
-    }
-    fn shards_text(&self) -> String {
-        PoolHandle::shards_text(self)
-    }
-    fn is_drained(&self) -> bool {
-        PoolHandle::is_drained(self)
-    }
-    fn wants_client_identity(&self) -> bool {
-        self.inner.ledger.is_some()
-    }
 }
 
 /// Backoff before restart number `consecutive` (1-based): base doubled
@@ -700,32 +763,36 @@ fn backoff_ms(cfg: &ShardPoolConfig, consecutive: u32) -> u64 {
         .min(cfg.restart_backoff_max_ms)
 }
 
-/// Records a request that `try_enqueue` just admitted to shard `i` on
+/// Records requests that `try_enqueue` just admitted to shard `i` on
 /// restart generation `epoch`. If the supervisor condemned the shard
-/// in between, its pendings were orphaned without this one and its
-/// queue may never run, so the request is orphaned too (a late answer
-/// from the old queue is a harmless duplicate: replies are pure).
-fn track(inner: &PoolInner, i: usize, epoch: u64, query: Query, slot: &Arc<Slot>) {
+/// in between, its pendings were orphaned without these and its queue
+/// may never run, so they are orphaned too (a late answer from the old
+/// queue is a harmless duplicate: replies are pure).
+fn track(inner: &PoolInner, i: usize, epoch: u64, admitted: Vec<(Query, Arc<Slot>)>) {
+    if admitted.is_empty() {
+        return;
+    }
     let since = Instant::now();
     let mut shards = lock_ok(&inner.shards);
     let st = &mut shards[i];
     if st.epoch == epoch && st.restart_at.is_none() {
-        st.pending.push(Tracked {
-            query,
-            slot: slot.clone(),
-            attempts: 0,
-            since,
-        });
+        st.pending
+            .extend(admitted.into_iter().map(|(query, slot)| Tracked {
+                query,
+                slot,
+                attempts: 0,
+                since,
+            }));
         return;
     }
     drop(shards);
-    lock_ok(&inner.orphans).push(Orphan {
+    lock_ok(&inner.orphans).extend(admitted.into_iter().map(|(query, slot)| Orphan {
         query,
-        slot: slot.clone(),
+        slot,
         origin: i,
         attempts: 1,
         since,
-    });
+    }));
 }
 
 /// Condemns shard `i`: abandons its server, schedules the restart on
@@ -771,10 +838,7 @@ fn supervise_tick(inner: &Arc<PoolInner>) {
             st.pending.retain(|t| !t.slot.is_done());
             if let Some(at) = st.restart_at {
                 if now >= at && !pool_draining {
-                    let server = Server::start_shared(
-                        shard_server_cfg(cfg, i, &cfg.chaos),
-                        inner.ledger.clone(),
-                    );
+                    let server = Server::start(cfg.shard_cfg.clone(), i, cfg.chaos.clone());
                     st.handle = server.handle();
                     st.server = Some(server);
                     st.epoch += 1;
@@ -861,7 +925,8 @@ fn place_orphans(inner: &Arc<PoolInner>, now: Instant) {
         for off in 1..=n {
             let i = (o.origin + off) % n;
             if let Some(h) = &accepting[i] {
-                if h.resubmit(o.query.clone(), o.slot.clone()) {
+                let job = vec![(o.query.clone(), o.slot.clone())];
+                if h.try_enqueue(job).remove(0).is_ok() {
                     placed = Some(i);
                     break;
                 }
@@ -886,22 +951,19 @@ fn place_orphans(inner: &Arc<PoolInner>, now: Instant) {
 }
 
 /// Terminal fallback for an orphan nothing could place: a fresh
-/// budgeted §4.6 bound pass (`OK … bounded failover lo ; hi`) or `ERR`.
+/// budgeted §4.6 bound pass (`OK … bounded failover lo ; hi`) or `ERR`,
+/// tallied on the origin shard's current server.
 fn rescue(inner: &PoolInner, o: Orphan) {
     if o.slot.is_done() {
         return;
     }
     ShardRow::bump(&inner.rows[o.origin].rescued);
-    o.slot.fulfil(server::fallback_reply(
-        &o.query,
-        &inner.cfg.shard_cfg.default_budgets,
-        inner.cfg.shard_cfg.default_deadline_ms,
-    ));
+    let origin = lock_ok(&inner.shards)[o.origin].handle.clone();
+    o.slot.fulfil(origin.rescue(&o.query, Rescue::Failover));
 }
 
 /// A TCP front-end for a shard pool: accepts connections and serves
-/// each on its own thread against the pool, exactly like
-/// [`crate::server::TcpServer`] does for a single server.
+/// each on its own thread against the pool until it drains.
 pub struct PoolTcpServer {
     pool: ShardPool,
     addr: std::net::SocketAddr,
@@ -937,8 +999,8 @@ impl PoolTcpServer {
         self.pool.handle()
     }
 
-    /// Drains the pool and stops accepting. Returns the final
-    /// aggregated stats line.
+    /// Drains the pool and stops accepting. Returns the final `STATS`
+    /// line.
     pub fn shutdown(self) -> String {
         let line = self.pool.shutdown();
         let _ = self.accept_thread.join();
@@ -1020,6 +1082,45 @@ mod tests {
     }
 
     #[test]
+    fn submission_during_the_only_shards_restart_waits_for_the_replacement() {
+        // Chaos kills the only worker on its first pop; a long backoff
+        // holds the restart pending while a second request arrives.
+        // With no sibling to take it, the pool orphans it and the
+        // supervisor places it on the replacement: both replies are
+        // exact, and nothing is rescued with bounds.
+        let pool = ShardPool::start(ShardPoolConfig {
+            shards: 1,
+            shard_cfg: ServeConfig {
+                workers: 1,
+                default_deadline_ms: None,
+                breaker_failures: 0,
+                ..ServeConfig::default()
+            },
+            probe_interval_ms: 2,
+            restart_backoff_ms: 300,
+            chaos: Some(Arc::new(Chaos::parse("kill:0:1").expect("chaos spec"))),
+            ..ShardPoolConfig::default()
+        });
+        let handle = pool.handle();
+        let first = handle.submit(query("count k1 {x : 1 <= x <= 9}"));
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !handle.shards_text().contains("state=restarting") {
+            assert!(Instant::now() < give_up, "the kill was never detected");
+            thread::sleep(Duration::from_millis(1));
+        }
+        let second = handle.submit(query("count k2 {x : 2 <= x <= 9}"));
+        assert!(
+            handle.shards_text().contains("state=restarting"),
+            "the restart must still be pending when k2 arrives"
+        );
+        assert_eq!(first.wait(), "OK k1 exact 9");
+        assert_eq!(second.wait(), "OK k2 exact 8");
+        let row = handle.shard_rows()[0];
+        assert_eq!((row.crashes, row.restarts, row.rescued), (1, 1, 0));
+        pool.shutdown();
+    }
+
+    #[test]
     fn request_admitted_as_its_shard_is_condemned_is_answered() {
         // Every worker stays held, so neither the condemned server nor
         // its replacement ever runs the request: only the pool's own
@@ -1049,7 +1150,7 @@ mod tests {
             let shards = lock_ok(&inner.shards);
             (shards[0].handle.clone(), shards[0].epoch)
         };
-        assert!(handle.try_enqueue(q.clone(), slot.clone()).is_ok());
+        assert!(handle.try_enqueue(vec![(q.clone(), slot.clone())])[0].is_ok());
         let mut orphans = Vec::new();
         condemn(
             &inner.cfg,
@@ -1059,7 +1160,7 @@ mod tests {
             &mut orphans,
         );
         assert!(orphans.is_empty(), "the request is not tracked yet");
-        track(inner, 0, epoch, q, &slot);
+        track(inner, 0, epoch, vec![(q, slot.clone())]);
         let give_up = Instant::now() + Duration::from_secs(10);
         while !slot.is_done() && Instant::now() < give_up {
             thread::sleep(Duration::from_millis(1));

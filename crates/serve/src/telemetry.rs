@@ -361,30 +361,6 @@ impl Telemetry {
         lock_ok(&self.flight).iter().cloned().collect()
     }
 
-    /// The `flightrec` verb's reply: one JSON object per record, `# EOF`
-    /// terminated.
-    pub fn flight_dump(&self) -> String {
-        let mut out = String::new();
-        for r in self.flight_records() {
-            out.push_str(&r.to_json());
-            out.push('\n');
-        }
-        out.push_str("# EOF");
-        out
-    }
-
-    /// The `metrics` verb's reply: Prometheus text exposition, `# EOF`
-    /// terminated (also OpenMetrics' end marker). Alongside the
-    /// request-scoped registry it exposes the process-wide memoization
-    /// totals ([`presburger_trace::memo::stats`]): hit/miss counters
-    /// and the shared-tier residency gauges.
-    pub fn metrics_text(&self) -> String {
-        let mut out = self.metrics.render_prometheus();
-        out.push_str(&trace::memo::prometheus_text());
-        out.push_str("# EOF");
-        out
-    }
-
     /// Flushes and joins the event-log writer (idempotent). Called on
     /// server shutdown so every accepted event hits the file before the
     /// process moves on.
@@ -513,10 +489,6 @@ mod tests {
         assert_eq!(records[1].id, "slow2");
         assert_eq!(records[1].trigger, "slow+governor_trip");
         assert_eq!(t.metrics.flight_records(), 3);
-        let dump = t.flight_dump();
-        assert!(dump.ends_with("# EOF"));
-        assert!(dump.contains("\"id\":\"slow2\""));
-        assert!(!dump.contains("\"id\":\"fast\""));
     }
 
     #[test]

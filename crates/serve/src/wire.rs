@@ -43,14 +43,13 @@
 //!
 //! A batch frame carries `1..=MAX_BATCH` inner request frames (nested
 //! batches and `drain` are rejected). Queries in a batch are admitted
-//! **atomically** — one queue-lock reservation via
-//! [`crate::server::Service::submit_batch`] — with partial-shed
-//! semantics: when capacity runs out mid-batch the remaining queries
-//! get `SHED` replies *in position*, and every inner request still gets
-//! exactly one inner reply, in request order, inside one gathered
-//! [`Reply::Batch`] frame (a single `write_all`, writev-style). On a
-//! shard pool, batched queries scatter across the ring exactly like
-//! single submits and gather back in order.
+//! **atomically** per shard — the queries routed to one shard share one
+//! queue-lock reservation ([`crate::shard::PoolHandle::submit_batch`])
+//! — with partial-shed semantics: when capacity runs out mid-batch the
+//! remaining queries get `SHED` replies *in position*, and every inner
+//! request still gets exactly one inner reply, in request order, inside
+//! one gathered [`Reply::Batch`] frame (a single `write_all`,
+//! writev-style).
 //!
 //! See DESIGN.md §15 for the full byte layout and rationale.
 
@@ -58,7 +57,8 @@ use crate::admission::Lane;
 use crate::protocol::{
     self, err_line, ProtocolError, Query, Request, ServeError, Verb, MAX_LINE_LEN,
 };
-use crate::server::{Service, Slot};
+use crate::server::{control_slot, Slot};
+use crate::shard::PoolHandle;
 use presburger_trace::metrics::ReqCodec;
 use std::io::{Read, Write};
 use std::sync::mpsc;
@@ -971,12 +971,11 @@ enum Out {
     Many(Vec<Arc<Slot>>),
 }
 
-/// Fans a decoded batch out over the service: queries are admitted
-/// atomically via [`Service::submit_batch`] (scattering across a shard
-/// ring under a pool), control requests are answered inline — and the
-/// reply slots come back in request order.
-fn dispatch_batch<S: Service>(
-    handle: &S,
+/// Fans a decoded batch out over the pool: queries are admitted via
+/// [`PoolHandle::submit_batch`], control requests are answered inline —
+/// and the reply slots come back in request order.
+fn dispatch_batch(
+    handle: &PoolHandle,
     reqs: Vec<Request>,
     saw_drain: &mut bool,
     conn_client: &Option<String>,
@@ -1007,26 +1006,6 @@ fn dispatch_batch<S: Service>(
         .collect()
 }
 
-/// Answers a control request inline (same replies as the text driver).
-fn control_slot<S: Service>(handle: &S, req: Request, saw_drain: &mut bool) -> Arc<Slot> {
-    match req {
-        Request::Query(_) => unreachable!("queries are dispatched via submit"),
-        Request::Ping(id) => Slot::ready(match id {
-            Some(id) => format!("PONG {id}"),
-            None => "PONG".to_string(),
-        }),
-        Request::Stats => Slot::ready(handle.stats_line()),
-        Request::Metrics => Slot::ready(handle.metrics_text()),
-        Request::FlightRec => Slot::ready(handle.flight_dump()),
-        Request::Shards => Slot::ready(handle.shards_text()),
-        Request::Drain => {
-            *saw_drain = true;
-            let stats = handle.drain();
-            Slot::ready(format!("{stats}\nBYE"))
-        }
-    }
-}
-
 /// Serves one binary connection: validates the client preamble, echoes
 /// the accept preamble, then answers frames in request order — single
 /// requests with single reply frames, batch frames with one gathered
@@ -1038,8 +1017,8 @@ fn control_slot<S: Service>(handle: &S, req: Request, saw_drain: &mut bool) -> A
 /// `ERR` reply frame and closes the connection (there is no way to
 /// resync); malformed *payloads* in well-formed frames answer `ERR` and
 /// the connection continues.
-pub fn serve_binary_connection<S: Service>(
-    handle: &S,
+pub fn serve_binary_connection(
+    handle: &PoolHandle,
     mut reader: impl Read,
     mut writer: impl Write + Send + 'static,
     drain_on_eof: bool,
@@ -1073,12 +1052,8 @@ pub fn serve_binary_connection<S: Service>(
     writer.flush()?;
 
     // Quota identity for requests that carry no explicit `client`
-    // field: minted per connection, exactly like the text driver, and
-    // only when the service actually meters quotas — so a quota-free
-    // server stays behavior-identical.
-    let conn_client = handle
-        .wants_client_identity()
-        .then(crate::server::next_conn_client);
+    // field: minted per connection, exactly like the text driver.
+    let conn_client = crate::server::conn_client(handle);
 
     // Per-connection FIFO writer, exactly like the text driver — but
     // emitting frames, and gathering whole batches into one write.
@@ -1367,7 +1342,7 @@ mod tests {
             "SHED r1 retry_after_ms=5 reason=a b",
             "PONG a b",
             "random noise",
-            "SHARDS shards=1\nshard=0 state=standalone\n# EOF",
+            "SHARDS shards=1\nshard=0 state=healthy\n# EOF",
         ] {
             let reply = Reply::from_text(line);
             assert_eq!(reply.to_text(), line, "{line:?} must round-trip");

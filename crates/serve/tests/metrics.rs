@@ -9,7 +9,10 @@
 //! `PRESBURGER_SERVE_RECORD=1 cargo test -p presburger-serve --test
 //! metrics` rewrites the golden in place.
 
-use presburger_serve::{parse_request, Request, ServeConfig, Server, TcpServer, TelemetrySettings};
+use presburger_serve::{
+    parse_request, PoolHandle, PoolTcpServer, Request, ServeConfig, ShardPool, ShardPoolConfig,
+    TelemetrySettings,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -22,8 +25,17 @@ fn base_cfg() -> ServeConfig {
     }
 }
 
+/// A one-shard pool over `cfg`.
+fn one_shard(cfg: ServeConfig) -> ShardPoolConfig {
+    ShardPoolConfig {
+        shards: 1,
+        shard_cfg: cfg,
+        ..ShardPoolConfig::default()
+    }
+}
+
 /// Submits one request line and waits for its reply.
-fn ask(handle: &presburger_serve::Handle, line: &str) -> String {
+fn ask(handle: &PoolHandle, line: &str) -> String {
     match parse_request(line).expect("request parses") {
         Request::Query(q) => handle.submit(q).wait(),
         _ => panic!("ask() is for queries"),
@@ -61,7 +73,7 @@ fn golden_metrics_exposition() {
     // shed. Values that depend on wall time are masked; everything
     // else — which series exist, their label order, all 32 cumulative
     // bucket lines per series — is pinned byte-for-byte.
-    let server = Server::start(base_cfg());
+    let server = ShardPool::start(one_shard(base_cfg()));
     let handle = server.handle();
     assert_eq!(ask(&handle, "count m1 {x : 1 <= x <= 9}"), "OK m1 exact 9");
     assert_eq!(ask(&handle, "count m2 {x : 1 <= x <= 9}"), "OK m2 exact 9");
@@ -159,7 +171,7 @@ fn flight_recorder_captures_faulted_request() {
         },
         ..base_cfg()
     };
-    let server = Server::start(cfg);
+    let server = ShardPool::start(one_shard(cfg));
     let handle = server.handle();
     // A clean request first: no splinters, so the fault cannot fire and
     // nothing may be flight-recorded for it.
@@ -190,7 +202,7 @@ fn flight_recorder_captures_faulted_request() {
     );
     assert!(record.contains("alpha"), "rendered formula retained");
     assert!(record.contains("\"spans\":"), "span tree retained");
-    assert_eq!(handle.telemetry().metrics.flight_records(), 1);
+    assert_eq!(handle.request_metrics().flight_records(), 1);
 }
 
 #[test]
@@ -209,7 +221,7 @@ fn event_log_writes_sampled_jsonl() {
         },
         ..base_cfg()
     };
-    let server = Server::start(cfg);
+    let server = ShardPool::start(one_shard(cfg));
     let handle = server.handle();
     for i in 1..=4 {
         let reply = ask(&handle, &format!("count e{i} {{x : 1 <= x <= {i}}}"));
@@ -233,7 +245,7 @@ fn event_log_writes_sampled_jsonl() {
     // seq 0 (e1) and seq 2 (e3).
     assert!(lines[0].contains("\"id\":\"e1\""));
     assert!(lines[1].contains("\"id\":\"e3\""));
-    assert_eq!(handle.telemetry().metrics.events_dropped(), 0);
+    assert_eq!(handle.request_metrics().events_dropped(), 0);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -242,7 +254,7 @@ fn metrics_and_flightrec_verbs_over_tcp() {
     // The wire path: `metrics` and `flightrec` answer inline with
     // multi-line, `# EOF`-terminated blocks, interleaved FIFO with
     // query replies on the same connection.
-    let server = TcpServer::bind("127.0.0.1:0", base_cfg()).expect("bind loopback");
+    let server = PoolTcpServer::bind("127.0.0.1:0", one_shard(base_cfg())).expect("bind loopback");
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     writeln!(stream, "count t1 {{x : 1 <= x <= 7}}").expect("write");

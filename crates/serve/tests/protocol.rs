@@ -1,10 +1,11 @@
 //! Golden-transcript tests: recorded serving sessions replayed
 //! byte-for-byte.
 //!
-//! Each session drives a real server over TCP loopback as an
-//! *interactive* client — one request, one awaited response — so every
-//! counter in the `STATS` lines is deterministic (queue depth never
-//! exceeds one except where a session pipelines deliberately). The
+//! Each session drives a real shard pool over TCP loopback (one shard
+//! for the single-server sessions) as an *interactive* client — one
+//! request, one awaited response — so every counter in the `STATS`
+//! lines is deterministic (queue depth never exceeds one except where a
+//! session pipelines deliberately). The
 //! expected transcripts are frozen below; any change to response
 //! wording, stats fields, breaker behavior, shedding or drain output
 //! shows up as a byte diff.
@@ -16,8 +17,8 @@
 use presburger_counting::Budgets;
 use presburger_serve::server::Gate;
 use presburger_serve::{
-    parse_request, routing_hash, AdmissionConfig, Chaos, PoolTcpServer, QuotaConfig, Request,
-    RetryPolicy, Ring, ServeConfig, ShardPoolConfig, TcpServer,
+    parse_request, routing_hash, AdmissionConfig, Chaos, PoolHandle, PoolTcpServer, QuotaConfig,
+    Request, RetryPolicy, Ring, ServeConfig, ShardPool, ShardPoolConfig,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -28,12 +29,22 @@ use std::time::Duration;
 /// await before sending the next (0 = fire and forget).
 struct Step(&'static str, usize);
 
-/// Runs a scripted session against `cfg`; returns the full response
-/// transcript. `gate`, when given, is opened `gate_after_ms` after the
-/// last request line is sent (for shed scenarios that pipeline against
-/// held workers).
+/// A one-shard pool over `cfg`: the configuration every single-server
+/// session runs.
+fn one_shard(cfg: ServeConfig) -> ShardPoolConfig {
+    ShardPoolConfig {
+        shards: 1,
+        shard_cfg: cfg,
+        ..ShardPoolConfig::default()
+    }
+}
+
+/// Runs a scripted session against a one-shard pool over `cfg`; returns
+/// the full response transcript. `gate`, when given, is opened 100 ms
+/// after the last request line is sent (for shed scenarios that
+/// pipeline against held workers).
 fn run_session(cfg: ServeConfig, steps: &[Step], gate: Option<&Gate>) -> String {
-    let server = TcpServer::bind("127.0.0.1:0", cfg).expect("bind loopback");
+    let server = PoolTcpServer::bind("127.0.0.1:0", one_shard(cfg)).expect("bind loopback");
     let addr = server.addr();
     let mut stream = TcpStream::connect(addr).expect("connect loopback");
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
@@ -238,7 +249,7 @@ fn golden_drain_session() {
         },
         ..base_cfg()
     };
-    let server = TcpServer::bind("127.0.0.1:0", cfg).expect("bind loopback");
+    let server = PoolTcpServer::bind("127.0.0.1:0", one_shard(cfg)).expect("bind loopback");
     let addr = server.addr();
 
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -509,7 +520,7 @@ fn retry_helper_rides_out_queue_full_sheds() {
         hold: Some(gate.clone()),
         ..base_cfg()
     };
-    let server = presburger_serve::Server::start(cfg);
+    let server = ShardPool::start(one_shard(cfg));
     let handle = server.handle();
     let submit = |line: &str| match parse_request(line).expect("parse") {
         Request::Query(q) => handle.submit(q).wait(),
@@ -554,14 +565,14 @@ fn retry_helper_rides_out_queue_full_sheds() {
 #[test]
 fn verify_mode_detects_poisoned_cache_entries() {
     // Not a golden session: drive the verify path directly through the
-    // public server API by exercising a cache hit under verify_every=1
+    // public pool API by exercising a cache hit under verify_every=1
     // (every hit recomputed). A healthy cache must produce zero
     // mismatches; the alarm path is unit-tested via the stats counter.
     let cfg = ServeConfig {
         verify_every: Some(1),
         ..base_cfg()
     };
-    let server = presburger_serve::Server::start(cfg);
+    let server = ShardPool::start(one_shard(cfg));
     let handle = server.handle();
     for id in ["v1", "v2", "v3"] {
         let line = format!("count {id} {{x : 1 <= x <= 6}}");
@@ -571,7 +582,55 @@ fn verify_mode_detects_poisoned_cache_entries() {
         };
         assert_eq!(reply, format!("OK {id} exact 6"));
     }
-    assert_eq!(handle.stats().cache_hits(), 2);
-    assert_eq!(handle.stats().verify_mismatches(), 0);
+    assert_eq!(stat(&handle, "cache_hits"), 2);
+    assert_eq!(stat(&handle, "verify_mismatches"), 0);
     server.shutdown();
+}
+
+/// One counter off a one-shard pool's `STATS` line.
+fn stat(handle: &PoolHandle, key: &str) -> u64 {
+    let line = handle.stats_line();
+    line.split_whitespace()
+        .find_map(|t| t.strip_prefix(key)?.strip_prefix('='))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {key}= in {line:?}"))
+}
+
+#[test]
+fn one_shard_pool_reports_a_healthy_shard() {
+    // The `shards` verb on the stdio/calculator configuration: a
+    // one-shard pool is an ordinary supervised shard, not a special
+    // standalone row. (`inflight` can lag the reply by a moment — the
+    // worker publishes before it finishes its bookkeeping — so the row
+    // is checked field by field.)
+    let pool = ShardPool::start(one_shard(base_cfg()));
+    let handle = pool.handle();
+    let reply = match parse_request("count h1 {x : 1 <= x <= 9}").expect("parse") {
+        Request::Query(q) => handle.submit(q).wait(),
+        _ => unreachable!(),
+    };
+    assert_eq!(reply, "OK h1 exact 9");
+    let text = handle.shards_text();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "header, one row, EOF:\n{text}");
+    assert_eq!(lines[0], "SHARDS shards=1");
+    assert!(
+        lines[1].starts_with("shard=0 state=healthy epoch=0 workers=1 alive=1 "),
+        "row: {}",
+        lines[1]
+    );
+    for field in [
+        " routed=1 ",
+        " rescued=0 ",
+        " restarts=0 ",
+        " admitted=1 ok=1 errors=0",
+    ] {
+        assert!(
+            lines[1].contains(field),
+            "missing {field:?} in {}",
+            lines[1]
+        );
+    }
+    assert_eq!(lines[2], "# EOF");
+    pool.shutdown();
 }

@@ -21,7 +21,7 @@ use presburger_serve::server::Gate;
 use presburger_serve::wire::{self, Reply};
 use presburger_serve::{
     parse_request, AdmissionConfig, Chaos, PoolTcpServer, QuotaConfig, Request, RetryPolicy, Ring,
-    ServeConfig, ShardPoolConfig, TcpServer,
+    ServeConfig, ShardPool, ShardPoolConfig,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -102,13 +102,13 @@ fn gen_replies_round_trip_through_text_and_bytes() {
     // Drive a real server over the generated stream so the reply corpus
     // is whatever the engine actually emits (exact, bounded, symbolic,
     // parse/unbounded errors) rather than hand-picked lines.
-    let server = presburger_serve::Server::start(ServeConfig {
+    let server = ShardPool::start(one_shard(ServeConfig {
         workers: 1,
         default_deadline_ms: None,
         default_budgets: replay_budgets(),
         breaker_failures: 0,
         ..ServeConfig::default()
-    });
+    }));
     let handle = server.handle();
     let mut replies: Vec<Reply> = Vec::new();
     for r in request_lines(0xFACADE, 120, &GenConfig::default()) {
@@ -334,8 +334,18 @@ fn binary_session(
     }
 }
 
+/// A one-shard pool over `cfg`: the configuration every single-server
+/// session runs.
+fn one_shard(cfg: ServeConfig) -> ShardPoolConfig {
+    ShardPoolConfig {
+        shards: 1,
+        shard_cfg: cfg,
+        ..ShardPoolConfig::default()
+    }
+}
+
 /// Asserts a session produces semantically identical transcripts over
-/// both codecs, against identically-configured fresh servers.
+/// both codecs, against identically-configured fresh one-shard pools.
 fn assert_differential(
     label: &str,
     mk_cfg: impl Fn() -> ServeConfig,
@@ -344,13 +354,13 @@ fn assert_differential(
 ) {
     let text_cfg = mk_cfg();
     let text_gate = mk_gate(&text_cfg);
-    let server = TcpServer::bind("127.0.0.1:0", text_cfg).expect("bind loopback");
+    let server = PoolTcpServer::bind("127.0.0.1:0", one_shard(text_cfg)).expect("bind loopback");
     let text = text_session(server.addr(), steps, text_gate.as_deref(), 0);
     server.shutdown();
 
     let bin_cfg = mk_cfg();
     let bin_gate = mk_gate(&bin_cfg);
-    let server = TcpServer::bind("127.0.0.1:0", bin_cfg).expect("bind loopback");
+    let server = PoolTcpServer::bind("127.0.0.1:0", one_shard(bin_cfg)).expect("bind loopback");
     let binary = binary_session(server.addr(), steps, bin_gate.as_deref(), 0);
     server.shutdown();
 
@@ -707,31 +717,50 @@ fn differential_gen_stream_over_pool() {
 fn batch_partial_shed_is_positional() {
     // A 4-request batch frame against a 2-deep gated queue: the first
     // two inner requests are admitted, the rest shed *in position* —
-    // the batch reply keeps one answer per inner request, in order.
-    let gate = Gate::new(true);
-    let cfg = ServeConfig {
-        queue_depth: 2,
-        hold: Some(gate.clone()),
-        ..base_cfg()
-    };
-    let server = TcpServer::bind("127.0.0.1:0", cfg).expect("bind loopback");
-    let tcp = TcpStream::connect(server.addr()).expect("connect");
-    let reader = tcp.try_clone().expect("clone");
-    let mut client = wire::BinClient::handshake(reader, tcp).expect("handshake");
-    let reqs: Vec<Request> = (0..4)
-        .map(|i| parse_request(&format!("count q{i} {{x : 1 <= x <= 3}}")).expect("parses"))
-        .collect();
-    client.send_batch(&reqs).expect("send batch");
-    std::thread::sleep(Duration::from_millis(50));
-    gate.open();
-    let reply = client.recv().expect("batch reply");
-    let lines: Vec<String> = reply.to_text().lines().map(str::to_string).collect();
-    assert_eq!(lines.len(), 4, "one answer per inner request");
-    assert_eq!(lines[0], "OK q0 exact 3");
-    assert_eq!(lines[1], "OK q1 exact 3");
-    assert_eq!(lines[2], "SHED q2 retry_after_ms=50 reason=queue_full");
-    assert_eq!(lines[3], "SHED q3 retry_after_ms=50 reason=queue_full");
-    server.shutdown();
+    // the batch reply keeps one answer per inner request, in order. At
+    // 2 shards the four queries (one formula) all route to one shard,
+    // whose group is admitted under one queue-lock reservation.
+    let mut lines = Vec::new();
+    for shards in [1, 2] {
+        let gate = Gate::new(true);
+        let cfg = ShardPoolConfig {
+            shards,
+            shard_cfg: ServeConfig {
+                queue_depth: 2,
+                hold: Some(gate.clone()),
+                ..base_cfg()
+            },
+            ..ShardPoolConfig::default()
+        };
+        let server = PoolTcpServer::bind("127.0.0.1:0", cfg).expect("bind loopback");
+        let tcp = TcpStream::connect(server.addr()).expect("connect");
+        let reader = tcp.try_clone().expect("clone");
+        let mut client = wire::BinClient::handshake(reader, tcp).expect("handshake");
+        let reqs: Vec<Request> = (0..4)
+            .map(|i| parse_request(&format!("count q{i} {{x : 1 <= x <= 3}}")).expect("parses"))
+            .collect();
+        client.send_batch(&reqs).expect("send batch");
+        std::thread::sleep(Duration::from_millis(50));
+        gate.open();
+        let reply = client.recv().expect("batch reply");
+        lines = reply.to_text().lines().map(str::to_string).collect();
+        assert_eq!(
+            lines.len(),
+            4,
+            "shards={shards}: one answer per inner request"
+        );
+        assert_eq!(lines[0], "OK q0 exact 3", "shards={shards}");
+        assert_eq!(lines[1], "OK q1 exact 3", "shards={shards}");
+        assert_eq!(
+            lines[2], "SHED q2 retry_after_ms=50 reason=queue_full",
+            "shards={shards}"
+        );
+        assert_eq!(
+            lines[3], "SHED q3 retry_after_ms=50 reason=queue_full",
+            "shards={shards}"
+        );
+        server.shutdown();
+    }
 
     // And the batch retry helper heals exactly those positions.
     let policy = RetryPolicy {
@@ -791,7 +820,7 @@ fn golden_binary_normal_session() {
     // Interactive awaits keep `queue_depth_peak` deterministic; the
     // batch step's atomic 3-deep admission is deterministic too.
     // Re-record with PRESBURGER_SERVE_RECORD=1.
-    let server = TcpServer::bind("127.0.0.1:0", base_cfg()).expect("bind loopback");
+    let server = PoolTcpServer::bind("127.0.0.1:0", one_shard(base_cfg())).expect("bind loopback");
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .write_all(&wire::preamble())

@@ -111,6 +111,17 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
+    /// Adds `other`'s buckets, sum and count into this histogram.
+    pub fn absorb(&self, other: &Histogram) {
+        for (b, o) in self.buckets.iter().zip(&other.buckets) {
+            b.fetch_add(o.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.sum
+            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.count
+            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
     /// An owned snapshot of the current contents.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; NUM_BUCKETS];
@@ -455,6 +466,45 @@ impl RequestMetrics {
             lane_queue_wait_us: std::array::from_fn(|_| Histogram::new()),
             lane_service_us: std::array::from_fn(|_| Histogram::new()),
         }
+    }
+
+    /// Adds every counter and histogram of `other` into this registry,
+    /// element-wise — how a shard pool exposes one registry for all its
+    /// shards. Ignores the enabled flag on either side.
+    pub fn absorb(&self, other: &RequestMetrics) {
+        fn add(to: &AtomicU64, from: &AtomicU64) {
+            to.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        for (to, from) in self.requests.iter().zip(&other.requests) {
+            to.iter().zip(from).for_each(|(t, f)| add(t, f));
+        }
+        for (to, from) in self.duration_us.iter().zip(&other.duration_us) {
+            to.iter().zip(from).for_each(|(t, f)| t.absorb(f));
+        }
+        for (to, from) in self.admission.iter().zip(&other.admission) {
+            to.iter().zip(from).for_each(|(t, f)| add(t, f));
+        }
+        let histograms = [
+            (&self.queue_wait_us[..], &other.queue_wait_us[..]),
+            (&self.govern_overhead_us, &other.govern_overhead_us),
+            (&self.splinters, &other.splinters),
+            (&self.lane_queue_wait_us, &other.lane_queue_wait_us),
+            (&self.lane_service_us, &other.lane_service_us),
+            (
+                std::slice::from_ref(&self.batch_size),
+                std::slice::from_ref(&other.batch_size),
+            ),
+        ];
+        for (to, from) in histograms {
+            to.iter().zip(from).for_each(|(t, f)| t.absorb(f));
+        }
+        self.codec_requests
+            .iter()
+            .zip(&other.codec_requests)
+            .for_each(|(t, f)| add(t, f));
+        add(&self.events_logged, &other.events_logged);
+        add(&self.events_dropped, &other.events_dropped);
+        add(&self.flight_records, &other.flight_records);
     }
 
     /// Turns recording on or off. The disabled path of every hook is a
@@ -964,6 +1014,44 @@ mod tests {
         assert_eq!(m.lane_queue_wait(ReqLane::Interactive).sum, 3);
         assert_eq!(m.lane_service(ReqLane::Interactive).sum, 800);
         assert!(m.lane_service(ReqLane::Batch).is_empty());
+    }
+
+    #[test]
+    fn absorb_sums_registries_element_wise() {
+        // Feeding two registries and absorbing both into a third must
+        // render exactly what one registry fed everything renders.
+        let (a, b, all) = (
+            RequestMetrics::new(true),
+            RequestMetrics::new(true),
+            RequestMetrics::new(true),
+        );
+        let feed = |m: &RequestMetrics, k: u64| {
+            m.observe_request(RequestObservation {
+                verb: ReqVerb::ALL[(k % 2) as usize],
+                outcome: ReqOutcome::ALL[(k % 3) as usize],
+                lane: ReqLane::ALL[(k % 3) as usize],
+                duration_us: 100 * k,
+                queue_wait_us: k,
+                govern_overhead_us: 7 * k,
+                splinters: k.is_multiple_of(2).then_some(k),
+            });
+            m.observe_shed(ReqVerb::Count);
+            m.observe_admission(ReqLane::ALL[(k % 3) as usize], AdmitDecision::Admit);
+            m.observe_codec_requests(ReqCodec::Binary, k);
+            m.observe_batch(k);
+            m.bump_events_logged();
+            m.bump_events_dropped();
+            m.bump_flight_records();
+        };
+        for k in 1..=5u64 {
+            feed(if k.is_multiple_of(2) { &a } else { &b }, k);
+            feed(&all, k);
+        }
+        let merged = RequestMetrics::new(false);
+        merged.absorb(&a);
+        merged.absorb(&b);
+        assert_eq!(merged.render_prometheus(), all.render_prometheus());
+        assert_eq!(merged.flight_records(), 5);
     }
 
     #[test]

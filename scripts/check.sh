@@ -165,7 +165,9 @@ echo "==> chaos gate (supervised shard pool: operator-style kill/wedge drills)"
 # PRESBURGER_CHAOS arms one deterministic fault at a named site, shard
 # and occurrence, and the chaos phase must still deliver exactly one
 # reply per admitted request, with transcripts byte-identical to the
-# chaos-off baseline, at both 2 and 4 shards.
+# chaos-off baseline, at both 2 and 4 shards — and at 1 shard, the pool
+# that serves stdio and `calculator --serve`, where submissions racing
+# the restart must wait for the replacement rather than degrade.
 for drill in kill:1:3 wedge:0:3; do
     for shards in 2 4; do
         echo "    PRESBURGER_CHAOS=$drill PRESBURGER_SERVE_SHARDS=$shards"
@@ -174,6 +176,10 @@ for drill in kill:1:3 wedge:0:3; do
             cargo run --release -q -p presburger-serve --bin serve_stress > /dev/null
     done
 done
+echo "    PRESBURGER_CHAOS=kill:0:3 PRESBURGER_SERVE_SHARDS=1"
+PRESBURGER_CHAOS=kill:0:3 PRESBURGER_SERVE_SHARDS=1 \
+    PRESBURGER_SERVE_CHAOS_ONLY=1 PRESBURGER_SERVE_BENCH_OUT="" \
+    cargo run --release -q -p presburger-serve --bin serve_stress > /dev/null
 
 echo "==> admission gate (priority lanes, per-client quotas, eviction, determinism)"
 # The deadline-aware admission layer's own gate (DESIGN.md §16), run
