@@ -72,7 +72,7 @@ impl Report {
     /// checks, Faulhaber histogram, gist calls) are left to the full
     /// JSON dump.
     pub fn counter_summary(&self) -> String {
-        const HEADLINE: [Counter; 13] = [
+        const HEADLINE: [Counter; 14] = [
             Counter::SplintersGenerated,
             Counter::SplintersPruned,
             Counter::DarkShadowClauses,
@@ -82,6 +82,7 @@ impl Report {
             Counter::DnfClausesDisjoint,
             Counter::RedundantRemovedComplete,
             Counter::SmithNormalFormCalls,
+            Counter::WitnessHits,
             Counter::TawbiSplits,
             Counter::HpRewriteSteps,
             Counter::FstSummations,

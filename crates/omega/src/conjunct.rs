@@ -231,6 +231,13 @@ impl Conjunct {
     /// Sets the contradiction flag (see [`Conjunct::is_false`]) when a
     /// syntactic contradiction is found.
     pub fn normalize(&mut self) {
+        self.normalize_with(opposite_pairs);
+    }
+
+    /// [`Conjunct::normalize`] with the opposite-pair matcher as a
+    /// parameter, so the tests can run the quadratic reference scan
+    /// through the same path.
+    fn normalize_with(&mut self, opposite: OppositeFn) {
         // The innermost heartbeat of the whole pipeline: every clause
         // manipulation funnels through here, which makes this counter
         // the governor's most responsive deadline/cancellation
@@ -309,44 +316,28 @@ impl Conjunct {
             kept.push(e);
         }
         // opposite pairs: t + c1 >= 0 and -t + c2 >= 0
-        let mut to_eq: Vec<Affine> = Vec::new();
-        let mut drop_idx: BTreeSet<usize> = BTreeSet::new();
-        for i in 0..kept.len() {
-            if drop_idx.contains(&i) {
-                continue;
+        let Some(tight) = opposite(&kept) else {
+            self.contradiction = true;
+            return;
+        };
+        if !tight.is_empty() {
+            let mut dropped = vec![false; kept.len()];
+            for &(i, j) in &tight {
+                self.eqs.push(kept[i].clone());
+                dropped[i] = true;
+                dropped[j] = true;
             }
-            let neg = -&kept[i];
-            for (j, other) in kept.iter().enumerate().skip(i + 1) {
-                if drop_idx.contains(&j) {
-                    continue;
-                }
-                if same_slope(&neg, other) {
-                    // kept[i] = t + c1, other = -t + c2 ; sum of consts:
-                    let s = kept[i].constant_term() + other.constant_term();
-                    if s.is_negative() {
-                        self.contradiction = true;
-                        return;
-                    }
-                    if s.is_zero() {
-                        to_eq.push(kept[i].clone());
-                        drop_idx.insert(i);
-                        drop_idx.insert(j);
-                    }
-                }
-            }
-        }
-        self.geqs = kept
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| !drop_idx.contains(i))
-            .map(|(_, e)| e)
-            .collect();
-        if !to_eq.is_empty() {
-            self.eqs.extend(to_eq);
+            self.geqs = kept
+                .into_iter()
+                .zip(dropped)
+                .filter(|(_, d)| !d)
+                .map(|(e, _)| e)
+                .collect();
             // re-normalize to canonicalize the new equalities
-            self.normalize();
+            self.normalize_with(opposite);
             return;
         }
+        self.geqs = kept;
 
         // --- strides
         let mut strides = std::mem::take(&mut self.strides);
@@ -421,7 +412,7 @@ impl Conjunct {
                 if changed {
                     // moduli may now be 1 or constraints constant
                     self.strides.retain(|(m, _)| !m.is_one());
-                    self.normalize();
+                    self.normalize_with(opposite);
                     return;
                 }
             }
@@ -595,9 +586,156 @@ fn same_slope(a: &Affine, b: &Affine) -> bool {
             .all(|((v1, c1), (v2, c2))| v1 == v2 && c1 == c2)
 }
 
+/// Matches the opposite inequality pairs `t + c₁ ≥ 0`, `−t + c₂ ≥ 0` of
+/// a list with pairwise distinct slopes: `None` when some pair has
+/// `c₁ + c₂ < 0` (a contradiction), else the index pairs `(i, j)`,
+/// `i < j`, with `c₁ + c₂ = 0`, ordered by `i`.
+type OppositeFn = fn(&[Affine]) -> Option<Vec<(usize, usize)>>;
+
+/// [`OppositeFn`] by a sign-canonical slope order: flipping each slope
+/// so its first coefficient is positive makes opposite slopes equal,
+/// so after sorting the two halves of a pair sit next to each other.
+/// Slopes are distinct, so equal canonical slopes always differ in
+/// sign.
+fn opposite_pairs(kept: &[Affine]) -> Option<Vec<(usize, usize)>> {
+    let mut tight = Vec::new();
+    if kept.len() < 2 {
+        return Some(tight);
+    }
+    let mut order: Vec<usize> = (0..kept.len()).collect();
+    order.sort_by(|&a, &b| cmp_canonical_slope(&kept[a], &kept[b]));
+    for w in order.windows(2) {
+        let (a, b) = (&kept[w[0]], &kept[w[1]]);
+        if cmp_canonical_slope(a, b).is_ne() {
+            continue;
+        }
+        let s = a.constant_term() + b.constant_term();
+        if s.is_negative() {
+            return None;
+        }
+        if s.is_zero() {
+            tight.push((w[0].min(w[1]), w[0].max(w[1])));
+        }
+    }
+    tight.sort_unstable();
+    Some(tight)
+}
+
+/// Orders slopes with each one's sign flipped to make its first
+/// coefficient positive.
+fn cmp_canonical_slope(a: &Affine, b: &Affine) -> std::cmp::Ordering {
+    use std::cmp::Ordering;
+    let leads_negative = |e: &Affine| e.iter().next().is_some_and(|(_, c)| c.is_negative());
+    let (fa, fb) = (leads_negative(a), leads_negative(b));
+    let mut ai = a.iter();
+    let mut bi = b.iter();
+    loop {
+        match (ai.next(), bi.next()) {
+            (Some((v1, c1)), Some((v2, c2))) => {
+                let o = v1.cmp(&v2).then_with(|| match (fa, fb) {
+                    (false, false) => c1.cmp(c2),
+                    (true, true) => c2.cmp(c1),
+                    (true, false) => (-c1).cmp(c2),
+                    (false, true) => c1.cmp(&-c2),
+                });
+                if o != Ordering::Equal {
+                    return o;
+                }
+            }
+            (Some(_), None) => return Ordering::Greater,
+            (None, Some(_)) => return Ordering::Less,
+            (None, None) => return Ordering::Equal,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The quadratic opposite-pair scan [`opposite_pairs`] replaced,
+    /// kept as the reference it must agree with.
+    fn opposite_pairs_quadratic(kept: &[Affine]) -> Option<Vec<(usize, usize)>> {
+        let mut tight = Vec::new();
+        let mut drop_idx: BTreeSet<usize> = BTreeSet::new();
+        for i in 0..kept.len() {
+            if drop_idx.contains(&i) {
+                continue;
+            }
+            let neg = -&kept[i];
+            for (j, other) in kept.iter().enumerate().skip(i + 1) {
+                if drop_idx.contains(&j) {
+                    continue;
+                }
+                if same_slope(&neg, other) {
+                    let s = kept[i].constant_term() + other.constant_term();
+                    if s.is_negative() {
+                        return None;
+                    }
+                    if s.is_zero() {
+                        tight.push((i, j));
+                        drop_idx.insert(i);
+                        drop_idx.insert(j);
+                    }
+                }
+            }
+        }
+        Some(tight)
+    }
+
+    #[test]
+    fn opposite_pairs_match_the_quadratic_scan() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let mut s = Space::new();
+        let vars: Vec<VarId> = ["x", "y", "z", "w"].iter().map(|n| s.var(n)).collect();
+        let mut contradictions = 0;
+        let mut pairs = 0;
+        for trial in 0..2000 {
+            let mut c = Conjunct::new();
+            let mut pool: Vec<Affine> = Vec::new();
+            for _ in 0..1 + rng(10) {
+                // draw from a small slope pool so opposites are common
+                let e = if !pool.is_empty() && rng(3) == 0 {
+                    let mut e = -&pool[rng(pool.len() as u64) as usize];
+                    e.add_constant(&Int::from(rng(7) as i64 - 3));
+                    e
+                } else {
+                    let mut e = Affine::constant(rng(13) as i64 - 6);
+                    for &v in &vars {
+                        if rng(2) == 0 {
+                            e.set_coeff(v, Int::from(rng(7) as i64 - 3));
+                        }
+                    }
+                    e
+                };
+                pool.push(e.clone());
+                c.add_geq(e);
+            }
+            if rng(4) == 0 {
+                c.add_eq(Affine::from_terms(&[(vars[0], 1), (vars[1], -2)], 1));
+            }
+            if rng(4) == 0 {
+                c.add_stride(Int::from(3), Affine::from_terms(&[(vars[2], 1)], 1));
+            }
+            let mut fast = c.clone();
+            fast.normalize();
+            let mut reference = c.clone();
+            reference.normalize_with(opposite_pairs_quadratic);
+            assert_eq!(fast, reference, "trial {trial}: {}", c.to_string(&s));
+            contradictions += fast.is_false() as usize;
+            pairs += fast.eqs().len();
+        }
+        assert!(
+            contradictions > 50 && pairs > 50,
+            "{contradictions} {pairs}"
+        );
+    }
 
     fn setup() -> (Space, VarId, VarId) {
         let mut s = Space::new();

@@ -109,14 +109,18 @@ pub fn simplify(f: &Formula, space: &mut Space, opts: &SimplifyOptions) -> Dnf {
     let mut kept = Vec::new();
     for mut c in clauses.drain(..) {
         solve_wildcard_equalities(&mut c, space);
-        if c.is_false() || !is_feasible(&c, space) {
+        if c.is_false() {
             continue;
         }
+        // `remove_redundant` opens with the same feasibility check and
+        // returns a contradiction when it fails.
         if opts.complete_redundancy {
             c = remove_redundant(&c, space);
             if c.is_false() {
                 continue;
             }
+        } else if !is_feasible(&c, space) {
+            continue;
         }
         kept.push(c);
     }

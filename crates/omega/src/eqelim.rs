@@ -97,7 +97,24 @@ pub fn eliminate_via_equality(c: &Conjunct, v: VarId, eq_idx: usize) -> Conjunct
 /// This is the engine behind converting the paper's *projected format*
 /// into *stride format* (§2.1).
 pub fn solve_wildcard_equalities(c: &mut Conjunct, space: &mut crate::space::Space) {
-    let mut fuel = 1000usize;
+    solve_with_fuel(c, space, EQELIM_FUEL);
+}
+
+/// Elimination steps one [`solve_wildcard_equalities`] call may take;
+/// exhaustion unwinds as an `"eqelim_fuel"` budget trip.
+const EQELIM_FUEL: u64 = 1000;
+
+/// [`solve_wildcard_equalities`] with an explicit step budget.
+pub(crate) fn solve_with_fuel(c: &mut Conjunct, space: &mut crate::space::Space, fuel: u64) {
+    let mut left = fuel;
+    // Input-reachable (a wildcard system that keeps producing
+    // equalities): unwind as a budget trip instead of aborting.
+    let mut step = || {
+        left = left.saturating_sub(1);
+        if left == 0 {
+            presburger_trace::govern::trip("eqelim_fuel", fuel, fuel);
+        }
+    };
     loop {
         c.normalize();
         if c.is_false() {
@@ -128,8 +145,7 @@ pub fn solve_wildcard_equalities(c: &mut Conjunct, space: &mut crate::space::Spa
         }
         if let Some((w, idx)) = target {
             *c = eliminate_via_equality(c, w, idx);
-            fuel -= 1;
-            assert!(fuel > 0, "wildcard equality elimination did not converge");
+            step();
             continue;
         }
         // (c) an equality whose wildcards all occur only in it:
@@ -157,8 +173,7 @@ pub fn solve_wildcard_equalities(c: &mut Conjunct, space: &mut crate::space::Spa
             if !g.is_one() {
                 c.add_stride(g, s);
             }
-            fuel -= 1;
-            assert!(fuel > 0, "wildcard equality elimination did not converge");
+            step();
             continue;
         }
         // (d) strides whose wildcards also occur in equalities or
@@ -183,8 +198,7 @@ pub fn solve_wildcard_equalities(c: &mut Conjunct, space: &mut crate::space::Spa
             c.add_wildcard(alpha);
             c.eqs.push(e.add_scaled(&Affine::var(alpha), &-m));
         }
-        fuel -= 1;
-        assert!(fuel > 0, "wildcard equality elimination did not converge");
+        step();
     }
 }
 
@@ -278,6 +292,24 @@ mod tests {
             let got = r.contains_point(&space, &|_| Int::from(xv));
             assert_eq!(got, expected, "x = {xv}");
         }
+    }
+
+    #[test]
+    fn exhausted_fuel_is_a_named_trip() {
+        let (mut space, x, _, w) = setup();
+        // exists w: x = 2w — one elimination step drives the fuel to zero
+        let mut c = Conjunct::new();
+        c.add_wildcard(w);
+        c.add_eq(Affine::from_terms(&[(x, 1), (w, -2)], 0));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            solve_with_fuel(&mut c, &mut space, 1)
+        }))
+        .expect_err("fuel 1 must trip");
+        let trip = payload
+            .downcast::<presburger_trace::govern::Trip>()
+            .expect("a Trip payload");
+        assert_eq!(trip.resource, "eqelim_fuel");
+        assert_eq!((trip.limit, trip.spent), (1, 1));
     }
 
     #[test]

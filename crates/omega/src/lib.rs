@@ -63,4 +63,4 @@ pub use conjunct::{Bound, Conjunct};
 pub use dnf::{Dnf, SimplifyOptions};
 pub use formula::{Constraint, Desugar, Formula};
 pub use parse::{parse_affine, parse_formula, ParseError, ParseFormulaError};
-pub use space::{Space, VarId};
+pub use space::{Point, Space, VarId};

@@ -19,7 +19,17 @@
 //! the counting engine's any-thread-count determinism. Re-uniting a
 //! child is a conflict-free union ([`Space::adopt`]): no renumbering
 //! ever happens.
+//!
+//! # Witness pool
+//!
+//! A space also keeps the last few integer points the feasibility test
+//! found ([`crate::feasible`]), most recently used first. Children
+//! start with a copy of their parent's pool, and neither
+//! [`Space::adopt`] nor [`Space::absorb`] merges pools back, so the
+//! pool's contents are a pure function of the query and the fork tree
+//! — never of thread scheduling or of earlier requests.
 
+use presburger_arith::Int;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -40,6 +50,13 @@ impl fmt::Debug for VarId {
         write!(f, "v{}", self.0)
     }
 }
+
+/// An integer point: a value for each listed variable, sorted by id;
+/// every variable not listed reads 0.
+pub type Point = Vec<(VarId, Int)>;
+
+/// How many witnesses a [`Space`] keeps.
+const WITNESS_POOL: usize = 8;
 
 /// An interner mapping variable names to [`VarId`]s.
 ///
@@ -62,6 +79,9 @@ pub struct Space {
     next: u32,
     /// Exclusive end of the id range this space may allocate from.
     hi: u32,
+    /// Integer points of recently feasible clauses, most recently used
+    /// first (see the module docs).
+    witnesses: Vec<Point>,
 }
 
 impl Default for Space {
@@ -72,6 +92,7 @@ impl Default for Space {
             fresh_counter: 0,
             next: 0,
             hi: u32::MAX,
+            witnesses: Vec::new(),
         }
     }
 }
@@ -176,6 +197,7 @@ impl Space {
                 fresh_counter: self.fresh_counter,
                 next: mid + i * slice,
                 hi: mid + (i + 1) * slice,
+                witnesses: self.witnesses.clone(),
             })
             .collect();
         self.hi = mid;
@@ -225,6 +247,25 @@ impl Space {
                 }
             }
         }
+    }
+
+    /// The integer points the feasibility test pooled, most recently
+    /// used first; each is a point of the normalized clause the search
+    /// found it for.
+    pub fn witnesses(&self) -> &[Point] {
+        &self.witnesses
+    }
+
+    /// Pools a new witness in front, evicting the least recently used
+    /// one when the pool is full.
+    pub(crate) fn remember_witness(&mut self, p: Point) {
+        self.witnesses.truncate(WITNESS_POOL - 1);
+        self.witnesses.insert(0, p);
+    }
+
+    /// Moves the witness at `i` to the front of the pool.
+    pub(crate) fn promote_witness(&mut self, i: usize) {
+        self.witnesses[..=i].rotate_right(1);
     }
 
     /// The name of a variable.
@@ -379,6 +420,40 @@ mod tests {
         a.absorb(&b2);
         assert_eq!(a.name(x), "x");
         assert!(a.name(y).starts_with("y$"));
+    }
+
+    #[test]
+    fn forks_inherit_the_witness_pool_and_never_merge_it_back() {
+        let mut s = Space::new();
+        let x = s.var("x");
+        let point = |v: i64| vec![(x, Int::from(v))];
+        s.remember_witness(point(1));
+        let mut kids = s.fork_many(2);
+        for k in &kids {
+            assert_eq!(k.witnesses(), [point(1)]);
+        }
+        kids[0].remember_witness(point(2));
+        kids[1].remember_witness(point(3));
+        s.adopt(&kids[0]);
+        s.absorb(&kids[1]);
+        assert_eq!(s.witnesses(), [point(1)]);
+        assert_eq!(kids[0].witnesses(), [point(2), point(1)]);
+    }
+
+    #[test]
+    fn the_witness_pool_is_bounded_and_most_recently_used_first() {
+        let mut s = Space::new();
+        let x = s.var("x");
+        let point = |v: i64| vec![(x, Int::from(v))];
+        for v in 0..20 {
+            s.remember_witness(point(v));
+        }
+        let expect: Vec<Point> = (12..20).rev().map(point).collect();
+        assert_eq!(s.witnesses(), expect);
+        s.promote_witness(5); // the point 14
+        assert_eq!(s.witnesses()[0], point(14));
+        assert_eq!(s.witnesses()[1..6], expect[..5]);
+        assert_eq!(s.witnesses()[6..], expect[6..]);
     }
 
     #[test]

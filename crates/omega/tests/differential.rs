@@ -1,6 +1,8 @@
 //! Differential tests of the Omega-test primitives against brute
 //! force, on randomized three-variable systems with strides and
-//! equalities.
+//! equalities, and on systems in the hard regime (large coefficients
+//! and moduli, a wildcard) whose feasibility witnesses are checked as
+//! well.
 
 use presburger_arith::Int;
 use presburger_gen::oracle::{conjunct_feasible, conjunct_sat};
@@ -11,6 +13,74 @@ use presburger_omega::{Affine, Conjunct, Space, VarId};
 use proptest::prelude::*;
 
 const R: i64 = 7;
+
+/// Box of the hard-regime systems: every variable lies in `-H..=H`.
+const H: i64 = 6;
+
+/// The point the feasibility search pooled for `c` in a space that held
+/// no witness before: it must satisfy the normalized clause, wildcards
+/// included (variables the point does not list read 0).
+fn check_witness(c: &Conjunct, s: &Space) -> Result<(), TestCaseError> {
+    let point = s.witnesses().first();
+    prop_assert!(point.is_some(), "no witness pooled for {}", c.to_string(s));
+    let point = point.unwrap();
+    let mut norm = c.clone();
+    norm.normalize();
+    let at = |v: VarId| {
+        point
+            .iter()
+            .find(|(w, _)| *w == v)
+            .map_or_else(Int::zero, |(_, x)| x.clone())
+    };
+    prop_assert!(
+        conjunct_sat(&norm, &at),
+        "witness {:?} fails {}",
+        point,
+        norm.to_string(s)
+    );
+    Ok(())
+}
+
+/// A small constraint `a·x + b·y + e·w + k` as `(a, b, e, k)`.
+type Small = (i64, i64, i64, i64);
+
+/// The one hard feature of a hard-regime system: `(kind, at, big, sign,
+/// terms, modulus)`. Kind 0 adds the inequality `terms ± big·v ≥ 0`
+/// with `v` the `at`-th of `x, y, w`; kind 1 the stride
+/// `modulus | terms`; kind 2 the equality `terms ± big·w = 0` (the
+/// projected format of a stride on `terms`).
+type Hard = (u8, usize, i64, bool, Small, i64);
+
+/// A hard-regime system over `x, y` and the wildcard `w`, all boxed to
+/// `-H..=H`: small inequalities and equalities plus one constraint with
+/// a coefficient of 100..=130 or a modulus of 64..=100. (Several such
+/// constraints in one system can make the exact search splinter into
+/// the millions.)
+fn build_hard(s: &mut Space, geqs: &[Small], eqs: &[Small], hard: Hard) -> (Conjunct, [VarId; 3]) {
+    let vars = [s.var("x"), s.var("y"), s.var("w")];
+    let [x, y, w] = vars;
+    let small = |&(a, b, e, k): &Small| Affine::from_terms(&[(x, a), (y, b), (w, e)], k);
+    let mut c = Conjunct::new();
+    c.add_wildcard(w);
+    for v in vars {
+        c.add_geq(Affine::from_terms(&[(v, 1)], H));
+        c.add_geq(Affine::from_terms(&[(v, -1)], H));
+    }
+    for t in geqs {
+        c.add_geq(small(t));
+    }
+    for t in eqs {
+        c.add_eq(small(t));
+    }
+    let (kind, at, big, negative, terms, modulus) = hard;
+    let big = if negative { -big } else { big };
+    match kind {
+        0 => c.add_geq(small(&terms) + Affine::term(vars[at], big)),
+        1 => c.add_stride(Int::from(modulus), small(&terms)),
+        _ => c.add_eq(small(&terms) + Affine::term(w, big)),
+    }
+    (c, vars)
+}
 
 fn build(
     s: &mut Space,
@@ -60,6 +130,9 @@ proptest! {
             panic!("unbound variable {}", s.name(v))
         });
         prop_assert_eq!(is_feasible(&c, &mut s), expected, "{}", c.to_string(&s));
+        if expected {
+            check_witness(&c, &s)?;
+        }
     }
 
     /// Projecting away one existential variable is exact, in both
@@ -90,6 +163,42 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    // Infeasible systems with a large-modulus stride over three
+    // variables take the exact search hundreds of thousands of
+    // splinters, so this block runs fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The hard regime — a coefficient of 100..=130 or a modulus of
+    /// 64..=100 next to equalities, inequalities and an existential
+    /// wildcard — agrees with brute force, every feasible verdict
+    /// leaves a witness of its clause, and a narrower clause checked in
+    /// the same space (where pooled points may answer) agrees with brute
+    /// force too.
+    #[test]
+    fn hard_regime_feasibility_and_witnesses(
+        geqs in proptest::collection::vec((-3i64..=3, -3i64..=3, -3i64..=3, -9i64..=9), 1..4),
+        eqs in proptest::collection::vec((-3i64..=3, -3i64..=3, -3i64..=3, -5i64..=5), 0..2),
+        hard in (0u8..3, 0usize..3, 100i64..=130, any::<bool>(),
+                 (-3i64..=3, -3i64..=3, -3i64..=3, -300i64..=300), 64i64..=100),
+        extra in (-3i64..=3, -3i64..=3, -3i64..=3, -9i64..=9),
+    ) {
+        let mut s = Space::new();
+        let (c, vars) = build_hard(&mut s, &geqs, &eqs, hard);
+        let unbound = |v: VarId| -> Int { panic!("unbound variable {v:?}") };
+        let expected = conjunct_feasible(&c, &vars, -H..=H, &unbound);
+        prop_assert_eq!(is_feasible(&c, &mut s), expected, "{}", c.to_string(&s));
+        if expected {
+            check_witness(&c, &s)?;
+        }
+        let [x, y, w] = vars;
+        let mut narrower = c.clone();
+        narrower.add_geq(Affine::from_terms(&[(x, extra.0), (y, extra.1), (w, extra.2)], extra.3));
+        let expected = conjunct_feasible(&narrower, &vars, -H..=H, &unbound);
+        prop_assert_eq!(is_feasible(&narrower, &mut s), expected, "{}", narrower.to_string(&s));
     }
 }
 

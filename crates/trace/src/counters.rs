@@ -76,6 +76,9 @@ counters! {
     GistCalls => "gist_calls" / count,
     /// Complete integer feasibility tests (§2.2).
     FeasibilityChecks => "feasibility_checks" / count,
+    /// Feasibility tests answered by a pooled witness point instead of
+    /// the elimination search.
+    WitnessHits => "witness_hits" / count,
     /// Clauses entering `simplify`'s cleanup from the raw DNF expansion.
     DnfClausesIn => "dnf_clauses_in" / count,
     /// Clauses surviving cleanup (feasibility + redundancy + subset
