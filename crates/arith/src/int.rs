@@ -1,11 +1,17 @@
 //! Arbitrary-precision signed integers.
 //!
-//! [`Int`] keeps values that fit in an `i128` inline (the overwhelmingly
-//! common case for constraint coefficients) and transparently spills to a
-//! sign-magnitude little-endian `u64`-limb representation when an
-//! operation overflows. The canonical-form invariant — *small iff the
-//! value fits in `i128`* — makes structural equality and hashing agree
-//! with numeric equality.
+//! [`Int`] is a 16-byte value. Values that fit in an `i64` (the
+//! overwhelmingly common case for constraint coefficients) live inline
+//! and take machine-word fast paths; every other value lives in a boxed
+//! sign-magnitude little-endian `u64`-limb tier. The canonical-form
+//! invariant — *inline iff the value fits in `i64`* — makes structural
+//! equality agree with numeric equality.
+//!
+//! The `int_promotions` counter and the `max_coeff_bits` gauge fire only
+//! when a result leaves the `i128` range: a value between the two
+//! boundaries sits in the boxed tier without bumping them, so the
+//! coefficient-size budget keeps the meaning it had when `i128` was the
+//! inline width.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -24,18 +30,38 @@ use std::str::FromStr;
 /// assert_eq!(b.to_string().len(), 81);
 /// assert_eq!(&b / &a, a);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Int(Repr);
 
-#[derive(Clone)]
+// Structural equality is numeric equality because the form is canonical.
+#[derive(Clone, PartialEq, Eq)]
 enum Repr {
-    Small(i128),
-    /// Magnitude does not fit in `i128`. Invariants: limbs are
-    /// little-endian, no trailing zero limb, magnitude > i128::MAX.
-    Big {
-        negative: bool,
-        limbs: Vec<u64>,
-    },
+    Small(i64),
+    /// Boxed so that `Int` stays two words wide.
+    Big(Box<Big>),
+}
+
+/// A value outside the `i64` range. Invariants: limbs are
+/// little-endian, there is no trailing zero limb, and the signed value
+/// does not fit in `i64`.
+#[derive(Clone, PartialEq, Eq)]
+struct Big {
+    negative: bool,
+    limbs: Vec<u64>,
+}
+
+impl Big {
+    fn to_i128(&self) -> Option<i128> {
+        if self.limbs.len() > 2 {
+            return None;
+        }
+        let mag = self.limbs[0] as u128 | ((self.limbs.get(1).copied().unwrap_or(0) as u128) << 64);
+        if self.negative {
+            (mag <= i128::MIN.unsigned_abs()).then(|| (mag as i128).wrapping_neg())
+        } else {
+            i128::try_from(mag).ok()
+        }
+    }
 }
 
 impl Int {
@@ -63,7 +89,7 @@ impl Int {
     pub fn is_positive(&self) -> bool {
         match &self.0 {
             Repr::Small(v) => *v > 0,
-            Repr::Big { negative, .. } => !negative,
+            Repr::Big(b) => !b.negative,
         }
     }
 
@@ -71,20 +97,16 @@ impl Int {
     pub fn is_negative(&self) -> bool {
         match &self.0 {
             Repr::Small(v) => *v < 0,
-            Repr::Big { negative, .. } => *negative,
+            Repr::Big(b) => b.negative,
         }
     }
 
     /// Sign of the value: `-1`, `0`, or `1`.
     pub fn signum(&self) -> i32 {
         match &self.0 {
-            Repr::Small(v) => match v.cmp(&0) {
-                Ordering::Less => -1,
-                Ordering::Equal => 0,
-                Ordering::Greater => 1,
-            },
-            Repr::Big { negative, .. } => {
-                if *negative {
+            Repr::Small(v) => v.signum() as i32,
+            Repr::Big(b) => {
+                if b.negative {
                     -1
                 } else {
                     1
@@ -105,16 +127,16 @@ impl Int {
     /// Returns the value as an `i64` if it fits.
     pub fn to_i64(&self) -> Option<i64> {
         match &self.0 {
-            Repr::Small(v) => i64::try_from(*v).ok(),
-            Repr::Big { .. } => None,
+            Repr::Small(v) => Some(*v),
+            Repr::Big(_) => None,
         }
     }
 
     /// Returns the value as an `i128` if it fits.
     pub fn to_i128(&self) -> Option<i128> {
         match &self.0 {
-            Repr::Small(v) => Some(*v),
-            Repr::Big { .. } => None,
+            Repr::Small(v) => Some(*v as i128),
+            Repr::Big(b) => b.to_i128(),
         }
     }
 
@@ -122,12 +144,12 @@ impl Int {
     pub fn to_f64(&self) -> f64 {
         match &self.0 {
             Repr::Small(v) => *v as f64,
-            Repr::Big { negative, limbs } => {
+            Repr::Big(b) => {
                 let mut x = 0.0f64;
-                for &l in limbs.iter().rev() {
+                for &l in b.limbs.iter().rev() {
                     x = x * 1.8446744073709552e19 + l as f64;
                 }
-                if *negative {
+                if b.negative {
                     -x
                 } else {
                     x
@@ -226,29 +248,21 @@ impl Int {
     /// Panics if `d` is zero.
     pub fn div_rem(&self, d: &Int) -> (Int, Int) {
         assert!(!d.is_zero(), "division by zero");
-        match (&self.0, &d.0) {
-            (Repr::Small(a), Repr::Small(b)) => {
-                // i128::MIN / -1 overflows; promote that one case.
-                if let (Some(q), Some(r)) = (a.checked_div(*b), a.checked_rem(*b)) {
-                    (Int::from(q), Int::from(r))
-                } else {
-                    let (q, r) = limbs_divrem(&to_limbs(*a), &to_limbs(*b));
-                    (
-                        Int::from_sign_limbs(a.is_negative() != b.is_negative(), q),
-                        Int::from_sign_limbs(a.is_negative(), r),
-                    )
-                }
-            }
-            _ => {
-                let (an, al) = self.sign_limbs();
-                let (bn, bl) = d.sign_limbs();
-                let (q, r) = limbs_divrem(&al, &bl);
-                (
-                    Int::from_sign_limbs(an != bn, q),
-                    Int::from_sign_limbs(an, r),
-                )
-            }
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &d.0) {
+            // i64::MIN / -1 is the one quotient that leaves i64.
+            return if *b == -1 {
+                (Int::from(-(*a as i128)), Int::zero())
+            } else {
+                (Int(Repr::Small(a / b)), Int(Repr::Small(a % b)))
+            };
         }
+        let (an, al) = self.sign_limbs();
+        let (bn, bl) = d.sign_limbs();
+        let (q, r) = limbs_divrem(&al, &bl);
+        (
+            Int::from_sign_limbs(an != bn, q),
+            Int::from_sign_limbs(an, r),
+        )
     }
 
     /// Returns `true` if `self` divides `other` evenly.
@@ -267,62 +281,81 @@ impl Int {
     ///
     /// The encoding is injective: structurally equal values (and only
     /// those) produce equal bytes, at any point in any process — it
-    /// depends on nothing but the numeric value. Small magnitudes use
-    /// compact tiers (most constraint coefficients fit in one byte).
+    /// depends on nothing but the numeric value, never on the storage
+    /// tier. Small magnitudes use compact tiers (most constraint
+    /// coefficients fit in one byte); values up to `i128` take 16 bytes.
     pub fn push_key_bytes(&self, out: &mut Vec<u8>) {
-        match &self.0 {
+        let v = match &self.0 {
             Repr::Small(v) => {
                 if let Ok(b) = i8::try_from(*v) {
                     out.push(1);
                     out.push(b as u8);
-                } else if let Ok(w) = i32::try_from(*v) {
+                    return;
+                }
+                if let Ok(w) = i32::try_from(*v) {
                     out.push(2);
                     out.extend_from_slice(&w.to_le_bytes());
-                } else {
-                    out.push(3);
-                    out.extend_from_slice(&v.to_le_bytes());
+                    return;
                 }
+                *v as i128
             }
-            Repr::Big { negative, limbs } => {
-                // Canonical form: Big iff out of i128 range, no trailing
-                // zero limb — so the limb vector is unique per value.
-                out.push(if *negative { 5 } else { 4 });
-                out.extend_from_slice(&(limbs.len() as u32).to_le_bytes());
-                for l in limbs {
-                    out.extend_from_slice(&l.to_le_bytes());
+            Repr::Big(b) => match b.to_i128() {
+                Some(v) => v,
+                None => {
+                    out.push(if b.negative { 5 } else { 4 });
+                    out.extend_from_slice(&(b.limbs.len() as u32).to_le_bytes());
+                    for l in &b.limbs {
+                        out.extend_from_slice(&l.to_le_bytes());
+                    }
+                    return;
                 }
-            }
-        }
+            },
+        };
+        out.push(3);
+        out.extend_from_slice(&v.to_le_bytes());
     }
 
     fn sign_limbs(&self) -> (bool, Vec<u64>) {
         match &self.0 {
-            Repr::Small(v) => (*v < 0, to_limbs(*v)),
-            Repr::Big { negative, limbs } => (*negative, limbs.clone()),
+            Repr::Small(v) => (*v < 0, to_limbs(*v as i128)),
+            Repr::Big(b) => (b.negative, b.limbs.clone()),
         }
     }
 
+    /// The canonical `Int` for a value known to fit in `i128`; never
+    /// counts a promotion.
+    fn from_i128(v: i128) -> Int {
+        match i64::try_from(v) {
+            Ok(s) => Int(Repr::Small(s)),
+            Err(_) => Int(Repr::Big(Box::new(Big {
+                negative: v < 0,
+                limbs: to_limbs(v),
+            }))),
+        }
+    }
+
+    /// The canonical `Int` for a sign and magnitude; counts a promotion
+    /// (and feeds the bit-width gauge) only when the value leaves `i128`.
     fn from_sign_limbs(negative: bool, mut limbs: Vec<u64>) -> Int {
         trim(&mut limbs);
         if limbs.is_empty() {
             return Int::zero();
         }
-        // Demote to Small when the magnitude fits in i128.
-        if limbs.len() <= 2 {
-            let mag = limbs[0] as u128 | ((limbs.get(1).copied().unwrap_or(0) as u128) << 64);
-            if negative {
-                if mag <= i128::MIN.unsigned_abs() {
-                    return Int(Repr::Small((mag as i128).wrapping_neg()));
+        let big = Big { negative, limbs };
+        match big.to_i128() {
+            Some(v) => {
+                if let Ok(s) = i64::try_from(v) {
+                    return Int(Repr::Small(s));
                 }
-            } else if mag <= i128::MAX as u128 {
-                return Int(Repr::Small(mag as i128));
+            }
+            None => {
+                presburger_trace::bump(presburger_trace::Counter::IntPromotions);
+                let bits = (big.limbs.len() as u64 - 1) * 64
+                    + (64 - big.limbs.last().expect("nonempty").leading_zeros() as u64);
+                presburger_trace::record_max(presburger_trace::Counter::MaxCoeffBits, bits);
             }
         }
-        presburger_trace::bump(presburger_trace::Counter::IntPromotions);
-        let bits = (limbs.len() as u64 - 1) * 64
-            + (64 - limbs.last().expect("nonempty").leading_zeros() as u64);
-        presburger_trace::record_max(presburger_trace::Counter::MaxCoeffBits, bits);
-        Int(Repr::Big { negative, limbs })
+        Int(Repr::Big(Box::new(big)))
     }
 }
 
@@ -547,19 +580,23 @@ macro_rules! impl_from_prim {
     ($($t:ty),*) => {$(
         impl From<$t> for Int {
             fn from(v: $t) -> Int {
-                Int(Repr::Small(v as i128))
+                Int(Repr::Small(v.into()))
             }
         }
     )*};
 }
-impl_from_prim!(i8, i16, i32, i64, i128, u8, u16, u32, u64, usize);
+impl_from_prim!(i8, i16, i32, i64, u8, u16, u32);
 
-impl PartialEq for Int {
-    fn eq(&self, other: &Int) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
+macro_rules! impl_from_wide {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Int {
+            fn from(v: $t) -> Int {
+                Int::from_i128(v as i128)
+            }
+        }
+    )*};
 }
-impl Eq for Int {}
+impl_from_wide!(i128, u64, usize);
 
 impl PartialOrd for Int {
     fn partial_cmp(&self, other: &Int) -> Option<Ordering> {
@@ -571,35 +608,26 @@ impl Ord for Int {
     fn cmp(&self, other: &Int) -> Ordering {
         match (&self.0, &other.0) {
             (Repr::Small(a), Repr::Small(b)) => a.cmp(b),
-            // A Big value is out of i128 range by invariant.
-            (Repr::Small(_), Repr::Big { negative, .. }) => {
-                if *negative {
+            // A Big value is out of i64 range by invariant.
+            (Repr::Small(_), Repr::Big(b)) => {
+                if b.negative {
                     Ordering::Greater
                 } else {
                     Ordering::Less
                 }
             }
-            (Repr::Big { negative, .. }, Repr::Small(_)) => {
-                if *negative {
+            (Repr::Big(a), Repr::Small(_)) => {
+                if a.negative {
                     Ordering::Less
                 } else {
                     Ordering::Greater
                 }
             }
-            (
-                Repr::Big {
-                    negative: an,
-                    limbs: al,
-                },
-                Repr::Big {
-                    negative: bn,
-                    limbs: bl,
-                },
-            ) => match (an, bn) {
+            (Repr::Big(a), Repr::Big(b)) => match (a.negative, b.negative) {
                 (false, true) => Ordering::Greater,
                 (true, false) => Ordering::Less,
-                (false, false) => limbs_cmp(al, bl),
-                (true, true) => limbs_cmp(bl, al),
+                (false, false) => limbs_cmp(&a.limbs, &b.limbs),
+                (true, true) => limbs_cmp(&b.limbs, &a.limbs),
             },
         }
     }
@@ -607,18 +635,22 @@ impl Ord for Int {
 
 impl Hash for Int {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Canonical form guarantees Small/Big never collide numerically.
-        match &self.0 {
-            Repr::Small(v) => {
-                0u8.hash(state);
-                v.hash(state);
-            }
-            Repr::Big { negative, limbs } => {
-                1u8.hash(state);
-                negative.hash(state);
-                limbs.hash(state);
-            }
-        }
+        // Every value in i128 range hashes as that i128, whatever its
+        // tier; the canonical form keeps the rest apart.
+        let v = match &self.0 {
+            Repr::Small(v) => *v as i128,
+            Repr::Big(b) => match b.to_i128() {
+                Some(v) => v,
+                None => {
+                    1u8.hash(state);
+                    b.negative.hash(state);
+                    b.limbs.hash(state);
+                    return;
+                }
+            },
+        };
+        0u8.hash(state);
+        v.hash(state);
     }
 }
 
@@ -628,9 +660,9 @@ impl Neg for Int {
         match self.0 {
             Repr::Small(v) => match v.checked_neg() {
                 Some(n) => Int(Repr::Small(n)),
-                None => Int::from_sign_limbs(false, to_limbs(v)),
+                None => Int::from_i128(-(v as i128)),
             },
-            Repr::Big { negative, limbs } => Int::from_sign_limbs(!negative, limbs),
+            Repr::Big(b) => Int::from_sign_limbs(!b.negative, b.limbs),
         }
     }
 }
@@ -642,30 +674,51 @@ impl Neg for &Int {
     }
 }
 
-fn add_impl(a: &Int, b: &Int) -> Int {
-    if let (Repr::Small(x), Repr::Small(y)) = (&a.0, &b.0) {
-        if let Some(s) = x.checked_add(*y) {
-            return Int(Repr::Small(s));
-        }
-    }
-    let (an, al) = a.sign_limbs();
-    let (bn, bl) = b.sign_limbs();
+/// `a + b`, where `b` carries the sign `bn` (so subtraction is the
+/// same walk with `b`'s sign flipped).
+fn add_limbs(an: bool, al: &[u64], bn: bool, bl: &[u64]) -> Int {
     if an == bn {
-        Int::from_sign_limbs(an, limbs_add(&al, &bl))
+        Int::from_sign_limbs(an, limbs_add(al, bl))
     } else {
-        match limbs_cmp(&al, &bl) {
+        match limbs_cmp(al, bl) {
             Ordering::Equal => Int::zero(),
-            Ordering::Greater => Int::from_sign_limbs(an, limbs_sub(&al, &bl)),
-            Ordering::Less => Int::from_sign_limbs(bn, limbs_sub(&bl, &al)),
+            Ordering::Greater => Int::from_sign_limbs(an, limbs_sub(al, bl)),
+            Ordering::Less => Int::from_sign_limbs(bn, limbs_sub(bl, al)),
         }
     }
 }
 
+fn add_impl(a: &Int, b: &Int) -> Int {
+    if let (Repr::Small(x), Repr::Small(y)) = (&a.0, &b.0) {
+        return match x.checked_add(*y) {
+            Some(s) => Int(Repr::Small(s)),
+            None => Int::from_i128(*x as i128 + *y as i128),
+        };
+    }
+    let (an, al) = a.sign_limbs();
+    let (bn, bl) = b.sign_limbs();
+    add_limbs(an, &al, bn, &bl)
+}
+
+fn sub_impl(a: &Int, b: &Int) -> Int {
+    if let (Repr::Small(x), Repr::Small(y)) = (&a.0, &b.0) {
+        return match x.checked_sub(*y) {
+            Some(s) => Int(Repr::Small(s)),
+            None => Int::from_i128(*x as i128 - *y as i128),
+        };
+    }
+    let (an, al) = a.sign_limbs();
+    let (bn, bl) = b.sign_limbs();
+    add_limbs(an, &al, !bn, &bl)
+}
+
 fn mul_impl(a: &Int, b: &Int) -> Int {
     if let (Repr::Small(x), Repr::Small(y)) = (&a.0, &b.0) {
-        if let Some(p) = x.checked_mul(*y) {
-            return Int(Repr::Small(p));
-        }
+        // The product of two i64 values always fits in i128.
+        return match x.checked_mul(*y) {
+            Some(p) => Int(Repr::Small(p)),
+            None => Int::from_i128(*x as i128 * *y as i128),
+        };
     }
     let (an, al) = a.sign_limbs();
     let (bn, bl) = b.sign_limbs();
@@ -702,23 +755,41 @@ macro_rules! forward_binop {
 }
 
 forward_binop!(Add, add, add_impl);
-forward_binop!(Sub, sub, |a: &Int, b: &Int| add_impl(a, &-b.clone()));
+forward_binop!(Sub, sub, sub_impl);
 forward_binop!(Mul, mul, mul_impl);
 forward_binop!(Div, div, |a: &Int, b: &Int| a.div_rem(b).0);
 forward_binop!(Rem, rem, |a: &Int, b: &Int| a.div_rem(b).1);
 
 impl AddAssign<&Int> for Int {
     fn add_assign(&mut self, rhs: &Int) {
+        if let (Repr::Small(x), Repr::Small(y)) = (&mut self.0, &rhs.0) {
+            if let Some(s) = x.checked_add(*y) {
+                *x = s;
+                return;
+            }
+        }
         *self = add_impl(self, rhs);
     }
 }
 impl SubAssign<&Int> for Int {
     fn sub_assign(&mut self, rhs: &Int) {
-        *self = add_impl(self, &-rhs.clone());
+        if let (Repr::Small(x), Repr::Small(y)) = (&mut self.0, &rhs.0) {
+            if let Some(s) = x.checked_sub(*y) {
+                *x = s;
+                return;
+            }
+        }
+        *self = sub_impl(self, rhs);
     }
 }
 impl MulAssign<&Int> for Int {
     fn mul_assign(&mut self, rhs: &Int) {
+        if let (Repr::Small(x), Repr::Small(y)) = (&mut self.0, &rhs.0) {
+            if let Some(p) = x.checked_mul(*y) {
+                *x = p;
+                return;
+            }
+        }
         *self = mul_impl(self, rhs);
     }
 }
@@ -738,18 +809,18 @@ impl fmt::Display for Int {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.0 {
             Repr::Small(v) => write!(f, "{v}"),
-            Repr::Big { negative, limbs } => {
+            Repr::Big(b) => {
                 // Repeated division by 10^19 (largest power of 10 in u64).
                 const CHUNK: u64 = 10_000_000_000_000_000_000;
                 let mut digits: Vec<String> = Vec::new();
-                let mut cur = limbs.clone();
+                let mut cur = b.limbs.clone();
                 while !cur.is_empty() {
                     let (q, r) = limbs_divrem(&cur, &[CHUNK]);
                     digits.push(format!("{}", r.first().copied().unwrap_or(0)));
                     cur = q;
                 }
                 let mut s = String::new();
-                if *negative {
+                if b.negative {
                     s.push('-');
                 }
                 s.push_str(&digits.pop().unwrap());
@@ -802,6 +873,7 @@ impl FromStr for Int {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{gcd, lcm};
     use proptest::prelude::*;
 
     fn big(s: &str) -> Int {
@@ -917,7 +989,300 @@ mod tests {
         assert!(enc(&big("170141183460469231731687303715884105728")).len() > 17);
     }
 
+    /// Key bytes recorded from the encoding used while `i128` was the
+    /// inline width: the tiers are chosen by value, so these must never
+    /// move (memo keys, interned ids, the serve cache key and the shard
+    /// routing hash are built from them).
+    const KEY_BYTES: &[(&str, &str)] = &[
+        ("0", "0100"),
+        ("-1", "01ff"),
+        ("127", "017f"),
+        ("-128", "0180"),
+        ("128", "0280000000"),
+        ("-129", "027fffffff"),
+        ("2147483647", "02ffffff7f"),
+        ("-2147483648", "0200000080"),
+        ("2147483648", "0300000080000000000000000000000000"),
+        ("9223372036854775807", "03ffffffffffffff7f0000000000000000"),
+        ("-9223372036854775808", "030000000000000080ffffffffffffffff"),
+        ("9223372036854775808", "0300000000000000800000000000000000"),
+        ("-9223372036854775809", "03ffffffffffffff7fffffffffffffffff"),
+        ("18446744073709551615", "03ffffffffffffffff0000000000000000"),
+        (
+            "170141183460469231731687303715884105727",
+            "03ffffffffffffffffffffffffffffff7f",
+        ),
+        (
+            "-170141183460469231731687303715884105728",
+            "0300000000000000000000000000000080",
+        ),
+        (
+            "170141183460469231731687303715884105728",
+            "040200000000000000000000000000000000000080",
+        ),
+        (
+            "-170141183460469231731687303715884105729",
+            "050200000001000000000000000000000000000080",
+        ),
+        (
+            "1020847100762815390279443357853047324675",
+            "04030000000300000000000000faffffffffffffff0200000000000000",
+        ),
+    ];
+
+    fn key_hex(v: &Int) -> String {
+        let mut b = Vec::new();
+        v.push_key_bytes(&mut b);
+        b.iter().map(|x| format!("{x:02x}")).collect()
+    }
+
+    /// A `Hasher` that keeps the bytes it is fed, so hashes compare
+    /// exactly and independently of any hash function.
+    #[derive(Default)]
+    struct HashBytes(Vec<u8>);
+
+    impl Hasher for HashBytes {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    fn hash_bytes(v: &impl Hash) -> Vec<u8> {
+        let mut h = HashBytes::default();
+        v.hash(&mut h);
+        h.0
+    }
+
+    /// Inline iff the value fits in `i64`; boxed limbs are trimmed.
+    fn is_canonical(v: &Int) -> bool {
+        match &v.0 {
+            Repr::Small(_) => true,
+            Repr::Big(b) => {
+                b.limbs.last().is_some_and(|l| *l != 0)
+                    && b.to_i128().and_then(|x| i64::try_from(x).ok()).is_none()
+            }
+        }
+    }
+
+    /// An operand near a tier boundary: `0`, `2⁶³` or `2¹²⁷`, shifted by
+    /// a few units and maybe negated — or a random `i64`.
+    fn edge((tier, off, neg, r): (u8, i64, bool, i64)) -> Int {
+        let base = match tier {
+            0 => Int::zero(),
+            1 => Int::from(1i128 << 63),
+            2 => Int::from(i128::MAX) + Int::one(),
+            _ => Int::from(r),
+        };
+        let v = base + Int::from(off);
+        if neg {
+            -v
+        } else {
+            v
+        }
+    }
+
+    /// `a op b` on the limb path, bypassing every machine-word fast path.
+    fn via_limbs(a: &Int, op: char, b: &Int) -> Int {
+        let (an, al) = a.sign_limbs();
+        let (bn, bl) = b.sign_limbs();
+        match op {
+            '+' => add_limbs(an, &al, bn, &bl),
+            '-' => add_limbs(an, &al, !bn, &bl),
+            '*' => Int::from_sign_limbs(an != bn, limbs_mul(&al, &bl)),
+            '/' => Int::from_sign_limbs(an != bn, limbs_divrem(&al, &bl).0),
+            '%' => Int::from_sign_limbs(an, limbs_divrem(&al, &bl).1),
+            _ => unreachable!("unknown operator {op}"),
+        }
+    }
+
+    fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
+
+    #[test]
+    fn key_bytes_pinned() {
+        for (text, hex) in KEY_BYTES {
+            let v: Int = text.parse().unwrap();
+            assert!(is_canonical(&v), "{text}");
+            assert_eq!(key_hex(&v), *hex, "{text}");
+        }
+    }
+
+    #[test]
+    fn tier_boundary_edge_cases() {
+        let two63 = "9223372036854775808";
+        assert_eq!((Int::from(i64::MIN) / Int::from(-1)).to_string(), two63);
+        assert_eq!(Int::from(i64::MIN) % Int::from(-1), Int::zero());
+        assert_eq!((Int::from(i64::MAX) + Int::one()).to_string(), two63);
+        assert_eq!((-Int::from(i64::MIN)).to_string(), two63);
+        assert_eq!(Int::from(i64::MIN).abs().to_string(), two63);
+        assert_eq!(
+            gcd(&Int::from(i64::MIN), &Int::from(i64::MIN)).to_string(),
+            two63
+        );
+        let (q, r) = Int::from(i128::MIN).div_rem(&Int::from(-1));
+        assert_eq!(q.to_string(), "170141183460469231731687303715884105728");
+        assert!(r.is_zero());
+        // u64 and usize values above i64::MAX land in the boxed tier.
+        for v in [
+            Int::from(u64::MAX),
+            Int::from(usize::MAX),
+            Int::from(1u64 << 63),
+        ] {
+            assert!(matches!(v.0, Repr::Big(_)), "{v}");
+            assert!(is_canonical(&v));
+            assert_eq!(v.to_i64(), None);
+            assert!(v.to_i128().is_some());
+        }
+        assert_eq!(Int::from(u64::MAX).to_string(), "18446744073709551615");
+        // Crossing back into i64 demotes to the inline tier.
+        let back = Int::from(u64::MAX) - Int::from(u64::MAX - 5);
+        assert!(matches!(back.0, Repr::Small(5)));
+        assert_eq!(Int::from(i128::MIN).to_i128(), Some(i128::MIN));
+        assert_eq!(Int::from(i128::MAX).to_i128(), Some(i128::MAX));
+    }
+
+    #[test]
+    fn promotions_count_only_past_i128() {
+        use presburger_trace::{enable_counters, snapshot, Counter};
+        let was = presburger_trace::counting();
+        enable_counters(true);
+        let before = snapshot();
+        let p = Int::from(1i64 << 62) * Int::from(1i64 << 62);
+        let inside = snapshot().delta(&before);
+        let q = &p * &Int::from(16); // 2¹²⁸
+        let past = snapshot().delta(&before);
+        enable_counters(was);
+        assert_eq!(p.to_i128(), Some(1i128 << 124));
+        assert!(matches!(p.0, Repr::Big(_)), "2¹²⁴ sits in the boxed tier");
+        assert_eq!(inside.get(Counter::IntPromotions), 0);
+        assert_eq!(inside.get(Counter::MaxCoeffBits), 0);
+        assert_eq!(q.to_i128(), None);
+        assert_eq!(past.get(Counter::IntPromotions), 1);
+        assert_eq!(past.get(Counter::MaxCoeffBits), 129);
+    }
+
     proptest! {
+        /// Every operation across both tier boundaries matches an `i128`
+        /// reference wherever the result fits, and the limb path always.
+        #[test]
+        fn ops_match_reference_across_tiers(
+            a in (0u8..4, -3i64..=3, any::<bool>(), any::<i64>()),
+            b in (0u8..4, -3i64..=3, any::<bool>(), any::<i64>()),
+        ) {
+            let (a, b) = (edge(a), edge(b));
+            let (x, y) = (a.to_i128(), b.to_i128());
+            let reference = |f: fn(i128, i128) -> Option<i128>| {
+                x.zip(y).and_then(|(x, y)| f(x, y)).map(Int::from)
+            };
+            let mut checks = vec![
+                (a.clone() + b.clone(), via_limbs(&a, '+', &b), reference(i128::checked_add)),
+                (&a - &b, via_limbs(&a, '-', &b), reference(i128::checked_sub)),
+                (&a * &b, via_limbs(&a, '*', &b), reference(i128::checked_mul)),
+            ];
+            if !b.is_zero() {
+                let (q, r) = a.div_rem(&b);
+                checks.push((q, via_limbs(&a, '/', &b), reference(i128::checked_div)));
+                checks.push((r, via_limbs(&a, '%', &b), reference(i128::checked_rem)));
+            }
+            for (got, limbs, want) in checks {
+                prop_assert!(is_canonical(&got), "{got} not canonical");
+                prop_assert_eq!(&got, &limbs);
+                if let Some(want) = want {
+                    prop_assert_eq!(&got, &want);
+                }
+            }
+            let mut sum = a.clone();
+            sum += &b;
+            prop_assert_eq!(&sum, &(&a + &b));
+            let mut diff = a.clone();
+            diff -= &b;
+            prop_assert_eq!(&diff, &(&a - &b));
+            let mut prod = a.clone();
+            prod *= &b;
+            prop_assert_eq!(&prod, &(&a * &b));
+
+            match x.zip(y) {
+                Some((x, y)) => prop_assert_eq!(a.cmp(&b), x.cmp(&y)),
+                None => prop_assert_eq!(a.cmp(&b), via_limbs(&a, '-', &b).cmp(&Int::zero())),
+            }
+
+            if !b.is_zero() {
+                let babs = b.abs();
+                let f = a.div_floor(&b);
+                let rf = &a - &(&f * &b);
+                prop_assert!(rf.is_zero() || rf.is_negative() == b.is_negative());
+                prop_assert!(rf.abs() < babs);
+                let c = a.div_ceil(&b);
+                let rc = &a - &(&c * &b);
+                prop_assert!(rc.is_zero() || rc.is_negative() != b.is_negative());
+                prop_assert!(rc.abs() < babs);
+                let e = a.rem_euclid(&b);
+                prop_assert!(!e.is_negative() && e < babs);
+                prop_assert!(b.divides(&(&a - &e)));
+                if let (Some(x), Some(y)) = (x, y) {
+                    if let Some(q) = x.checked_div(y) {
+                        let r = x % y;
+                        let fl = if r != 0 && (r < 0) != (y < 0) { q - 1 } else { q };
+                        let ce = if r != 0 && (r < 0) == (y < 0) { q + 1 } else { q };
+                        prop_assert_eq!(f, Int::from(fl));
+                        prop_assert_eq!(c, Int::from(ce));
+                        prop_assert_eq!(e, Int::from(x.rem_euclid(y)));
+                    }
+                }
+            }
+
+            let g = gcd(&a, &b);
+            let (g2, s, t) = crate::egcd(&a, &b);
+            prop_assert!(is_canonical(&g) && !g.is_negative());
+            prop_assert_eq!(&g, &g2);
+            prop_assert_eq!(&(&(&a * &s) + &(&b * &t)), &g, "Bézout certificate");
+            prop_assert!(g.divides(&a) && g.divides(&b));
+            let l = lcm(&a, &b);
+            prop_assert!(is_canonical(&l) && !l.is_negative());
+            prop_assert_eq!(&l * &g, (&a * &b).abs());
+            if let (Some(x), Some(y)) = (x, y) {
+                let gw = gcd_u128(x.unsigned_abs(), y.unsigned_abs());
+                if let Ok(gw) = i128::try_from(gw) {
+                    prop_assert_eq!(&g, &Int::from(gw));
+                    if gw != 0 {
+                        if let Some(lw) = (x / gw).checked_mul(y).and_then(i128::checked_abs) {
+                            prop_assert_eq!(&l, &Int::from(lw));
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Equal values reached by different routes (arithmetic, `From`,
+        /// `FromStr`) share one canonical form, one hash and one key.
+        #[test]
+        fn routes_agree_on_form_hash_and_key(a in (0u8..4, -3i64..=3, any::<bool>(), any::<i64>())) {
+            let v = edge(a);
+            let mut routes = vec![v.to_string().parse::<Int>().unwrap(), &(&v + &v) - &v];
+            if let Some(w) = v.to_i128() {
+                routes.push(Int::from(w));
+                if let Ok(u) = u64::try_from(w) {
+                    routes.push(Int::from(u));
+                }
+                // In i128 range the hash is that of (0u8, the i128).
+                prop_assert_eq!(hash_bytes(&v), hash_bytes(&(0u8, w)));
+            }
+            prop_assert!(is_canonical(&v));
+            for r in &routes {
+                prop_assert!(is_canonical(r));
+                prop_assert_eq!(r, &v);
+                prop_assert_eq!(hash_bytes(r), hash_bytes(&v));
+                prop_assert_eq!(key_hex(r), key_hex(&v));
+            }
+        }
+
         #[test]
         fn key_bytes_injective(a in any::<i64>(), b in any::<i64>(), p in 0u32..5) {
             // Mix in big values via pow to cross the representation tiers.

@@ -3,9 +3,10 @@
 //! The Omega test and the symbolic summation engine built on top of it
 //! require arithmetic that never overflows and never rounds:
 //!
-//! * [`Int`] — arbitrary-precision signed integers with an `i128`
-//!   fast path (Fourier–Motzkin products and Smith-normal-form pivots can
-//!   grow coefficients well past machine width);
+//! * [`Int`] — arbitrary-precision signed integers in 16 bytes, with an
+//!   inline `i64` fast path and a boxed limb tier (Fourier–Motzkin
+//!   products and Smith-normal-form pivots can grow coefficients well
+//!   past machine width);
 //! * [`Rat`] — exact rationals (Bernoulli numbers and Faulhaber
 //!   coefficients are not integers);
 //! * [`Matrix`] — dense integer matrices with unimodular
@@ -53,12 +54,23 @@ pub use row::Row;
 /// assert_eq!(gcd(&Int::from(12), &Int::from(-18)), Int::from(6));
 /// ```
 pub fn gcd(a: &Int, b: &Int) -> Int {
+    if let (Some(x), Some(y)) = (a.to_i64(), b.to_i64()) {
+        return Int::from(gcd_u64(x.unsigned_abs(), y.unsigned_abs()));
+    }
     let mut a = a.abs();
     let mut b = b.abs();
     while !b.is_zero() {
         let r = &a % &b;
         a = b;
         b = r;
+    }
+    a
+}
+
+/// Euclid's algorithm on machine-word magnitudes.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
     }
     a
 }
@@ -74,6 +86,11 @@ pub fn gcd(a: &Int, b: &Int) -> Int {
 pub fn lcm(a: &Int, b: &Int) -> Int {
     if a.is_zero() || b.is_zero() {
         return Int::zero();
+    }
+    if let (Some(x), Some(y)) = (a.to_i64(), b.to_i64()) {
+        let (x, y) = (x.unsigned_abs(), y.unsigned_abs());
+        // (x / g) · y ≤ 2¹²⁶, so the product fits in i128.
+        return Int::from(((x / gcd_u64(x, y)) as u128 * y as u128) as i128);
     }
     let g = gcd(a, b);
     (&(a / &g) * b).abs()

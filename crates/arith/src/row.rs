@@ -23,12 +23,10 @@ use std::hash::{Hash, Hasher};
 pub const INLINE: usize = 4;
 
 /// A sorted `K -> Int` map with inline storage for small rows.
-#[derive(Clone)]
 pub struct Row<K> {
     store: Store<K>,
 }
 
-#[derive(Clone)]
 enum Store<K> {
     /// Sorted by key; the first `len` slots are `Some`.
     Inline {
@@ -199,6 +197,39 @@ impl<K: Ord + Clone> Row<K> {
     /// Iterates the values in ascending key order.
     pub fn values(&self) -> impl Iterator<Item = &Int> + '_ {
         self.iter().map(|(_, v)| v)
+    }
+
+    /// Iterates the values mutably in ascending key order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Int> + '_ {
+        let (inline, spilled) = match &mut self.store {
+            Store::Inline { len, slots } => (&mut slots[..*len as usize], &mut [][..]),
+            Store::Spilled(v) => (&mut [][..], v.as_mut_slice()),
+        };
+        inline
+            .iter_mut()
+            .map(|s| &mut s.as_mut().expect("slot within len").1)
+            .chain(spilled.iter_mut().map(|(_, v)| v))
+    }
+}
+
+/// Copies only the live entries: the slots past `len` are always
+/// `None`, so the clone builds them fresh instead of copying them.
+impl<K: Clone> Clone for Row<K> {
+    fn clone(&self) -> Row<K> {
+        let store = match &self.store {
+            Store::Inline { len, slots } => {
+                let mut out = [None, None, None, None];
+                for (dst, src) in out.iter_mut().zip(&slots[..*len as usize]) {
+                    *dst = src.clone();
+                }
+                Store::Inline {
+                    len: *len,
+                    slots: out,
+                }
+            }
+            Store::Spilled(v) => Store::Spilled(v.clone()),
+        };
+        Row { store }
     }
 }
 
@@ -392,6 +423,19 @@ mod tests {
         }
     }
 
+    #[test]
+    fn values_mut_reaches_every_entry() {
+        for n in [3u32, 10] {
+            let mut r: Row<u32> = (0..n).map(|k| (k, int(k as i64))).collect();
+            for v in r.values_mut() {
+                *v *= &int(-2);
+            }
+            let got: Vec<(u32, Int)> = r.iter().map(|(k, v)| (*k, v.clone())).collect();
+            let want: Vec<(u32, Int)> = (0..n).map(|k| (k, int(-2 * k as i64))).collect();
+            assert_eq!(got, want, "n={n}");
+        }
+    }
+
     proptest! {
         /// The row is observationally identical to a BTreeMap under a
         /// random operation sequence — same entries, same order, same
@@ -402,6 +446,7 @@ mod tests {
         {
             let mut row: Row<u32> = Row::new();
             let mut map: BTreeMap<u32, Int> = BTreeMap::new();
+            let mut snapshots: Vec<(Row<u32>, BTreeMap<u32, Int>)> = Vec::new();
             for (op, k, v) in ops {
                 match op {
                     0 => {
@@ -418,6 +463,17 @@ mod tests {
                 let rv: Vec<(u32, Int)> = row.iter().map(|(k, v)| (*k, v.clone())).collect();
                 let mv: Vec<(u32, Int)> = map.iter().map(|(k, v)| (*k, v.clone())).collect();
                 prop_assert_eq!(rv, mv, "ordered entries match");
+                // A clone taken mid-sequence, inline or spilled, equals
+                // its source...
+                let snapshot = row.clone();
+                prop_assert_eq!(&snapshot, &row);
+                snapshots.push((snapshot, map.clone()));
+            }
+            // ...and later operations on the source leave it unchanged.
+            for (snapshot, at) in &snapshots {
+                let sv: Vec<(u32, Int)> = snapshot.iter().map(|(k, v)| (*k, v.clone())).collect();
+                let mv: Vec<(u32, Int)> = at.iter().map(|(k, v)| (*k, v.clone())).collect();
+                prop_assert_eq!(sv, mv, "clone independent of its source");
             }
         }
 

@@ -41,7 +41,8 @@ pub struct Report {
     /// (`hits / (hits + misses)`, `None` elsewhere).
     pub memo_hit_rate: Option<f64>,
     /// Wall-clock speedup of the S3 zipf request stream with the memo
-    /// on over the same stream with it off (`None` elsewhere).
+    /// on over the same stream with it off, each side's fastest of five
+    /// runs (`None` elsewhere).
     pub memo_speedup: Option<f64>,
 }
 
@@ -1085,14 +1086,17 @@ pub fn s2_manyclause_speedup() -> Report {
 /// formulas, a long tail); this experiment replays that shape against
 /// the sub-problem memo. A fixed-seed stream of requests is drawn
 /// zipf-style over a pool of distinct splinter-heavy queries, then run
-/// twice from a cold table: once with the memo off, once with it on.
-/// The pass criterion is transparency (byte-identical rendered answers,
-/// with at least one hit); the hit rate and the wall-clock speedup land
-/// in `memo_hit_rate` / `memo_speedup` in `BENCH_counters.json`, where
+/// as five alternating pairs, each run from a cold table: memo off, then
+/// memo on. The pass criterion is transparency (byte-identical rendered
+/// answers in every run, with at least one hit). The hit rate comes from
+/// the first pair; the wall-clock speedup is the ratio of the two sides'
+/// fastest runs, so one noisy sample cannot decide it. Both land in
+/// `memo_hit_rate` / `memo_speedup` in `BENCH_counters.json`, where
 /// `scripts/check.sh`'s memo gate enforces them.
 pub fn s3_memo_zipf() -> Report {
     const POOL: usize = 16;
     const REQUESTS: usize = 120;
+    const PAIRS: usize = 5;
     // The query pool: each entry owns its space, mirroring independent
     // requests — nothing is shared except what the memo deduplicates.
     let mut pool: Vec<(Space, Formula, Vec<VarId>)> = Vec::new();
@@ -1148,9 +1152,21 @@ pub fn s3_memo_zipf() -> Report {
             .collect();
         (answers, t.elapsed(), trace::snapshot().delta(&before))
     };
-    let (off_answers, t_off, _) = run_stream(false);
-    let (on_answers, t_on, on_stats) = run_stream(true);
-    let identical = off_answers == on_answers;
+    let (off_answers, mut t_off, _) = run_stream(false);
+    let (on_answers, mut t_on, on_stats) = run_stream(true);
+    let mut identical = off_answers == on_answers;
+    // The extra pairs only add timing samples: with counters off they
+    // leave the row's counters those of the first pair.
+    let was_counting = trace::counting();
+    trace::enable_counters(false);
+    for _ in 1..PAIRS {
+        let (off, t, _) = run_stream(false);
+        t_off = t_off.min(t);
+        let (on, t, _) = run_stream(true);
+        t_on = t_on.min(t);
+        identical &= off == off_answers && on == off_answers;
+    }
+    trace::enable_counters(was_counting);
     let hits = on_stats.get(Counter::MemoHit);
     let misses = on_stats.get(Counter::MemoMiss);
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;

@@ -185,7 +185,7 @@ fn sum_clause_inner(
             a[(i, j)] = e.coeff(*u);
             rest.set_coeff(*u, Int::zero());
         }
-        rhs.push(-&rest); // A·ȳ = −rest
+        rhs.push(-rest); // A·ȳ = −rest
     }
 
     let snf = smith_normal_form(&a);
@@ -194,7 +194,7 @@ fn sum_clause_inner(
         .map(|i| {
             let mut acc = Affine::zero();
             for (j, r) in rhs.iter().enumerate() {
-                acc = acc.add_scaled(r, &snf.u[(i, j)]);
+                acc.add_scaled_mut(r, &snf.u[(i, j)]);
             }
             acc
         })
@@ -202,9 +202,6 @@ fn sum_clause_inner(
 
     // determine ẑ coordinates: ẑᵢ = hᵢ/dᵢ for i < rank, fresh free
     // parameters for i ≥ rank; rows past the rank require hᵢ = 0.
-    // `Determined` carries an inline-storage `Affine` (272 bytes); the
-    // vector is short-lived and per-conjunct, so no boxing.
-    #[allow(clippy::large_enum_variant)]
     #[derive(Clone)]
     enum Coord {
         Determined { num: Affine, den: Int },
@@ -276,7 +273,7 @@ fn sum_clause_inner(
                 match coord {
                     Coord::Determined { num: nk, den: dk } => {
                         let scale = vj * &(&den / dk);
-                        num = num.add_scaled(nk, &scale);
+                        num.add_scaled_mut(nk, &scale);
                     }
                     Coord::Free(t) => {
                         let cur = num.coeff(*t) + vj * &den;
@@ -304,20 +301,18 @@ fn sum_clause_inner(
                 scale = lcm(&scale, &ybar[j].den);
             }
         }
-        let mut out = Affine::zero();
         // scaled non-unknown part
-        let mut rest = e.clone();
+        let mut out = e * &scale;
         for u in &unknowns {
-            rest.set_coeff(*u, Int::zero());
+            out.set_coeff(*u, Int::zero());
         }
-        out = out.add_scaled(&rest, &scale);
         for (j, u) in unknowns.iter().enumerate() {
             let cj = e.coeff(*u);
             if cj.is_zero() {
                 continue;
             }
             let k = &cj * &(&scale / &ybar[j].den);
-            out = out.add_scaled(&ybar[j].num, &k);
+            out.add_scaled_mut(&ybar[j].num, &k);
         }
         new_clause.add_geq(out);
     }

@@ -141,18 +141,45 @@ impl Affine {
         self.constant += k;
     }
 
+    /// `self += k·other`, in place.
+    pub fn add_scaled_mut(&mut self, other: &Affine, k: &Int) {
+        if k.is_zero() {
+            return;
+        }
+        for (v, c) in &other.terms {
+            let p = c * k;
+            match self.terms.get_mut(v) {
+                Some(sc) => {
+                    *sc += &p;
+                    if sc.is_zero() {
+                        self.terms.remove(v);
+                    }
+                }
+                None => {
+                    self.terms.insert(*v, p);
+                }
+            }
+        }
+        self.constant += &(&other.constant * k);
+    }
+
     /// `self + k·other` without consuming either operand.
     pub fn add_scaled(&self, other: &Affine, k: &Int) -> Affine {
-        if k.is_zero() {
-            return self.clone();
-        }
         let mut out = self.clone();
-        for (v, c) in &other.terms {
-            let nc = out.coeff(*v) + c * k;
-            out.set_coeff(*v, nc);
-        }
-        out.constant += &(&other.constant * k);
+        out.add_scaled_mut(other, k);
         out
+    }
+
+    /// `self *= k`, in place.
+    fn scale_mut(&mut self, k: &Int) {
+        if k.is_zero() {
+            *self = Affine::zero();
+            return;
+        }
+        for c in self.terms.values_mut() {
+            *c *= k;
+        }
+        self.constant *= k;
     }
 
     /// Substitutes `replacement` for `v`: every occurrence `c·v` becomes
@@ -164,7 +191,8 @@ impl Affine {
         }
         let mut out = self.clone();
         out.terms.remove(&v);
-        out.add_scaled(replacement, &c)
+        out.add_scaled_mut(replacement, &c);
+        out
     }
 
     /// Divides every coefficient and the constant exactly by `d`.
@@ -260,10 +288,13 @@ impl fmt::Debug for Affine {
     }
 }
 
+// The owned operators update their left operand in place; the
+// borrowed ones clone it once and do the same.
 impl Add for Affine {
     type Output = Affine;
-    fn add(self, rhs: Affine) -> Affine {
-        self.add_scaled(&rhs, &Int::one())
+    fn add(mut self, rhs: Affine) -> Affine {
+        self.add_scaled_mut(&rhs, &Int::one());
+        self
     }
 }
 impl Add for &Affine {
@@ -274,8 +305,9 @@ impl Add for &Affine {
 }
 impl Sub for Affine {
     type Output = Affine;
-    fn sub(self, rhs: Affine) -> Affine {
-        self.add_scaled(&rhs, &Int::from(-1))
+    fn sub(mut self, rhs: Affine) -> Affine {
+        self.add_scaled_mut(&rhs, &Int::from(-1));
+        self
     }
 }
 impl Sub for &Affine {
@@ -286,26 +318,30 @@ impl Sub for &Affine {
 }
 impl Neg for Affine {
     type Output = Affine;
-    fn neg(self) -> Affine {
-        Affine::zero().add_scaled(&self, &Int::from(-1))
+    fn neg(mut self) -> Affine {
+        self.scale_mut(&Int::from(-1));
+        self
     }
 }
 impl Neg for &Affine {
     type Output = Affine;
     fn neg(self) -> Affine {
-        Affine::zero().add_scaled(self, &Int::from(-1))
+        -self.clone()
     }
 }
 impl Mul<i64> for Affine {
     type Output = Affine;
-    fn mul(self, k: i64) -> Affine {
-        Affine::zero().add_scaled(&self, &Int::from(k))
+    fn mul(mut self, k: i64) -> Affine {
+        self.scale_mut(&Int::from(k));
+        self
     }
 }
 impl Mul<&Int> for &Affine {
     type Output = Affine;
     fn mul(self, k: &Int) -> Affine {
-        Affine::zero().add_scaled(self, k)
+        let mut out = self.clone();
+        out.scale_mut(k);
+        out
     }
 }
 
@@ -373,6 +409,34 @@ mod tests {
         let e = Affine::from_terms(&[(x, 2), (y, -1)], 4);
         let val = e.eval(&|v| if v == x { Int::from(10) } else { Int::from(3) });
         assert_eq!(val, Int::from(21));
+    }
+
+    /// Copying a constraint costs what its live terms cost only while
+    /// the value types stay this small.
+    #[test]
+    fn value_sizes_stay_small() {
+        assert_eq!(std::mem::size_of::<Int>(), 16);
+        assert!(std::mem::size_of::<Affine>() <= 128);
+    }
+
+    #[test]
+    fn in_place_updates_match_operators() {
+        let (_, x, y) = setup();
+        let e = Affine::from_terms(&[(x, 2), (y, -3)], 5);
+        let f = Affine::from_terms(&[(x, -1), (y, 4)], -2);
+        let mut g = e.clone();
+        g.add_scaled_mut(&f, &Int::from(2));
+        assert_eq!(g, Affine::from_terms(&[(y, 5)], 1), "x cancels out");
+        assert_eq!(g, e.add_scaled(&f, &Int::from(2)));
+        assert_eq!(e.clone() + f.clone(), &e + &f);
+        assert_eq!(e.clone() - f.clone(), &e - &f);
+        assert_eq!(-e.clone(), Affine::from_terms(&[(x, -2), (y, 3)], -5));
+        assert_eq!(-&e, -e.clone());
+        assert_eq!(e.clone() * 3, &e * &Int::from(3));
+        assert_eq!(&e * &Int::zero(), Affine::zero());
+        let mut h = e.clone();
+        h.add_scaled_mut(&f, &Int::zero());
+        assert_eq!(h, e);
     }
 
     #[test]

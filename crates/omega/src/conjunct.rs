@@ -440,10 +440,7 @@ impl Conjunct {
                 // a·v + r >= 0  =>  -r <= a·v
                 let mut r = e.clone();
                 r.set_coeff(v, Int::zero());
-                lowers.push(Bound {
-                    coeff: a,
-                    expr: -&r,
-                });
+                lowers.push(Bound { coeff: a, expr: -r });
             } else {
                 // -a'·v + r >= 0  =>  a'·v <= r
                 let mut r = e.clone();

@@ -365,12 +365,10 @@ fn disjoint_splinters(
         for (l2, u2) in pairs.iter().take(k) {
             prefix.add_geq(dark_constraint(l2, u2));
         }
-        let balpha = Affine::zero().add_scaled(&u.expr, &l.coeff);
-        let abeta = Affine::zero().add_scaled(&l.expr, &u.coeff);
         // region i: b·α − a·β − i = 0 (no v involved)
-        let region_eq = &balpha - &abeta;
+        let region_eq = shadow_expr(l, u);
         // splinter j: a·b·v − a·β − j = 0
-        let mut v_eq = -&abeta;
+        let mut v_eq = -(&l.expr * &u.coeff);
         v_eq.set_coeff(v, &l.coeff * &u.coeff);
         // v_eq mentions v, so its offsets form a proper residue class.
         let (j0, j_step) = first_offset(&v_eq, &Int::zero())
@@ -461,12 +459,18 @@ fn base_without(c: &Conjunct, v: VarId) -> Conjunct {
     r
 }
 
+/// `b·α − a·β` for a lower bound `β ≤ a·v` and an upper bound
+/// `b·v ≤ α`: the real-shadow expression of the pair.
+fn shadow_expr(l: &Bound, u: &Bound) -> Affine {
+    let mut e = &u.expr * &l.coeff;
+    e.add_scaled_mut(&l.expr, &-&u.coeff);
+    e
+}
+
 /// The dark- (or real-) shadow constraint for a lower/upper bound pair:
 /// `b·α − a·β − (a−1)(b−1) ≥ 0` (dark) or `b·α − a·β ≥ 0` (real).
-fn dark_constraint(l: &Bound, u: &Bound) -> crate::affine::Affine {
-    let balpha = crate::affine::Affine::zero().add_scaled(&u.expr, &l.coeff);
-    let abeta = crate::affine::Affine::zero().add_scaled(&l.expr, &u.coeff);
-    let mut e = &balpha - &abeta;
+fn dark_constraint(l: &Bound, u: &Bound) -> Affine {
+    let mut e = shadow_expr(l, u);
     let gap = &(&l.coeff - &Int::one()) * &(&u.coeff - &Int::one());
     e.add_constant(&-gap);
     e
@@ -478,9 +482,7 @@ fn add_shadow(r: &mut Conjunct, lowers: &[Bound], uppers: &[Bound], dark: bool) 
             if dark {
                 r.add_geq(dark_constraint(l, u));
             } else {
-                let balpha = crate::affine::Affine::zero().add_scaled(&u.expr, &l.coeff);
-                let abeta = crate::affine::Affine::zero().add_scaled(&l.expr, &u.coeff);
-                r.add_geq(&balpha - &abeta);
+                r.add_geq(shadow_expr(l, u));
             }
         }
     }

@@ -54,13 +54,13 @@ pub fn eliminate_via_equality(c: &Conjunct, v: VarId, eq_idx: usize) -> Conjunct
         if cv.is_zero() {
             return e.clone();
         }
-        let mut rest = e.clone();
-        rest.set_coeff(v, Int::zero());
+        // With rest = e minus its v term:
         // |a|·e = |a|·rest + |a|·cv·v ; and a·v = -R so
         // |a|·cv·v = sign·cv·(a·v) = -sign·cv·R  (sign = +1 if a>0)
-        let k = if sign_pos { -&cv } else { cv.clone() };
-        let mut t = Affine::zero().add_scaled(&rest, &abs_a);
-        t = t.add_scaled(&r, &k);
+        let mut t = e * &abs_a;
+        t.set_coeff(v, Int::zero());
+        let k = if sign_pos { -cv } else { cv };
+        t.add_scaled_mut(&r, &k);
         t
     };
     for (i, e) in c.eqs().iter().enumerate() {

@@ -152,7 +152,7 @@ pub fn parse_affine(input: &str, space: &mut Space) -> Result<Affine, ParseFormu
 /// an error. 96 levels is far beyond any legitimate formula while
 /// keeping worst-case stack use well under the default 2 MiB of a
 /// spawned thread — each grammar level holds several `Formula` /
-/// `Affine` temporaries, which carry their terms inline (~240 bytes
+/// `Affine` temporaries, which carry their terms inline (~120 bytes
 /// each) since the `arith::Row` small-row representation.
 const MAX_DEPTH: usize = 96;
 
