@@ -151,7 +151,7 @@ fn main() {
         "count w0 max_splinters=512 {x,y : 1 <= x && x <= 9 && 0 <= y && y <= x}",
     )
     .expect("wire workload must parse");
-    let wire_reply = presburger_serve::wire::Reply::from_text("OK w0 exact 45");
+    let wire_reply = presburger_serve::wire::Reply::exact("w0", "45");
     const WIRE_LOOPS: u32 = 100_000;
     let t = Instant::now();
     for _ in 0..WIRE_LOOPS {

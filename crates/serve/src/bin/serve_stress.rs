@@ -135,6 +135,17 @@ fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// The chaos armed by `PRESBURGER_CHAOS`, if any. An unparsable spec
+/// panics: a drill that silently fails to arm would pass vacuously.
+fn chaos_from_env() -> Option<Arc<Chaos>> {
+    let spec = std::env::var("PRESBURGER_CHAOS").ok()?;
+    if spec.is_empty() {
+        return None;
+    }
+    let chaos = Chaos::parse(&spec).unwrap_or_else(|e| panic!("PRESBURGER_CHAOS: {e}"));
+    Some(Arc::new(chaos))
+}
+
 /// A one-shard pool over `cfg`: the serving path every single-server
 /// phase drives.
 fn one_shard(cfg: ServeConfig) -> ShardPool {
@@ -302,7 +313,7 @@ fn phase_shedding() {
     let mut sheds = 0;
     gate.open();
     for (i, slot) in slots.iter().enumerate() {
-        let line = slot.wait();
+        let line = slot.wait().to_text();
         if line.starts_with("SHED ") {
             assert!(
                 line.contains("reason=queue_full"),
@@ -322,7 +333,7 @@ fn phase_shedding() {
 
 fn submit_line(handle: &PoolHandle, line: &str) -> String {
     match presburger_serve::parse_request(line).unwrap() {
-        presburger_serve::Request::Query(q) => handle.submit(q).wait(),
+        presburger_serve::Request::Query(q) => handle.submit(q).wait().to_text(),
         _ => unreachable!("stress submits queries only"),
     }
 }
@@ -415,7 +426,7 @@ fn phase_drain() {
     );
     assert!(stats.starts_with("STATS "), "drain stats line: {stats}");
     for (i, slot) in slots.iter().enumerate() {
-        let line = slot.wait();
+        let line = slot.wait().to_text();
         assert!(
             line.starts_with(&format!("OK d{i} "))
                 || (fault_armed && line.starts_with(&format!("ERR d{i} internal"))),
@@ -450,7 +461,7 @@ fn phase_drain() {
         .collect();
     handle.drain();
     for (i, slot) in slots.iter().enumerate() {
-        let line = slot.wait();
+        let line = slot.wait().to_text();
         assert!(
             line.starts_with(&format!("OK z{i} "))
                 || line.starts_with(&format!("ERR z{i} cancelled"))
@@ -597,11 +608,9 @@ fn chaos_pool_cfg(shards: usize, depth: usize, chaos: Option<Arc<Chaos>>) -> Sha
 }
 
 /// Runs `conns` connections over the fixed round-robin partition of
-/// `requests` against a supervised pool. `chaos` must be explicit: the
-/// chaos-off baselines pass a disarmed `None` *after* main has cleared
-/// `PRESBURGER_CHAOS` from the environment, so an env-armed drill can
-/// never leak into them. Returns the per-connection transcripts and the
-/// per-shard failover rows.
+/// `requests` against a supervised pool, armed with `chaos` (the
+/// chaos-off baselines pass `None`). Returns the per-connection
+/// transcripts and the per-shard failover rows.
 fn run_pool_partitioned(
     shards: usize,
     requests: &[GenRequest],
@@ -868,7 +877,7 @@ fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
         "retry never landed: {line}"
     );
     assert!(attempts > 1, "the first attempt should have shed");
-    assert!(held.wait().starts_with("OK r0 "));
+    assert!(held.wait().to_text().starts_with("OK r0 "));
     opener.join().expect("gate opener");
     server.shutdown();
     println!("    retry helper: landed after {attempts} attempts");
@@ -1096,7 +1105,7 @@ fn phase_binary_protocol(n: usize) {
         let out: Vec<String> = handle
             .submit_batch(queries)
             .into_iter()
-            .map(|s| s.wait())
+            .map(|s| s.wait().to_text())
             .collect();
         if rounds == 1 {
             first_round_sheds = out.iter().filter(|l| l.starts_with("SHED ")).count();
@@ -1220,7 +1229,7 @@ fn phase_admission(n: usize) {
     let mut flood_answered = 0u64;
     let mut flood_shed = 0u64;
     for (i, slot) in flood.iter().enumerate() {
-        let line = slot.wait();
+        let line = slot.wait().to_text();
         if line.starts_with(&format!("OK g{i} "))
             || (fault_armed && line.starts_with(&format!("ERR g{i} internal")))
         {
@@ -1346,7 +1355,7 @@ fn phase_admission(n: usize) {
     };
     let dead = submit(format!("count e0 deadline_ms=0 {{x : {CLEAN}}}"));
     assert_eq!(
-        dead.wait(),
+        dead.wait().to_text(),
         "OK e0 bounded evicted 9 ; 9",
         "admission-time eviction must answer while the worker is gated"
     );
@@ -1355,11 +1364,15 @@ fn phase_admission(n: usize) {
     thread::sleep(Duration::from_millis(20));
     gate.open();
     assert_eq!(
-        queued.wait(),
+        queued.wait().to_text(),
         "OK e1 bounded evicted 9 ; 9",
         "pop-time eviction: the deadline lapsed in the queue"
     );
-    assert_eq!(fresh.wait(), "OK e2 exact 9", "undeadlined sibling");
+    assert_eq!(
+        fresh.wait().to_text(),
+        "OK e2 exact 9",
+        "undeadlined sibling"
+    );
     server.shutdown();
     println!("    eviction: §4.6 bounds at admission time and at pop time");
 
@@ -1490,11 +1503,7 @@ static PHASE8_BENCH: Mutex<Option<String>> = Mutex::new(None);
 fn main() {
     let n = env_usize("PRESBURGER_SERVE_REQUESTS", 200);
     let conns = env_usize("PRESBURGER_SERVE_CONNS", 4).max(1);
-    // Read and clear the env-armed chaos up front: ShardPool::start
-    // falls back to the environment, and the chaos-off baselines of
-    // phase 6 must stay chaos-off.
-    let env_chaos = Chaos::from_env().unwrap_or_else(|e| panic!("{e}"));
-    std::env::remove_var("PRESBURGER_CHAOS");
+    let env_chaos = chaos_from_env();
     if std::env::var("PRESBURGER_SERVE_CHAOS_ONLY").is_ok_and(|v| v == "1") {
         phase_chaos(n, conns, env_chaos);
         println!("serve_stress: chaos phase passed");

@@ -1,9 +1,12 @@
 //! Deterministic chaos injection for the supervised shard pool.
 //!
-//! `PRESBURGER_CHAOS=<site>:<shard>:<nth>` arms exactly one fault per
-//! pool — fired by worker `<shard>` when it pops its `<nth>` job
-//! (1-based, counted across restarts) — in the same spirit as the
-//! governor's `PRESBURGER_FAULT`:
+//! A `<site>:<shard>:<nth>` spec ([`Chaos::parse`]), set on
+//! [`ShardPoolConfig::chaos`](crate::ShardPoolConfig::chaos), arms
+//! exactly one fault per pool — fired by worker `<shard>` when it pops
+//! its `<nth>` job (1-based, counted across restarts) — in the same
+//! spirit as the governor's `PRESBURGER_FAULT`. The library reads no
+//! environment variable for it; the `serve_stress` harness maps
+//! `PRESBURGER_CHAOS` onto the config for operator-style drills.
 //!
 //! * `kill`  — the worker thread panics past its unwind boundary and
 //!   dies (the supervisor must detect the crash and re-dispatch).
@@ -21,7 +24,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::Once;
 
 /// What the armed chaos does to the worker (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,18 +103,6 @@ impl Chaos {
             popped: AtomicU64::new(0),
             fired: AtomicBool::new(false),
         })
-    }
-
-    /// The armed spec from `PRESBURGER_CHAOS`, if any. Unparsable specs
-    /// are an error — a chaos drill that silently doesn't arm would
-    /// pass its gate vacuously.
-    pub fn from_env() -> Result<Option<Arc<Chaos>>, String> {
-        match std::env::var("PRESBURGER_CHAOS") {
-            Ok(spec) if !spec.is_empty() => Chaos::parse(&spec)
-                .map(|c| Some(Arc::new(c)))
-                .map_err(|e| format!("PRESBURGER_CHAOS: {e}")),
-            _ => Ok(None),
-        }
     }
 
     /// Which shard the fault is armed on.

@@ -46,8 +46,8 @@
 //!   crashed/wedged shards, restarts them with capped backoff, and
 //!   re-dispatches orphaned requests to siblings or the replacement
 //!   (falling back to §4.6 bounds) so an admitted request never loses
-//!   its response — even with `PRESBURGER_CHAOS` ([`chaos`]) killing a
-//!   shard mid-run. Clients pair it with [`retry`]'s deterministic
+//!   its response — even with armed chaos ([`chaos`]) killing a shard
+//!   mid-run. Clients pair it with [`retry`]'s deterministic
 //!   jittered backoff on `SHED`. (DESIGN.md §14.)
 //!
 //! The wire protocol is newline-delimited text or, auto-detected per

@@ -44,8 +44,10 @@
 //!
 //! `why` on a bounded reply is the [`CountError::kind`] that degraded
 //! the exact pass (`budget`, `deadline`, …), `breaker_open` when the
-//! circuit breaker pre-degraded the request, or `cancelled` when a
-//! drain deadline bounded in-flight work.
+//! circuit breaker pre-degraded the request, `cancelled` when a drain
+//! deadline bounded in-flight work, `evicted` when its deadline lapsed
+//! before it ran, or `failover` when it outlived its shard. Replies are
+//! typed values ([`crate::wire::Reply`]) that both codecs render.
 //!
 //! Three verbs answer with a *multi-line* block instead of a single
 //! line, each terminated by a `# EOF` line so a client knows where the
@@ -457,30 +459,6 @@ pub fn sanitize(s: &str) -> String {
     }
 }
 
-/// Renders `OK <id> exact <value>`.
-pub fn ok_exact(id: &str, value: &str) -> String {
-    format!("OK {id} exact {}", sanitize(value))
-}
-
-/// Renders `OK <id> bounded <why> <lower> ; <upper>`.
-pub fn ok_bounded(id: &str, why: &str, lower: &str, upper: &str) -> String {
-    format!(
-        "OK {id} bounded {why} {} ; {}",
-        sanitize(lower),
-        sanitize(upper)
-    )
-}
-
-/// Renders `ERR <id> <kind> <detail>`.
-pub fn err_line(id: &str, kind: &str, detail: &str) -> String {
-    format!("ERR {id} {kind} {}", sanitize(detail))
-}
-
-/// Renders `SHED <id> retry_after_ms=<n> reason=<reason>`.
-pub fn shed_line(id: &str, retry_after_ms: u64, reason: &str) -> String {
-    format!("SHED {id} retry_after_ms={retry_after_ms} reason={reason}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,18 +582,5 @@ mod tests {
         assert_eq!(merged.deadline, Some(Duration::from_millis(1000)));
         assert_eq!(merged.max_splinters, Some(5));
         assert!(merged.max_depth.is_none());
-    }
-
-    #[test]
-    fn rendering_is_single_line() {
-        assert_eq!(ok_exact("a", "1 +\n2"), "OK a exact 1 + 2");
-        assert_eq!(
-            shed_line("b", 50, "queue_full"),
-            "SHED b retry_after_ms=50 reason=queue_full"
-        );
-        assert_eq!(
-            err_line("c", "parse", "bad\nthing"),
-            "ERR c parse bad thing"
-        );
     }
 }

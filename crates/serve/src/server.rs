@@ -17,9 +17,10 @@
 //!    the formula, governing the count, rendering the reply — inside
 //!    `catch_unwind`. A panic poisons only that request (`ERR …
 //!    internal`), never the worker.
-//! 4. The response is published through the job's one-shot [`Slot`];
-//!    the connection's writer thread emits slots in admission order, so
-//!    responses on a connection are FIFO even with many workers.
+//! 4. The typed [`Reply`] is published through the job's one-shot
+//!    [`Slot`]; the connection's writer thread renders slots in its
+//!    codec, in admission order, so responses on a connection are FIFO
+//!    even with many workers.
 //!
 //! # Ordering and replay
 //!
@@ -33,15 +34,16 @@ use crate::admission::{self, AdmissionConfig, Lane, LaneQueues};
 use crate::breaker::{Breaker, Plan};
 use crate::cache::ResultCache;
 use crate::chaos::{self, Chaos, ChaosSite};
-use crate::protocol::{self, err_line, parse_request, shed_line, Query, Request, ServeError, Verb};
+use crate::protocol::{parse_request, Query, Request, ServeError, Verb};
 use crate::shard::{PoolHandle, ShardPool, ShardPoolConfig};
 use crate::sync::{lock_ok, wait_ok};
 use crate::telemetry::{RequestTelemetry, Telemetry, TelemetrySettings};
+use crate::wire::Reply;
 use presburger_counting::{
     try_sum_polynomial_bounds, try_sum_polynomial_governed, Budgets, CountError, CountOptions,
     Governor, Outcome,
 };
-use presburger_omega::{parse_affine, parse_formula, Space};
+use presburger_omega::{parse_affine, parse_formula, Affine, Formula, Space, VarId};
 use presburger_polyq::QPoly;
 use presburger_trace::metrics::{AdmitDecision, ReqCodec, ReqLane, ReqOutcome, ReqVerb};
 use presburger_trace::{self as trace, Counter};
@@ -158,14 +160,16 @@ impl Gate {
     }
 }
 
-/// A one-shot response slot: the worker fulfils it, the connection's
-/// writer thread waits on it. The consumer reads the line exactly once,
-/// so a duplicate fulfilment (possible when the supervisor re-dispatches
-/// a request whose original worker later finishes anyway) is harmless —
-/// and because replies are pure functions of the query, both producers
-/// publish the identical line.
+/// A one-shot response slot holding a typed [`Reply`]: the worker
+/// fulfils it, the connection's writer thread waits on it and renders
+/// the reply in the connection's codec (a text line or a binary frame).
+/// The consumer takes the reply exactly once, so a duplicate fulfilment
+/// (possible when the supervisor re-dispatches a request whose original
+/// worker later finishes anyway) is harmless — and because replies are
+/// pure functions of the query, both producers publish the identical
+/// reply.
 pub struct Slot {
-    value: Mutex<Option<String>>,
+    value: Mutex<Option<Reply>>,
     cv: Condvar,
     done: AtomicBool,
 }
@@ -181,34 +185,34 @@ impl Slot {
     }
 
     /// An already-fulfilled slot (for responses computed inline).
-    pub fn ready(line: String) -> Arc<Slot> {
+    pub fn ready(reply: Reply) -> Arc<Slot> {
         Arc::new(Slot {
-            value: Mutex::new(Some(line)),
+            value: Mutex::new(Some(reply)),
             cv: Condvar::new(),
             done: AtomicBool::new(true),
         })
     }
 
-    /// Publishes the response line.
-    pub fn fulfil(&self, line: String) {
+    /// Publishes the reply.
+    pub fn fulfil(&self, reply: Reply) {
         let mut v = lock_ok(&self.value);
-        *v = Some(line);
+        *v = Some(reply);
         self.done.store(true, Ordering::Release);
         self.cv.notify_all();
     }
 
-    /// Whether a response line has been published. The supervisor uses
-    /// this to tell answered requests from orphaned ones.
+    /// Whether a reply has been published. The supervisor uses this to
+    /// tell answered requests from orphaned ones.
     pub fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire)
     }
 
-    /// Blocks until the response line is available.
-    pub fn wait(&self) -> String {
+    /// Blocks until the reply is available.
+    pub fn wait(&self) -> Reply {
         let mut v = lock_ok(&self.value);
         loop {
-            if let Some(line) = v.take() {
-                return line;
+            if let Some(reply) = v.take() {
+                return reply;
             }
             v = wait_ok(&self.cv, v);
         }
@@ -241,17 +245,34 @@ pub(crate) enum Refusal {
     Quota,
 }
 
-/// A refused enqueue: the reason plus the rendered `SHED` line a caller
-/// may deliver (after tallying it via [`Handle::note_shed`]).
-pub(crate) struct Refused {
-    pub reason: Refusal,
-    pub line: String,
+impl Refusal {
+    /// The shed cause, the first segment of `reason=`.
+    fn cause(self) -> &'static str {
+        match self {
+            Refusal::Draining => "draining",
+            Refusal::QueueFull => "queue_full",
+            Refusal::Quota => "quota",
+        }
+    }
 }
 
-/// Why a request is answered with the budgeted §4.6 bounds instead of a
-/// governed run ([`Handle::rescue`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A refused enqueue: the reason plus the `retry_after_ms` hint of the
+/// `SHED` a caller may deliver ([`Handle::shed`]).
+pub(crate) struct Refused {
+    pub reason: Refusal,
+    pub retry_after_ms: u64,
+}
+
+/// Why a request is answered with budgeted §4.6 bounds instead of an
+/// exact governed run ([`Inner::rescue`]). The breaker and drain
+/// rescues run under the request's own budgets; the others under the
+/// server's default deadline.
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum Rescue {
+    /// The circuit breaker is open: the exact path is skipped.
+    BreakerOpen(Budgets),
+    /// A drain deadline cancelled the exact run.
+    Cancelled(Budgets),
     /// It arrived already expired (`deadline_ms=0`): answered at
     /// admission, never queued.
     EvictedAtAdmission,
@@ -260,6 +281,18 @@ pub(crate) enum Rescue {
     /// It outlived its shard and no sibling could take it in time: the
     /// supervisor's terminal fallback.
     Failover,
+}
+
+impl Rescue {
+    /// The `why` label of the bounded reply.
+    fn label(self) -> &'static str {
+        match self {
+            Rescue::BreakerOpen(_) => "breaker_open",
+            Rescue::Cancelled(_) => "cancelled",
+            Rescue::EvictedAtAdmission | Rescue::EvictedInQueue => "evicted",
+            Rescue::Failover => "failover",
+        }
+    }
 }
 
 /// Atomic server statistics, rendered by `STATS` and the final drain
@@ -334,6 +367,12 @@ struct Inner {
     /// Bumped on every job pop and completion. A shard with inflight
     /// work whose heartbeat stops advancing is wedged.
     heartbeat: AtomicU64,
+    /// Per worker: until when (ms since `started`) its in-flight job is
+    /// within its governed bound, twice its effective deadline; 0 when
+    /// idle or when the job has no deadline. A slow job inside its
+    /// bound is not a wedge.
+    governed_until: Box<[AtomicU64]>,
+    started: Instant,
 }
 
 struct QueueState {
@@ -388,6 +427,8 @@ impl Server {
             telemetry: Telemetry::new(cfg.telemetry.clone()),
             workers_alive: AtomicUsize::new(0),
             heartbeat: AtomicU64::new(0),
+            governed_until: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            started: Instant::now(),
             shard,
             chaos,
             cfg,
@@ -408,7 +449,7 @@ impl Server {
                             }
                         }
                         let _alive = AliveGuard(&inner.workers_alive);
-                        worker_loop(&inner)
+                        worker_loop(&inner, i)
                     })
                     .expect("invariant: spawning a worker thread cannot fail here")
             })
@@ -441,7 +482,7 @@ impl Server {
     /// workers to exit, and detaches their join handles — a wedged
     /// worker may never return, and the supervisor must not hang with
     /// it. In-flight work is deliberately *not* cancelled: an orphaned
-    /// healthy worker that finishes anyway publishes the identical line
+    /// healthy worker that finishes anyway publishes the identical reply
     /// its re-dispatched twin computes (see [`Slot::fulfil`]), while a
     /// cancelled one would publish a different, racy answer.
     pub(crate) fn abandon(mut self) {
@@ -476,26 +517,16 @@ impl Handle {
             for (query, slot) in jobs {
                 let lane = query.lane();
                 if q.draining || q.shutdown {
-                    let hint = inner.cfg.retry_after_ms;
-                    let reason =
-                        admission::shed_reason("draining", lane, hint, inner.cfg.admission.detail);
                     results.push(Err(Refused {
                         reason: Refusal::Draining,
-                        line: shed_line(&query.id, hint, &reason),
+                        retry_after_ms: inner.cfg.retry_after_ms,
                     }));
                     continue;
                 }
                 if q.jobs.len() >= inner.cfg.queue_depth {
-                    let hint = self.queue_full_hint(q.jobs.len() as u64, lane);
-                    let reason = admission::shed_reason(
-                        "queue_full",
-                        lane,
-                        hint,
-                        inner.cfg.admission.detail,
-                    );
                     results.push(Err(Refused {
                         reason: Refusal::QueueFull,
-                        line: shed_line(&query.id, hint, &reason),
+                        retry_after_ms: self.queue_full_hint(q.jobs.len() as u64, lane),
                     }));
                     continue;
                 }
@@ -551,17 +582,20 @@ impl Handle {
     }
 
     /// Answers `query` with the budgeted §4.6 bounds (see
-    /// [`Inner::rescue`]).
-    pub(crate) fn rescue(&self, query: &Query, why: Rescue) -> String {
-        self.inner.rescue(query, why).line
+    /// [`Inner::rescue`]), tallied on this shard.
+    pub(crate) fn rescue(&self, query: &Query, why: Rescue) -> Reply {
+        let reply = self.inner.rescue(query, why);
+        self.inner.tally(&reply);
+        reply
     }
 
-    /// Tallies a shed that was actually delivered to a client. Quota
-    /// sheds fold into `shed_queue` on the pinned `STATS` line; the
-    /// Prometheus `presburger_admission_total` family keeps the split.
-    pub(crate) fn note_shed(&self, reason: Refusal, verb: Verb, lane: Lane) {
+    /// The `SHED` reply delivered for a refused `query`, tallied on this
+    /// shard. Quota sheds fold into `shed_queue` on the pinned `STATS`
+    /// line; the Prometheus `presburger_admission_total` family keeps
+    /// the split.
+    pub(crate) fn shed(&self, query: &Query, refused: Refused) -> Reply {
         let inner = &self.inner;
-        let decision = match reason {
+        let decision = match refused.reason {
             Refusal::Draining => {
                 inner.stats.bump(&inner.stats.shed_drain);
                 AdmitDecision::ShedDrain
@@ -576,11 +610,20 @@ impl Handle {
             }
         };
         trace::bump(Counter::ServeSheds);
-        inner.telemetry.metrics.observe_shed(req_verb(verb));
+        inner.telemetry.metrics.observe_shed(req_verb(query.verb));
+        let lane = query.lane();
         inner
             .telemetry
             .metrics
             .observe_admission(req_lane(lane), decision);
+        let hint = refused.retry_after_ms;
+        let reason = admission::shed_reason(
+            refused.reason.cause(),
+            lane,
+            hint,
+            inner.cfg.admission.detail,
+        );
+        Reply::shed(&query.id, hint, reason)
     }
 
     /// Gracefully drains the server: stops admitting, waits for queued
@@ -676,9 +719,19 @@ impl Handle {
         self.inner.heartbeat.load(Ordering::Relaxed)
     }
 
+    /// Whether some in-flight job is still within its governed bound
+    /// (twice its effective deadline): slow, not wedged.
+    pub(crate) fn within_governed_bound(&self) -> bool {
+        let now = self.inner.started.elapsed().as_millis() as u64;
+        self.inner
+            .governed_until
+            .iter()
+            .any(|t| t.load(Ordering::SeqCst) > now)
+    }
+
     /// Jobs currently being processed by workers.
     pub(crate) fn inflight(&self) -> usize {
-        self.inner.inflight.load(Ordering::Relaxed)
+        self.inner.inflight.load(Ordering::SeqCst)
     }
 
     /// Jobs waiting in the admission queue.
@@ -689,45 +742,61 @@ impl Handle {
 
 impl Inner {
     /// The one §4.6 rescue: a fresh budgeted bound pass for `query`
-    /// (`OK <id> bounded <evicted|failover> lo ; hi`, or `ERR` when even
-    /// the bounds fail), tallied on this shard as `ok` or `errors` — and
-    /// as `admitted` when the request never reached the queue. Evictions
-    /// also count as an `evicted` admission decision. Never cached.
+    /// (`OK <id> bounded <why> lo ; hi`, or `ERR` when even the bounds
+    /// fail or the query does not parse). It tallies what is particular
+    /// to each rescue — `degraded_first`, `drain_bounded`, `admitted`
+    /// for a request that never reached the queue, and the `evicted`
+    /// admission decision — but not `ok`/`errors`, which the caller
+    /// tallies from the reply ([`Inner::tally`]). Never cached.
     fn rescue(&self, query: &Query, why: Rescue) -> Reply {
         let stats = &self.stats;
-        if why == Rescue::EvictedAtAdmission {
-            stats.bump(&stats.admitted);
-            trace::bump(Counter::ServeRequests);
+        match why {
+            Rescue::BreakerOpen(_) => stats.bump(&stats.degraded_first),
+            Rescue::Cancelled(_) => stats.bump(&stats.drain_bounded),
+            Rescue::EvictedAtAdmission => {
+                stats.bump(&stats.admitted);
+                trace::bump(Counter::ServeRequests);
+            }
+            Rescue::EvictedInQueue | Rescue::Failover => {}
         }
-        let label = if why == Rescue::Failover {
-            "failover"
-        } else {
-            "evicted"
+        let budgets = match why {
+            Rescue::BreakerOpen(b) | Rescue::Cancelled(b) => b,
+            // Evictions and failover keep the request's *structural*
+            // budget overrides (splinter/clause/depth caps) but run
+            // under the server's default deadline, never the request's
+            // own: that deadline already lapsed (eviction) or the
+            // request outlived its shard (failover), and a 0 ms leftover
+            // would make the answer-of-last-resort itself fail.
+            _ => Budgets {
+                deadline: self.cfg.default_deadline_ms.map(Duration::from_millis),
+                ..query.overrides.budgets(&self.cfg.default_budgets)
+            },
         };
-        let line = bounds_reply(
-            query,
-            &self.cfg.default_budgets,
-            self.cfg.default_deadline_ms,
-            label,
-        );
-        let outcome = if line.starts_with("OK") {
-            stats.bump(&stats.ok);
-            ReqOutcome::Bounded
-        } else {
-            stats.bump(&stats.errors);
-            ReqOutcome::Err
+        let reply = match Parsed::new(query) {
+            Err(reply) => reply,
+            Ok(p) => match p.bounds(query, budgets) {
+                Ok((lo, hi)) => Reply::bounded(&query.id, why.label(), &lo, &hi),
+                Err(_) if matches!(why, Rescue::Cancelled(_)) => {
+                    Reply::err(&query.id, "cancelled", "cancelled by drain deadline")
+                }
+                Err(e) => Reply::err(&query.id, e.kind(), &e.to_string()),
+            },
         };
-        if why != Rescue::Failover {
+        if matches!(why, Rescue::EvictedAtAdmission | Rescue::EvictedInQueue) {
             self.telemetry
                 .metrics
                 .observe_admission(req_lane(query.lane()), AdmitDecision::Evicted);
         }
-        Reply {
-            line,
-            outcome,
-            engine: Duration::ZERO,
-            formula: query.formula_text.clone(),
-        }
+        reply
+    }
+
+    /// Tallies a delivered reply as `ok` or `errors`, by its variant.
+    fn tally(&self, reply: &Reply) {
+        let stats = &self.stats;
+        stats.bump(match reply {
+            Reply::Err { .. } => &stats.errors,
+            _ => &stats.ok,
+        });
     }
 }
 
@@ -757,9 +826,10 @@ pub(crate) fn effective_deadline_ms(cfg: &ServeConfig, query: &Query) -> Option<
     query.overrides.deadline_ms.or(cfg.default_deadline_ms)
 }
 
-fn worker_loop(inner: &Arc<Inner>) {
+fn worker_loop(inner: &Arc<Inner>, worker: usize) {
     inner.telemetry.worker_init();
     let telemetry_on = inner.telemetry.active();
+    let governed_until = &inner.governed_until[worker];
     loop {
         if let Some(gate) = &inner.cfg.hold {
             gate.wait();
@@ -776,7 +846,11 @@ fn worker_loop(inner: &Arc<Inner>) {
                 q = wait_ok(&inner.queue_cv, q);
             }
         };
-        inner.inflight.fetch_add(1, Ordering::Relaxed);
+        if let Some(d) = effective_deadline_ms(&inner.cfg, &job.query) {
+            let now = inner.started.elapsed().as_millis() as u64;
+            governed_until.store(now.saturating_add(d.saturating_mul(2)), Ordering::SeqCst);
+        }
+        inner.inflight.fetch_add(1, Ordering::SeqCst);
         inner.heartbeat.fetch_add(1, Ordering::Relaxed);
         // Chaos fires here — after the pop, before the unwind boundary,
         // with no lock held. A `kill` therefore never poisons a lock
@@ -812,27 +886,24 @@ fn worker_loop(inner: &Arc<Inner>) {
                 .is_some_and(|d| queue_wait >= Duration::from_millis(d));
         // The outer unwind boundary: a panic anywhere in processing —
         // including inside rendering — poisons only this request.
-        let reply = catch_unwind(AssertUnwindSafe(|| {
+        let answer = catch_unwind(AssertUnwindSafe(|| {
             if evict {
-                inner.rescue(&job.query, Rescue::EvictedInQueue)
+                let reply = inner.rescue(&job.query, Rescue::EvictedInQueue);
+                Answer::uncached(reply, &job.query)
             } else {
                 process(inner, &job.query, queue_wait)
             }
         }))
         .unwrap_or_else(|_| {
-            inner.stats.bump(&inner.stats.errors);
-            Reply {
-                line: err_line(&job.query.id, "internal", "request processing panicked"),
-                outcome: ReqOutcome::Err,
-                engine: Duration::ZERO,
-                formula: job.query.formula_text.clone(),
-            }
+            let reply = Reply::err(&job.query.id, "internal", "request processing panicked");
+            Answer::uncached(reply, &job.query)
         });
+        inner.tally(&answer.reply);
+        let outcome = answer.outcome();
         let total = started.elapsed();
         // Fulfil first: telemetry rides behind the response, never in
         // front of it.
-        let line = reply.line.clone();
-        job.slot.fulfil(line);
+        job.slot.fulfil(answer.reply);
         if telemetry_on {
             let counters = baseline.map(|base| trace::snapshot().delta(&base));
             let governor_tripped = counters
@@ -842,209 +913,252 @@ fn worker_loop(inner: &Arc<Inner>) {
             inner.telemetry.record(RequestTelemetry {
                 id: job.query.id.clone(),
                 verb: req_verb(job.query.verb),
-                outcome: reply.outcome,
+                outcome,
                 lane: req_lane(job.lane),
                 queue_wait,
                 total,
-                engine: reply.engine,
+                engine: answer.engine,
                 counters,
                 governor_tripped,
-                formula: reply.formula,
+                formula: answer.formula,
                 spans,
             });
         }
         inner.heartbeat.fetch_add(1, Ordering::Relaxed);
-        inner.inflight.fetch_sub(1, Ordering::Relaxed);
+        inner.inflight.fetch_sub(1, Ordering::SeqCst);
+        governed_until.store(0, Ordering::SeqCst);
     }
 }
 
-/// What `process` hands back to the worker loop: the wire line plus the
-/// telemetry the loop cannot reconstruct from the line alone.
-struct Reply {
-    line: String,
-    outcome: ReqOutcome,
-    /// Time inside the governed engine (zero for cache hits and parse
-    /// errors).
+/// What a worker hands back for one job: the typed reply plus the
+/// telemetry the reply alone does not carry.
+struct Answer {
+    reply: Reply,
+    /// Served from the result cache.
+    cache_hit: bool,
+    /// Time inside the governed engine (zero for cache hits, parse
+    /// errors and evictions).
     engine: Duration,
     /// Canonically re-rendered formula (raw text when parsing failed).
     formula: String,
 }
 
-/// Computes the response for one query. Runs on a worker, inside its
+impl Answer {
+    /// An answer that ran no engine and parsed no formula.
+    fn uncached(reply: Reply, query: &Query) -> Answer {
+        Answer {
+            reply,
+            cache_hit: false,
+            engine: Duration::ZERO,
+            formula: query.formula_text.clone(),
+        }
+    }
+
+    /// The telemetry outcome label.
+    fn outcome(&self) -> ReqOutcome {
+        match self.reply {
+            _ if self.cache_hit => ReqOutcome::CacheHit,
+            Reply::OkExact { .. } => ReqOutcome::Ok,
+            Reply::OkBounded { .. } => ReqOutcome::Bounded,
+            _ => ReqOutcome::Err,
+        }
+    }
+}
+
+/// A query's text parsed into a fresh space: what the governed run and
+/// a §4.6 rescue both count over.
+struct Parsed {
+    space: Space,
+    formula: Formula,
+    /// The counted variables, interned first (indices 0..n).
+    vars: Vec<VarId>,
+    /// The `sum` polynomial as parsed (`None` for `count`).
+    affine: Option<Affine>,
+    poly: QPoly,
+}
+
+impl Parsed {
+    /// Parses `query`'s formula and polynomial, or answers `ERR <id>
+    /// parse …`.
+    fn new(query: &Query) -> Result<Parsed, Reply> {
+        let parse_err = |detail: String| Reply::err(&query.id, "parse", &detail);
+        let mut space = Space::new();
+        for v in &query.vars {
+            space.var(v);
+        }
+        let formula =
+            parse_formula(&query.formula_text, &mut space).map_err(|e| parse_err(e.to_string()))?;
+        let affine = match &query.poly_text {
+            None => None,
+            Some(text) => Some(
+                parse_affine(text, &mut space)
+                    .map_err(|e| parse_err(format!("in polynomial: {e}")))?,
+            ),
+        };
+        let poly = affine
+            .as_ref()
+            .map(QPoly::from_affine)
+            .unwrap_or_else(QPoly::one);
+        let vars = query
+            .vars
+            .iter()
+            .map(|v| {
+                space
+                    .lookup(v)
+                    .expect("invariant: counted variables were interned above")
+            })
+            .collect();
+        Ok(Parsed {
+            space,
+            formula,
+            vars,
+            affine,
+            poly,
+        })
+    }
+
+    /// The canonical cache key: the structural interning encoding of
+    /// the parsed formula, not its text. Counted variables are interned
+    /// first (indices 0..n in listed order) and their *names* never
+    /// appear in a response payload, so only their indices are keyed —
+    /// alpha-equivalent queries that merely rename the counted
+    /// variables share an entry. Free symbols, interned by the parser
+    /// in appearance order, do surface in symbolic answers, so their
+    /// (index, name) table is part of the key. Budget overrides are
+    /// keyed too (they change whether an answer is exact or bounded).
+    fn cache_key(&self, query: &Query) -> Vec<u8> {
+        let (space, vars) = (&self.space, &self.vars);
+        let mut key = Vec::with_capacity(128);
+        key.push(match query.verb {
+            Verb::Count => 0u8,
+            Verb::Sum => 1,
+        });
+        key.extend_from_slice(&(vars.len() as u32).to_le_bytes());
+        for v in vars {
+            key.extend_from_slice(&(v.index() as u32).to_le_bytes());
+        }
+        key.extend_from_slice(&((space.len() - vars.len()) as u32).to_le_bytes());
+        for v in space.iter().skip(vars.len()) {
+            let name = space.name(v);
+            key.extend_from_slice(&(v.index() as u32).to_le_bytes());
+            key.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            key.extend_from_slice(name.as_bytes());
+        }
+        let over = query.overrides.cache_key_part();
+        key.extend_from_slice(&(over.len() as u32).to_le_bytes());
+        key.extend_from_slice(over.as_bytes());
+        presburger_omega::intern::formula_push_key_bytes(&self.formula, &mut key);
+        match &self.affine {
+            None => key.push(0),
+            Some(a) => {
+                key.push(1);
+                a.push_key_bytes(&mut key);
+            }
+        }
+        key
+    }
+
+    /// Budgeted §4.6 lower/upper bound renderings. Governed by `budgets`
+    /// with the injected fault disarmed (see
+    /// [`presburger_counting::try_sum_polynomial_bounds`]) and a fresh
+    /// cancellation token — a drain rescue must not be cancelled by the
+    /// very drain token that sent it here.
+    fn bounds(&self, query: &Query, budgets: Budgets) -> Result<(String, String), CountError> {
+        let gov = Governor::new(budgets);
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            try_sum_polynomial_bounds(
+                &self.space,
+                &self.formula,
+                &self.vars,
+                &self.poly,
+                &count_options(query),
+                &gov,
+            )
+        }));
+        match r {
+            Ok(Ok((lo, hi))) => Ok((lo.to_display_string(), hi.to_display_string())),
+            Ok(Err(e)) => Err(e),
+            Err(_) => Err(CountError::Internal("bound pass panicked".to_string())),
+        }
+    }
+}
+
+/// The engine options a query asks for (`threads=`).
+fn count_options(query: &Query) -> CountOptions {
+    CountOptions {
+        threads: query.overrides.threads.unwrap_or(1),
+        ..CountOptions::default()
+    }
+}
+
+/// Computes the answer for one query. Runs on a worker, inside its
 /// unwind boundary. `queue_wait` is how long the request sat queued —
 /// with [`AdmissionConfig::deadline_propagation`] it shrinks the
 /// governed deadline so queue wait cannot overshoot the client's
 /// budget.
-fn process(inner: &Arc<Inner>, query: &Query, queue_wait: Duration) -> Reply {
-    let id = &query.id;
-    let raw_err = |line: String| Reply {
-        line,
-        outcome: ReqOutcome::Err,
-        engine: Duration::ZERO,
-        formula: query.formula_text.clone(),
+fn process(inner: &Arc<Inner>, query: &Query, queue_wait: Duration) -> Answer {
+    let p = match Parsed::new(query) {
+        Ok(p) => p,
+        Err(reply) => return Answer::uncached(reply, query),
     };
-
-    // Parse the formula (and polynomial) into a fresh space.
-    let mut space = Space::new();
-    for v in &query.vars {
-        space.var(v);
-    }
-    let formula = match parse_formula(&query.formula_text, &mut space) {
-        Ok(f) => f,
-        Err(e) => {
-            inner.stats.bump(&inner.stats.errors);
-            return raw_err(err_line(id, "parse", &e.to_string()));
-        }
-    };
-    let poly_affine = match &query.poly_text {
-        None => None,
-        Some(text) => match parse_affine(text, &mut space) {
-            Ok(a) => Some(a),
-            Err(e) => {
-                inner.stats.bump(&inner.stats.errors);
-                return raw_err(err_line(id, "parse", &format!("in polynomial: {e}")));
+    let formula = p.formula.to_string(&p.space);
+    let cache_key = p.cache_key(query);
+    let cached = lock_ok(&inner.cache).get(&cache_key);
+    match &cached {
+        Some((value, ordinal)) => {
+            inner.stats.bump(&inner.stats.cache_hits);
+            trace::bump(Counter::ServeCacheHits);
+            // Verify mode recomputes every n-th hit and alarms on a
+            // mismatch.
+            if !matches!(inner.cfg.verify_every, Some(n) if n > 0 && ordinal % n == 0) {
+                return Answer {
+                    reply: Reply::exact(&query.id, value),
+                    cache_hit: true,
+                    engine: Duration::ZERO,
+                    formula,
+                };
             }
-        },
-    };
-    let poly = poly_affine
-        .as_ref()
-        .map(QPoly::from_affine)
-        .unwrap_or_else(QPoly::one);
-    let vars: Vec<_> = query
-        .vars
-        .iter()
-        .map(|v| {
-            space
-                .lookup(v)
-                .expect("invariant: counted variables were interned above")
-        })
-        .collect();
-
-    // Canonical cache key: the structural interning encoding of the
-    // parsed formula, not its text. Counted variables are interned
-    // first (indices 0..n in listed order) and their *names* never
-    // appear in a response payload, so only their indices are keyed —
-    // alpha-equivalent queries that merely rename the counted variables
-    // share an entry. Free symbols, interned by the parser in
-    // appearance order, do surface in symbolic answers, so their
-    // (index, name) table is part of the key. Budget overrides are
-    // keyed too (they change whether an answer is exact or bounded).
-    let formula_text = formula.to_string(&space);
-    let mut cache_key = Vec::with_capacity(128);
-    cache_key.push(match query.verb {
-        Verb::Count => 0u8,
-        Verb::Sum => 1,
-    });
-    cache_key.extend_from_slice(&(vars.len() as u32).to_le_bytes());
-    for v in &vars {
-        cache_key.extend_from_slice(&(v.index() as u32).to_le_bytes());
-    }
-    cache_key.extend_from_slice(&((space.len() - vars.len()) as u32).to_le_bytes());
-    for v in space.iter().skip(vars.len()) {
-        let name = space.name(v);
-        cache_key.extend_from_slice(&(v.index() as u32).to_le_bytes());
-        cache_key.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        cache_key.extend_from_slice(name.as_bytes());
-    }
-    let over = query.overrides.cache_key_part();
-    cache_key.extend_from_slice(&(over.len() as u32).to_le_bytes());
-    cache_key.extend_from_slice(over.as_bytes());
-    presburger_omega::intern::formula_push_key_bytes(&formula, &mut cache_key);
-    match &poly_affine {
-        None => cache_key.push(0),
-        Some(a) => {
-            cache_key.push(1);
-            a.push_key_bytes(&mut cache_key);
+        }
+        None => {
+            inner.stats.bump(&inner.stats.cache_misses);
+            trace::bump(Counter::ServeCacheMisses);
         }
     }
-
-    if let Some((payload, ordinal)) = lock_ok(&inner.cache).get(&cache_key) {
-        inner.stats.bump(&inner.stats.cache_hits);
-        trace::bump(Counter::ServeCacheHits);
-        let verify = matches!(inner.cfg.verify_every, Some(n) if n > 0 && ordinal % n == 0);
-        if !verify {
-            inner.stats.bump(&inner.stats.ok);
-            return Reply {
-                line: format!("OK {id} {payload}"),
-                outcome: ReqOutcome::CacheHit,
-                engine: Duration::ZERO,
-                formula: formula_text,
-            };
-        }
-        // Verify mode: recompute this hit and alarm on mismatch.
-        let engine_start = Instant::now();
-        let (fresh, _) = compute(inner, query, queue_wait, &space, &formula, &vars, &poly);
-        let engine = engine_start.elapsed();
-        if fresh != payload {
-            inner.stats.bump(&inner.stats.verify_mismatches);
-            eprintln!(
-                "serve: CACHE VERIFY MISMATCH for request {id}: cached {payload:?} vs recomputed {fresh:?}"
-            );
-            lock_ok(&inner.cache).put(&cache_key, &fresh);
-        }
-        inner.stats.bump(&inner.stats.ok);
-        return Reply {
-            line: format!("OK {id} {fresh}"),
-            outcome: ReqOutcome::CacheHit,
-            engine,
-            formula: formula_text,
-        };
-    }
-    inner.stats.bump(&inner.stats.cache_misses);
-    trace::bump(Counter::ServeCacheMisses);
 
     let engine_start = Instant::now();
-    let (payload, outcome) = compute(inner, query, queue_wait, &space, &formula, &vars, &poly);
+    let reply = compute(inner, query, queue_wait, &p);
     let engine = engine_start.elapsed();
-    let (line, outcome) = match outcome {
-        ComputeOutcome::Exact => {
-            lock_ok(&inner.cache).put(&cache_key, &payload);
-            inner.stats.bump(&inner.stats.ok);
-            (format!("OK {id} {payload}"), ReqOutcome::Ok)
-        }
-        ComputeOutcome::Bounded => {
-            inner.stats.bump(&inner.stats.ok);
-            (format!("OK {id} {payload}"), ReqOutcome::Bounded)
-        }
-        ComputeOutcome::Error => {
-            inner.stats.bump(&inner.stats.errors);
-            (payload, ReqOutcome::Err)
-        }
+    let fresh = match &reply {
+        Reply::OkExact { value, .. } => Some(value),
+        _ => None,
     };
-    Reply {
-        line,
-        outcome,
+    let mismatch = match &cached {
+        Some((value, _)) if fresh != Some(value) => {
+            inner.stats.bump(&inner.stats.verify_mismatches);
+            eprintln!(
+                "serve: CACHE VERIFY MISMATCH for request {}: cached {value:?} vs recomputed {reply:?}",
+                query.id
+            );
+            true
+        }
+        _ => false,
+    };
+    if let Some(fresh) = fresh.filter(|_| cached.is_none() || mismatch) {
+        lock_ok(&inner.cache).put(&cache_key, fresh);
+    }
+    Answer {
+        reply,
+        cache_hit: cached.is_some(),
         engine,
-        formula: formula_text,
+        formula,
     }
 }
 
-#[derive(PartialEq, Eq)]
-enum ComputeOutcome {
-    Exact,
-    Bounded,
-    Error,
-}
-
-/// Runs the governed computation per the breaker's plan and renders the
-/// response *payload* (the part after `OK <id> `) or, for errors, the
-/// full `ERR` line.
-fn compute(
-    inner: &Arc<Inner>,
-    query: &Query,
-    queue_wait: Duration,
-    space: &Space,
-    formula: &presburger_omega::Formula,
-    vars: &[presburger_omega::VarId],
-    poly: &QPoly,
-) -> (String, ComputeOutcome) {
+/// Runs the governed computation per the breaker's plan: the exact
+/// reply, a bounded one (budget trip or §4.6 rescue), or an `ERR`.
+fn compute(inner: &Arc<Inner>, query: &Query, queue_wait: Duration, p: &Parsed) -> Reply {
     let id = &query.id;
     let plan = lock_ok(&inner.breaker).plan(Instant::now());
-
-    let opts = CountOptions {
-        threads: query.overrides.threads.unwrap_or(1),
-        ..CountOptions::default()
-    };
 
     let mut budgets = query.overrides.budgets(&inner.cfg.default_budgets);
     if budgets.deadline.is_none() {
@@ -1064,21 +1178,7 @@ fn compute(
         // Breaker open: skip the exact path entirely, answer with the
         // §4.6 bounds — still governed by the request's budgets, so a
         // degraded reply cannot run away either.
-        inner.stats.bump(&inner.stats.degraded_first);
-        return match bounds(space, formula, vars, poly, &opts, budgets) {
-            Ok((lo, hi)) => (
-                format!(
-                    "bounded breaker_open {} ; {}",
-                    protocol::sanitize(&lo),
-                    protocol::sanitize(&hi)
-                ),
-                ComputeOutcome::Bounded,
-            ),
-            Err(e) => (
-                err_line(id, e.kind(), &e.to_string()),
-                ComputeOutcome::Error,
-            ),
-        };
+        return inner.rescue(query, Rescue::BreakerOpen(budgets));
     }
 
     let mut gov = Governor::new(budgets).with_cancel_token(inner.drain_cancel.clone());
@@ -1089,7 +1189,14 @@ fn compute(
     }
 
     let run = catch_unwind(AssertUnwindSafe(|| {
-        try_sum_polynomial_governed(space, formula, vars, poly, &opts, &gov)
+        try_sum_polynomial_governed(
+            &p.space,
+            &p.formula,
+            &p.vars,
+            &p.poly,
+            &count_options(query),
+            &gov,
+        )
     }));
     let result = match run {
         Ok(r) => r,
@@ -1115,125 +1222,21 @@ fn compute(
     }
 
     match result {
-        Ok(Outcome::Exact(v)) => (
-            format!("exact {}", protocol::sanitize(&v.to_display_string())),
-            ComputeOutcome::Exact,
-        ),
+        Ok(Outcome::Exact(v)) => Reply::exact(id, &v.to_display_string()),
         Ok(Outcome::Bounded {
             lower, upper, why, ..
-        }) => (
-            format!(
-                "bounded {} {} ; {}",
-                why.kind(),
-                protocol::sanitize(&lower.to_display_string()),
-                protocol::sanitize(&upper.to_display_string())
-            ),
-            ComputeOutcome::Bounded,
+        }) => Reply::bounded(
+            id,
+            why.kind(),
+            &lower.to_display_string(),
+            &upper.to_display_string(),
         ),
+        // Drain-deadline cancellation: rescue the request with the
+        // budgeted §4.6 bounds so it still gets an answer.
         Err(CountError::Cancelled) if inner.drain_cancel.load(Ordering::Relaxed) => {
-            // Drain-deadline cancellation: rescue the request with the
-            // budgeted §4.6 bounds so it still gets an answer.
-            inner.stats.bump(&inner.stats.drain_bounded);
-            match bounds(space, formula, vars, poly, &opts, budgets) {
-                Ok((lo, hi)) => (
-                    format!(
-                        "bounded cancelled {} ; {}",
-                        protocol::sanitize(&lo),
-                        protocol::sanitize(&hi)
-                    ),
-                    ComputeOutcome::Bounded,
-                ),
-                Err(_) => (
-                    err_line(id, "cancelled", "cancelled by drain deadline"),
-                    ComputeOutcome::Error,
-                ),
-            }
+            inner.rescue(query, Rescue::Cancelled(budgets))
         }
-        Err(e) => (
-            err_line(id, e.kind(), &e.to_string()),
-            ComputeOutcome::Error,
-        ),
-    }
-}
-
-/// Budgeted §4.6 lower/upper bounds for the degrade-first and
-/// drain-rescue paths. Governed by the request's merged budgets with
-/// the injected fault disarmed (see
-/// [`presburger_counting::try_sum_polynomial_bounds`]) and a fresh
-/// cancellation token — a drain rescue must not be cancelled by the
-/// very drain token that sent it here.
-fn bounds(
-    space: &Space,
-    formula: &presburger_omega::Formula,
-    vars: &[presburger_omega::VarId],
-    poly: &QPoly,
-    opts: &CountOptions,
-    budgets: Budgets,
-) -> Result<(String, String), CountError> {
-    let gov = Governor::new(budgets);
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        try_sum_polynomial_bounds(space, formula, vars, poly, opts, &gov)
-    }));
-    match r {
-        Ok(Ok((lo, hi))) => Ok((lo.to_display_string(), hi.to_display_string())),
-        Ok(Err(e)) => Err(e),
-        Err(_) => Err(CountError::Internal("bound pass panicked".to_string())),
-    }
-}
-
-/// A self-contained budgeted §4.6 bound reply: `OK <id> bounded <why>
-/// lo ; hi`, or an `ERR` when the query does not even parse (see
-/// [`Inner::rescue`]).
-fn bounds_reply(
-    query: &Query,
-    default_budgets: &Budgets,
-    default_deadline_ms: Option<u64>,
-    why: &str,
-) -> String {
-    let id = &query.id;
-    let mut space = Space::new();
-    for v in &query.vars {
-        space.var(v);
-    }
-    let formula = match parse_formula(&query.formula_text, &mut space) {
-        Ok(f) => f,
-        Err(e) => return err_line(id, "parse", &e.to_string()),
-    };
-    let poly = match &query.poly_text {
-        None => QPoly::one(),
-        Some(text) => match parse_affine(text, &mut space) {
-            Ok(a) => QPoly::from_affine(&a),
-            Err(e) => return err_line(id, "parse", &format!("in polynomial: {e}")),
-        },
-    };
-    let vars: Vec<_> = query
-        .vars
-        .iter()
-        .map(|v| {
-            space
-                .lookup(v)
-                .expect("invariant: counted variables were interned above")
-        })
-        .collect();
-    let opts = CountOptions {
-        threads: query.overrides.threads.unwrap_or(1),
-        ..CountOptions::default()
-    };
-    let mut budgets = query.overrides.budgets(default_budgets);
-    // The rescue pass keeps the request's *structural* budget overrides
-    // (splinter/clause/depth caps) but runs under the server's default
-    // deadline, never the request's own: a rescue fires precisely
-    // because that deadline already lapsed (eviction) or the request
-    // outlived its shard (failover), and a 0 ms leftover would make the
-    // answer-of-last-resort itself fail.
-    budgets.deadline = default_deadline_ms.map(Duration::from_millis);
-    match bounds(&space, &formula, &vars, &poly, &opts, budgets) {
-        Ok((lo, hi)) => format!(
-            "OK {id} bounded {why} {} ; {}",
-            protocol::sanitize(&lo),
-            protocol::sanitize(&hi)
-        ),
-        Err(e) => err_line(id, e.kind(), &e.to_string()),
+        Err(e) => Reply::err(id, e.kind(), &e.to_string()),
     }
 }
 
@@ -1256,15 +1259,24 @@ pub(crate) fn conn_client(handle: &PoolHandle) -> Option<String> {
 pub(crate) fn control_slot(handle: &PoolHandle, req: Request, saw_drain: &mut bool) -> Arc<Slot> {
     Slot::ready(match req {
         Request::Query(_) => unreachable!("queries are dispatched via submit"),
-        Request::Ping(Some(id)) => format!("PONG {id}"),
-        Request::Ping(None) => "PONG".to_string(),
-        Request::Stats => handle.stats_line(),
-        Request::Metrics => handle.metrics_text(),
-        Request::FlightRec => handle.flight_dump(),
-        Request::Shards => handle.shards_text(),
+        Request::Ping(id) => Reply::Pong { id },
+        Request::Stats => Reply::Stats {
+            line: handle.stats_line(),
+        },
+        Request::Metrics => Reply::Block {
+            text: handle.metrics_text(),
+        },
+        Request::FlightRec => Reply::Block {
+            text: handle.flight_dump(),
+        },
+        Request::Shards => Reply::Block {
+            text: handle.shards_text(),
+        },
         Request::Drain => {
             *saw_drain = true;
-            format!("{}\nBYE", handle.drain())
+            Reply::Bye {
+                stats: handle.drain(),
+            }
         }
     })
 }
@@ -1299,7 +1311,7 @@ pub fn serve_connection(
         .spawn(
             move || -> (Box<dyn Write + Send>, Result<(), std::io::Error>) {
                 for slot in rx {
-                    let line = slot.wait();
+                    let line = slot.wait().to_text();
                     if let Err(e) = writeln!(writer, "{line}").and_then(|()| writer.flush()) {
                         return (Box::new(writer), Err(e));
                     }
@@ -1332,7 +1344,7 @@ pub fn serve_connection(
                 handle.submit(q)
             }
             Ok(req) => control_slot(handle, req, &mut saw_drain),
-            Err(e) => Slot::ready(err_line(e.id.as_deref().unwrap_or("-"), e.kind, &e.detail)),
+            Err(e) => Slot::ready(e.into()),
         };
         if tx.send(slot).is_err() {
             break; // writer died (broken pipe); stop reading
@@ -1343,8 +1355,9 @@ pub fn serve_connection(
     }
 
     if drain_on_eof && !saw_drain {
-        let stats = handle.drain();
-        let _ = tx.send(Slot::ready(stats));
+        let _ = tx.send(Slot::ready(Reply::Stats {
+            line: handle.drain(),
+        }));
     }
     drop(tx);
     match writer_thread.join() {

@@ -24,7 +24,10 @@
 //!   count at thread exit).
 //! * **Wedge** — a shard with in-flight work whose heartbeat (bumped on
 //!   every job pop and completion) has not advanced for
-//!   `wedge_timeout_ms`.
+//!   `wedge_timeout_ms`, and whose in-flight jobs have all outlived
+//!   their governed bound (twice the effective deadline; a job with no
+//!   deadline has none). A slow request within its deadline is not a
+//!   wedge.
 //!
 //! A condemned shard is abandoned (admission stopped, wedged threads
 //! detached, never joined) and restarted with capped exponential
@@ -39,7 +42,7 @@
 //! bounded, or `ERR` — never silence. Duplicate fulfilment (the
 //! orphaned worker finishing anyway) is harmless because replies are
 //! pure functions of the query, so both producers publish the identical
-//! line ([`Slot::fulfil`]).
+//! reply ([`Slot::fulfil`]).
 //!
 //! # Determinism
 //!
@@ -51,9 +54,9 @@
 //!
 //! See DESIGN.md §14 for the full design rationale.
 
-use crate::admission::{self, QuotaDecision, QuotaLedger};
+use crate::admission::{QuotaDecision, QuotaLedger};
 use crate::chaos::Chaos;
-use crate::protocol::{shed_line, Query, ServeError, Verb};
+use crate::protocol::{Query, ServeError, Verb};
 use crate::server::{self, Handle, Refusal, Refused, Rescue, ServeConfig, Server, Slot};
 use crate::sync::lock_ok;
 use presburger_omega::{parse_formula, Space};
@@ -79,7 +82,9 @@ pub struct ShardPoolConfig {
     /// Virtual nodes per shard on the consistent-hash ring.
     pub vnodes: usize,
     /// A shard with in-flight work whose heartbeat has not advanced for
-    /// this long is condemned as wedged.
+    /// this long is condemned as wedged — once every in-flight job has
+    /// also outlived twice its effective deadline (jobs without a
+    /// deadline have no such grace).
     pub wedge_timeout_ms: u64,
     /// Supervisor probe cadence.
     pub probe_interval_ms: u64,
@@ -94,8 +99,10 @@ pub struct ShardPoolConfig {
     /// (deadline-awareness: a request must not wait out serial
     /// restarts).
     pub rescue_after_ms: u64,
-    /// Deterministic chaos, shared by every shard. `None` falls back to
-    /// `PRESBURGER_CHAOS` via [`Chaos::from_env`] at pool start.
+    /// Deterministic chaos, shared by every shard; `None` means no
+    /// chaos. This field is the only way to arm it: the pool reads no
+    /// environment variable (`serve_stress` maps `PRESBURGER_CHAOS`
+    /// onto it).
     pub chaos: Option<Arc<Chaos>>,
 }
 
@@ -299,15 +306,8 @@ pub struct PoolHandle {
 }
 
 impl ShardPool {
-    /// Starts `cfg.shards` servers and the supervisor thread. When
-    /// `cfg.chaos` is unset, arms `PRESBURGER_CHAOS` from the
-    /// environment (a malformed spec panics — a drill that silently
-    /// fails to arm would pass vacuously).
+    /// Starts `cfg.shards` servers and the supervisor thread.
     pub fn start(cfg: ShardPoolConfig) -> ShardPool {
-        let chaos = match cfg.chaos.clone() {
-            Some(c) => Some(c),
-            None => Chaos::from_env().expect("invariant: PRESBURGER_CHAOS must parse if set"),
-        };
         let shards_n = cfg.shards.max(1);
         let ring = Ring::new(shards_n, cfg.vnodes);
         let rows: Vec<Arc<ShardRow>> = (0..shards_n).map(|_| Arc::new(ShardRow::new())).collect();
@@ -319,7 +319,7 @@ impl ShardPool {
         let now = Instant::now();
         let states: Vec<ShardState> = (0..shards_n)
             .map(|i| {
-                let server = Server::start(cfg.shard_cfg.clone(), i, chaos.clone());
+                let server = Server::start(cfg.shard_cfg.clone(), i, cfg.chaos.clone());
                 let handle = server.handle();
                 ShardState {
                     server: Some(server),
@@ -335,7 +335,7 @@ impl ShardPool {
             })
             .collect();
         let inner = Arc::new(PoolInner {
-            cfg: ShardPoolConfig { chaos, ..cfg },
+            cfg,
             ring,
             shards: Mutex::new(states),
             orphans: Mutex::new(Vec::new()),
@@ -414,7 +414,7 @@ impl PoolHandle {
     }
 
     /// Routes and admits a batch of queries; returns one slot per query,
-    /// in input order, each (or later) fulfilled with exactly one line.
+    /// in input order, each (or later) fulfilled with exactly one reply.
     ///
     /// The front door (DESIGN.md §16) runs once per query, in order:
     /// the per-client quota is metered against the pool-shared ledger
@@ -434,16 +434,12 @@ impl PoolHandle {
         for query in queries {
             let target = inner.ring.route(routing_hash(&query));
             let shard = || lock_ok(&inner.shards)[target].handle.clone();
-            let shed = match self.check_quota(&query) {
-                Some(line) => Some((Refusal::Quota, line)),
-                None if inner.draining.load(Ordering::Relaxed) => {
-                    Some((Refusal::Draining, self.draining_line(&query)))
-                }
-                None => None,
-            };
-            if let Some((reason, line)) = shed {
-                shard().note_shed(reason, query.verb, query.lane());
-                slots.push(Slot::ready(line));
+            let refused = self.check_quota(&query).or_else(|| {
+                let draining = inner.draining.load(Ordering::Relaxed);
+                draining.then(|| self.draining())
+            });
+            if let Some(refused) = refused {
+                slots.push(Slot::ready(shard().shed(&query, refused)));
             } else if inner.cfg.shard_cfg.admission.evict_expired
                 && server::effective_deadline_ms(&inner.cfg.shard_cfg, &query) == Some(0)
             {
@@ -497,10 +493,7 @@ impl PoolHandle {
                         reason: Refusal::Draining,
                         ..
                     }) => rerouted.push((query, slot)),
-                    Err(refused) => {
-                        handle.note_shed(refused.reason, query.verb, query.lane());
-                        slot.fulfil(refused.line);
-                    }
+                    Err(refused) => slot.fulfil(handle.shed(&query, refused)),
                 }
             }
             inner.rows[i]
@@ -515,8 +508,7 @@ impl PoolHandle {
         if inner.draining.load(Ordering::Relaxed) {
             let handle = lock_ok(&inner.shards)[target].handle.clone();
             for (query, slot) in group {
-                handle.note_shed(Refusal::Draining, query.verb, query.lane());
-                slot.fulfil(self.draining_line(&query));
+                slot.fulfil(handle.shed(&query, self.draining()));
             }
             return;
         }
@@ -534,35 +526,24 @@ impl PoolHandle {
     }
 
     /// Meters one admission attempt against the quota ledger; returns
-    /// the rendered `SHED` line when the client is over quota.
-    fn check_quota(&self, query: &Query) -> Option<String> {
+    /// the refusal when the client is over quota.
+    fn check_quota(&self, query: &Query) -> Option<Refused> {
         let ledger = self.inner.ledger.as_ref()?;
-        let client = query.client.as_deref().unwrap_or(ANON_CLIENT);
-        match ledger.check(client) {
+        match ledger.check(query.client.as_deref().unwrap_or(ANON_CLIENT)) {
             QuotaDecision::Admit => None,
-            QuotaDecision::Shed { retry_after_ms } => {
-                let reason = admission::shed_reason(
-                    "quota",
-                    query.lane(),
-                    retry_after_ms,
-                    self.inner.cfg.shard_cfg.admission.detail,
-                );
-                Some(shed_line(&query.id, retry_after_ms, &reason))
-            }
+            QuotaDecision::Shed { retry_after_ms } => Some(Refused {
+                reason: Refusal::Quota,
+                retry_after_ms,
+            }),
         }
     }
 
-    /// The `SHED … reason=draining` line for a query that reached a
-    /// draining pool.
-    fn draining_line(&self, query: &Query) -> String {
-        let cfg = &self.inner.cfg.shard_cfg;
-        let reason = admission::shed_reason(
-            "draining",
-            query.lane(),
-            cfg.retry_after_ms,
-            cfg.admission.detail,
-        );
-        shed_line(&query.id, cfg.retry_after_ms, &reason)
+    /// The refusal of a query that reached a draining pool.
+    fn draining(&self) -> Refused {
+        Refused {
+            reason: Refusal::Draining,
+            retry_after_ms: self.inner.cfg.shard_cfg.retry_after_ms,
+        }
     }
 
     /// Whether the pool meters per-client quotas. Connection drivers
@@ -866,8 +847,12 @@ fn supervise_tick(inner: &Arc<PoolInner>) {
             }
             let draining = pool_draining || h.is_drained();
             let crashed = !draining && h.workers_alive() < h.expected_workers();
-            let wedged =
-                !draining && h.inflight() > 0 && now.duration_since(st.last_progress) >= wedge;
+            // The bound is read before `inflight`: a job retires by
+            // leaving `inflight` before it clears its bound.
+            let wedged = !draining
+                && !h.within_governed_bound()
+                && h.inflight() > 0
+                && now.duration_since(st.last_progress) >= wedge;
             if !(crashed || wedged) {
                 continue;
             }
@@ -950,9 +935,9 @@ fn place_orphans(inner: &Arc<PoolInner>, now: Instant) {
     }
 }
 
-/// Terminal fallback for an orphan nothing could place: a fresh
-/// budgeted §4.6 bound pass (`OK … bounded failover lo ; hi`) or `ERR`,
-/// tallied on the origin shard's current server.
+/// Terminal fallback for an orphan nothing could place: the §4.6
+/// rescue (`OK … bounded failover lo ; hi`, or `ERR`), tallied on the
+/// origin shard's current server.
 fn rescue(inner: &PoolInner, o: Orphan) {
     if o.slot.is_done() {
         return;
@@ -1074,7 +1059,7 @@ mod tests {
             ));
         }
         for (i, lo, slot) in slots {
-            assert_eq!(slot.wait(), format!("OK q{i} exact {}", 10 - lo));
+            assert_eq!(slot.wait().to_text(), format!("OK q{i} exact {}", 10 - lo));
         }
         let stats = pool.shutdown();
         assert!(stats.starts_with("STATS shards=3 "), "got {stats:?}");
@@ -1113,8 +1098,8 @@ mod tests {
             handle.shards_text().contains("state=restarting"),
             "the restart must still be pending when k2 arrives"
         );
-        assert_eq!(first.wait(), "OK k1 exact 9");
-        assert_eq!(second.wait(), "OK k2 exact 8");
+        assert_eq!(first.wait().to_text(), "OK k1 exact 9");
+        assert_eq!(second.wait().to_text(), "OK k2 exact 8");
         let row = handle.shard_rows()[0];
         assert_eq!((row.crashes, row.restarts, row.rescued), (1, 1, 0));
         pool.shutdown();
@@ -1166,10 +1151,40 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         assert!(slot.is_done(), "the request was lost");
-        let line = slot.wait();
+        let line = slot.wait().to_text();
         assert!(line.starts_with("OK q0 bounded failover "), "got {line:?}");
         assert_eq!(pool.handle().shard_rows()[0].rescued, 1);
         gate.open();
+        pool.shutdown();
+    }
+
+    #[test]
+    fn slow_request_within_its_deadline_is_not_a_wedge() {
+        // A 40 ms chaos delay freezes the only worker's heartbeat for
+        // twice the 20 ms wedge timeout, but the job is far inside its
+        // governed bound (twice the 1 s default deadline): the
+        // supervisor must leave the shard alone.
+        let pool = ShardPool::start(ShardPoolConfig {
+            shards: 1,
+            shard_cfg: ServeConfig {
+                workers: 1,
+                default_deadline_ms: Some(1_000),
+                ..ServeConfig::default()
+            },
+            wedge_timeout_ms: 20,
+            probe_interval_ms: 2,
+            chaos: Some(Arc::new(Chaos::parse("delay:0:1").expect("chaos spec"))),
+            ..ShardPoolConfig::default()
+        });
+        let handle = pool.handle();
+        let reply = handle.submit(query("count d1 {x : 1 <= x <= 9}")).wait();
+        assert_eq!(reply.to_text(), "OK d1 exact 9");
+        let row = handle.shard_rows()[0];
+        assert_eq!(
+            (row.wedges, row.restarts, row.redispatched),
+            (0, 0, 0),
+            "a slow request within its deadline was condemned as a wedge"
+        );
         pool.shutdown();
     }
 }

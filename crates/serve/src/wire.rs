@@ -12,7 +12,10 @@
 //! gathered reply frame. The hard invariant, enforced by the
 //! differential tests: **for any request, the binary reply decodes to
 //! the byte-identical text reply** ([`Reply::to_text`] of the decoded
-//! frame equals the text-path line).
+//! frame equals the text-path line). It holds by construction: a
+//! request's answer is one typed [`Reply`] value, held in its
+//! [`Slot`], and the text driver writes its [`Reply::to_text`] while
+//! this driver writes its [`Reply::encode`].
 //!
 //! # Framing
 //!
@@ -54,9 +57,7 @@
 //! See DESIGN.md §15 for the full byte layout and rationale.
 
 use crate::admission::Lane;
-use crate::protocol::{
-    self, err_line, ProtocolError, Query, Request, ServeError, Verb, MAX_LINE_LEN,
-};
+use crate::protocol::{self, ProtocolError, Query, Request, ServeError, Verb, MAX_LINE_LEN};
 use crate::server::{control_slot, Slot};
 use crate::shard::PoolHandle;
 use presburger_trace::metrics::ReqCodec;
@@ -546,13 +547,12 @@ fn decode_batch_payload(payload: &[u8]) -> Result<Vec<Request>, ProtocolError> {
 // Replies
 // ---------------------------------------------------------------------
 
-/// A typed reply — the binary-side model of every line (or `# EOF`
-/// block) the text protocol can emit. [`Reply::from_text`] and
-/// [`Reply::to_text`] are exact inverses on every reply a server
-/// produces, which is what makes the binary path provably equivalent
-/// to the text path: workers keep producing text lines, the binary
-/// driver parses them into `Reply` values, and the client's decode +
-/// `to_text` reproduces the original line byte-for-byte.
+/// A typed reply: the one model of every line (or `# EOF` block) the
+/// server sends. Workers, sheds, rescues and control verbs build a
+/// `Reply`, and each codec renders that same value — the text driver
+/// writes [`Reply::to_text`], the binary driver writes
+/// [`Reply::encode`] — so a binary reply decodes to exactly the text
+/// reply by construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Reply {
     /// `OK <id> exact <value>`.
@@ -620,96 +620,41 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// Parses a text-protocol reply (one line, or a multi-line block)
-    /// into its typed form. Total: anything that does not match a known
-    /// shape becomes [`Reply::Block`] verbatim, so
-    /// `from_text(x).to_text() == x` for *every* string.
-    pub fn from_text(text: &str) -> Reply {
-        if let Some(stats) = text.strip_suffix("\nBYE") {
-            if stats.starts_with("STATS ") && !stats.contains('\n') {
-                return Reply::Bye {
-                    stats: stats.to_string(),
-                };
-            }
+    /// `OK <id> exact <value>`, with `value` kept on one line.
+    pub fn exact(id: &str, value: &str) -> Reply {
+        Reply::OkExact {
+            id: id.to_string(),
+            value: protocol::sanitize(value),
         }
-        let block = || Reply::Block {
-            text: text.to_string(),
-        };
-        if text.contains('\n') {
-            return block();
+    }
+
+    /// `OK <id> bounded <why> <lower> ; <upper>`, with both bounds kept
+    /// on one line.
+    pub fn bounded(id: &str, why: &str, lower: &str, upper: &str) -> Reply {
+        Reply::OkBounded {
+            id: id.to_string(),
+            why: why.to_string(),
+            lower: protocol::sanitize(lower),
+            upper: protocol::sanitize(upper),
         }
-        if let Some(rest) = text.strip_prefix("OK ") {
-            if let Some((id, rest)) = rest.split_once(' ') {
-                if let Some(value) = rest.strip_prefix("exact ") {
-                    return Reply::OkExact {
-                        id: id.to_string(),
-                        value: value.to_string(),
-                    };
-                }
-                if let Some(rest) = rest.strip_prefix("bounded ") {
-                    if let Some((why, bounds)) = rest.split_once(' ') {
-                        if let Some((lower, upper)) = bounds.split_once(" ; ") {
-                            return Reply::OkBounded {
-                                id: id.to_string(),
-                                why: why.to_string(),
-                                lower: lower.to_string(),
-                                upper: upper.to_string(),
-                            };
-                        }
-                    }
-                }
-            }
-            return block();
+    }
+
+    /// `ERR <id> <kind> <detail>`, with `detail` kept on one line.
+    pub fn err(id: &str, kind: &str, detail: &str) -> Reply {
+        Reply::Err {
+            id: id.to_string(),
+            kind: kind.to_string(),
+            detail: protocol::sanitize(detail),
         }
-        if let Some(rest) = text.strip_prefix("ERR ") {
-            let mut it = rest.splitn(3, ' ');
-            if let (Some(id), Some(kind), Some(detail)) = (it.next(), it.next(), it.next()) {
-                return Reply::Err {
-                    id: id.to_string(),
-                    kind: kind.to_string(),
-                    detail: detail.to_string(),
-                };
-            }
-            return block();
+    }
+
+    /// `SHED <id> retry_after_ms=<n> reason=<reason>`.
+    pub fn shed(id: &str, retry_after_ms: u64, reason: String) -> Reply {
+        Reply::Shed {
+            id: id.to_string(),
+            retry_after_ms,
+            reason,
         }
-        if let Some(rest) = text.strip_prefix("SHED ") {
-            let mut it = rest.splitn(3, ' ');
-            if let (Some(id), Some(retry), Some(reason)) = (it.next(), it.next(), it.next()) {
-                if let (Some(ms), Some(reason)) = (
-                    retry
-                        .strip_prefix("retry_after_ms=")
-                        .and_then(|v| v.parse::<u64>().ok())
-                        // Canonical: to_text re-renders the number, so
-                        // only minimal decimal forms round-trip.
-                        .filter(|ms| retry == format!("retry_after_ms={ms}")),
-                    reason.strip_prefix("reason=").filter(|r| !r.contains(' ')),
-                ) {
-                    return Reply::Shed {
-                        id: id.to_string(),
-                        retry_after_ms: ms,
-                        reason: reason.to_string(),
-                    };
-                }
-            }
-            return block();
-        }
-        if text == "PONG" {
-            return Reply::Pong { id: None };
-        }
-        if let Some(id) = text.strip_prefix("PONG ") {
-            if !id.is_empty() && !id.contains(' ') {
-                return Reply::Pong {
-                    id: Some(id.to_string()),
-                };
-            }
-            return block();
-        }
-        if text.starts_with("STATS ") {
-            return Reply::Stats {
-                line: text.to_string(),
-            };
-        }
-        block()
     }
 
     /// Renders the exact text-protocol form. For [`Reply::Batch`], the
@@ -900,6 +845,14 @@ impl Reply {
     }
 }
 
+impl From<ProtocolError> for Reply {
+    /// The `ERR` reply to a malformed request (`-` when no id was
+    /// recovered).
+    fn from(e: ProtocolError) -> Reply {
+        Reply::err(e.id.as_deref().unwrap_or("-"), e.kind, &e.detail)
+    }
+}
+
 // ---------------------------------------------------------------------
 // Stream framing
 // ---------------------------------------------------------------------
@@ -1025,26 +978,18 @@ pub fn serve_binary_connection(
 ) -> Result<(), ServeError> {
     let mut pre = [0u8; 3];
     reader.read_exact(&mut pre)?;
-    if pre[..2] != MAGIC {
-        let reply = Reply::Err {
-            id: "-".to_string(),
-            kind: "wire".to_string(),
-            detail: format!("bad magic {:02x}{:02x}", pre[0], pre[1]),
-        };
-        writer.write_all(&reply.encode())?;
-        writer.flush()?;
-        return Ok(());
-    }
-    if pre[2] != VERSION {
-        let reply = Reply::Err {
-            id: "-".to_string(),
-            kind: "wire".to_string(),
-            detail: format!(
-                "unsupported wire version {} (this server speaks {VERSION})",
-                pre[2]
-            ),
-        };
-        writer.write_all(&reply.encode())?;
+    let refusal = if pre[..2] != MAGIC {
+        Some(format!("bad magic {:02x}{:02x}", pre[0], pre[1]))
+    } else if pre[2] != VERSION {
+        Some(format!(
+            "unsupported wire version {} (this server speaks {VERSION})",
+            pre[2]
+        ))
+    } else {
+        None
+    };
+    if let Some(detail) = refusal {
+        writer.write_all(&Reply::err("-", "wire", &detail).encode())?;
         writer.flush()?;
         return Ok(());
     }
@@ -1064,11 +1009,9 @@ pub fn serve_binary_connection(
             move || -> (Box<dyn Write + Send>, Result<(), std::io::Error>) {
                 for out in rx {
                     let frame = match out {
-                        Out::One(slot) => Reply::from_text(&slot.wait()).encode(),
+                        Out::One(slot) => slot.wait().encode(),
                         Out::Many(slots) => {
-                            let replies: Vec<Reply> =
-                                slots.iter().map(|s| Reply::from_text(&s.wait())).collect();
-                            Reply::Batch(replies).encode()
+                            Reply::Batch(slots.iter().map(|s| s.wait()).collect()).encode()
                         }
                     };
                     if let Err(e) = writer.write_all(&frame).and_then(|()| writer.flush()) {
@@ -1091,11 +1034,7 @@ pub fn serve_binary_connection(
             }
             Err(FrameError::Malformed(e)) => {
                 // Framing is broken: answer once and close.
-                let _ = tx.send(Out::One(Slot::ready(err_line(
-                    e.id.as_deref().unwrap_or("-"),
-                    e.kind,
-                    &e.detail,
-                ))));
+                let _ = tx.send(Out::One(Slot::ready(e.into())));
                 break;
             }
         };
@@ -1106,11 +1045,7 @@ pub fn serve_binary_connection(
                     handle.observe_wire(ReqCodec::Binary, Some(reqs.len() as u64));
                     Out::Many(dispatch_batch(handle, reqs, &mut saw_drain, &conn_client))
                 }
-                Err(e) => Out::One(Slot::ready(err_line(
-                    e.id.as_deref().unwrap_or("-"),
-                    e.kind,
-                    &e.detail,
-                ))),
+                Err(e) => Out::One(Slot::ready(e.into())),
             }
         } else {
             handle.observe_wire(ReqCodec::Binary, None);
@@ -1122,11 +1057,7 @@ pub fn serve_binary_connection(
                     Out::One(handle.submit(q))
                 }
                 Ok(req) => Out::One(control_slot(handle, req, &mut saw_drain)),
-                Err(e) => Out::One(Slot::ready(err_line(
-                    e.id.as_deref().unwrap_or("-"),
-                    e.kind,
-                    &e.detail,
-                ))),
+                Err(e) => Out::One(Slot::ready(e.into())),
             }
         };
         if tx.send(out).is_err() {
@@ -1139,7 +1070,7 @@ pub fn serve_binary_connection(
 
     if drain_on_eof && !saw_drain {
         let stats = handle.drain();
-        let _ = tx.send(Out::One(Slot::ready(stats)));
+        let _ = tx.send(Out::One(Slot::ready(Reply::Stats { line: stats })));
     }
     drop(tx);
     match writer_thread.join() {
@@ -1294,36 +1225,65 @@ mod tests {
     }
 
     #[test]
-    fn replies_round_trip_through_text_and_bytes() {
-        let lines = [
-            "OK r1 exact 9",
-            "OK r1 exact n + 1",
-            "OK r2 bounded budget 3 ; 17",
-            "OK r2 bounded breaker_open 0 ; n^2",
-            "ERR - protocol unknown verb \"zap\"",
-            "ERR r3 parse unexpected token",
-            "SHED r4 retry_after_ms=50 reason=queue_full",
-            "SHED r4 retry_after_ms=50 reason=draining",
-            "PONG",
-            "PONG p1",
-            "STATS admitted=3 ok=3 errors=0",
-            "STATS admitted=3 ok=3\nBYE",
-            "# metrics\n# EOF",
+    fn replies_round_trip_through_bytes_and_render_text() {
+        let cases = [
+            (Reply::exact("r1", "9"), "OK r1 exact 9"),
+            (Reply::exact("r1", "n + 1"), "OK r1 exact n + 1"),
+            (
+                Reply::bounded("r2", "budget", "3", "17"),
+                "OK r2 bounded budget 3 ; 17",
+            ),
+            (
+                Reply::bounded("r2", "breaker_open", "0", "n^2"),
+                "OK r2 bounded breaker_open 0 ; n^2",
+            ),
+            (
+                Reply::err("-", "protocol", "unknown verb \"zap\""),
+                "ERR - protocol unknown verb \"zap\"",
+            ),
+            (
+                Reply::err("r3", "parse", "unexpected token"),
+                "ERR r3 parse unexpected token",
+            ),
+            (
+                Reply::shed("r4", 50, "queue_full".to_string()),
+                "SHED r4 retry_after_ms=50 reason=queue_full",
+            ),
+            (Reply::Pong { id: None }, "PONG"),
+            (
+                Reply::Pong {
+                    id: Some("p1".to_string()),
+                },
+                "PONG p1",
+            ),
+            (
+                Reply::Stats {
+                    line: "STATS admitted=3 ok=3 errors=0".to_string(),
+                },
+                "STATS admitted=3 ok=3 errors=0",
+            ),
+            (
+                Reply::Bye {
+                    stats: "STATS admitted=3 ok=3".to_string(),
+                },
+                "STATS admitted=3 ok=3\nBYE",
+            ),
+            (
+                Reply::Block {
+                    text: "# metrics\n# EOF".to_string(),
+                },
+                "# metrics\n# EOF",
+            ),
         ];
-        for line in lines {
-            let reply = Reply::from_text(line);
-            assert_eq!(
-                reply.to_text(),
-                line,
-                "from_text/to_text invert on {line:?}"
-            );
+        for (reply, line) in &cases {
+            assert_eq!(reply.to_text(), *line);
             let bytes = reply.encode();
             let (decoded, used) = Reply::decode(&bytes).unwrap();
             assert_eq!(used, bytes.len());
-            assert_eq!(decoded, reply);
+            assert_eq!(decoded, *reply);
             assert_eq!(decoded.encode(), bytes, "canonical re-encode for {line:?}");
         }
-        let batch = Reply::Batch(lines[..6].iter().map(|l| Reply::from_text(l)).collect());
+        let batch = Reply::Batch(cases[..6].iter().map(|(r, _)| r.clone()).collect());
         let bytes = batch.encode();
         let (decoded, used) = Reply::decode(&bytes).unwrap();
         assert_eq!(used, bytes.len());
@@ -1331,22 +1291,21 @@ mod tests {
     }
 
     #[test]
-    fn unrecognized_lines_fall_back_to_block_verbatim() {
-        for line in [
-            "",
-            "BYE",
-            "OK",
-            "OK r1",
-            "OK r1 bounded budget 3 ; ",
-            "SHED r1 retry_after_ms=07 reason=queue_full",
-            "SHED r1 retry_after_ms=5 reason=a b",
-            "PONG a b",
-            "random noise",
-            "SHARDS shards=1\nshard=0 state=healthy\n# EOF",
-        ] {
-            let reply = Reply::from_text(line);
-            assert_eq!(reply.to_text(), line, "{line:?} must round-trip");
-        }
+    fn constructors_keep_replies_on_one_line() {
+        assert_eq!(Reply::exact("a", "1 +\n2").to_text(), "OK a exact 1 + 2");
+        assert_eq!(
+            Reply::bounded("b", "budget", "0\r", "n\n").to_text(),
+            "OK b bounded budget 0  ; n "
+        );
+        assert_eq!(
+            Reply::err("c", "parse", "bad\nthing").to_text(),
+            "ERR c parse bad thing"
+        );
+        let malformed = parse_request("count r9 bogus_opt=3 {x : x = 1}").unwrap_err();
+        assert_eq!(
+            Reply::from(malformed).to_text(),
+            "ERR r9 protocol unknown option \"bogus_opt\""
+        );
     }
 
     #[test]

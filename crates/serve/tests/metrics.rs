@@ -37,7 +37,7 @@ fn one_shard(cfg: ServeConfig) -> ShardPoolConfig {
 /// Submits one request line and waits for its reply.
 fn ask(handle: &PoolHandle, line: &str) -> String {
     match parse_request(line).expect("request parses") {
-        Request::Query(q) => handle.submit(q).wait(),
+        Request::Query(q) => handle.submit(q).wait().to_text(),
         _ => panic!("ask() is for queries"),
     }
 }

@@ -523,7 +523,7 @@ fn retry_helper_rides_out_queue_full_sheds() {
     let server = ShardPool::start(one_shard(cfg));
     let handle = server.handle();
     let submit = |line: &str| match parse_request(line).expect("parse") {
-        Request::Query(q) => handle.submit(q).wait(),
+        Request::Query(q) => handle.submit(q).wait().to_text(),
         _ => unreachable!(),
     };
     // Fill the queue while the gate is shut.
@@ -558,7 +558,7 @@ fn retry_helper_rides_out_queue_full_sheds() {
     assert_eq!(line, "OK h3 exact 3");
     assert!(attempts > 1, "the first attempt must have shed");
     opener.join().expect("opener");
-    assert_eq!(held.wait(), "OK h1 exact 3");
+    assert_eq!(held.wait().to_text(), "OK h1 exact 3");
     server.shutdown();
 }
 
@@ -577,7 +577,7 @@ fn verify_mode_detects_poisoned_cache_entries() {
     for id in ["v1", "v2", "v3"] {
         let line = format!("count {id} {{x : 1 <= x <= 6}}");
         let reply = match presburger_serve::parse_request(&line).expect("parse") {
-            presburger_serve::Request::Query(q) => handle.submit(q).wait(),
+            presburger_serve::Request::Query(q) => handle.submit(q).wait().to_text(),
             _ => unreachable!(),
         };
         assert_eq!(reply, format!("OK {id} exact 6"));
@@ -606,7 +606,7 @@ fn one_shard_pool_reports_a_healthy_shard() {
     let pool = ShardPool::start(one_shard(base_cfg()));
     let handle = pool.handle();
     let reply = match parse_request("count h1 {x : 1 <= x <= 9}").expect("parse") {
-        Request::Query(q) => handle.submit(q).wait(),
+        Request::Query(q) => handle.submit(q).wait().to_text(),
         _ => unreachable!(),
     };
     assert_eq!(reply, "OK h1 exact 9");

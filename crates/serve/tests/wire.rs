@@ -112,15 +112,20 @@ fn gen_replies_round_trip_through_text_and_bytes() {
     let handle = server.handle();
     let mut replies: Vec<Reply> = Vec::new();
     for r in request_lines(0xFACADE, 120, &GenConfig::default()) {
-        let line = match parse_request(&r.line).expect("generated lines parse") {
+        let reply = match parse_request(&r.line).expect("generated lines parse") {
             Request::Query(q) => handle.submit(q).wait(),
             _ => unreachable!("gen emits queries only"),
         };
-        let reply = Reply::from_text(&line);
-        assert_eq!(reply.to_text(), line, "from_text/to_text must invert");
+        let line = reply.to_text();
+        assert!(
+            !line.contains('\n') && (line.starts_with("OK ") || line.starts_with("ERR ")),
+            "{}: a query answers with one OK or ERR line, got {line:?}",
+            r.line
+        );
         let bytes = reply.encode();
         let (decoded, used) = Reply::decode(&bytes).expect("reply decodes");
         assert_eq!(used, bytes.len());
+        assert_eq!(decoded, reply);
         assert_eq!(decoded.to_text(), line);
         assert_eq!(decoded.encode(), bytes, "non-canonical reply encoding");
         replies.push(reply);
@@ -184,16 +189,22 @@ fn byte_soup_never_panics_the_decoders() {
         .map(|l| parse_request(l).unwrap())
         .collect();
     corpus.push(wire::encode_batch(&batch).expect("batch encodes"));
-    for line in [
-        "OK r1 exact 9",
-        "OK r2 bounded budget 3 ; n + 17",
-        "ERR r3 parse bad formula",
-        "SHED r4 retry_after_ms=50 reason=queue_full",
-        "PONG p1",
-        "STATS admitted=1 ok=1",
-        "SHARDS shards=1\nrow\n# EOF",
+    for reply in [
+        Reply::exact("r1", "9"),
+        Reply::bounded("r2", "budget", "3", "n + 17"),
+        Reply::err("r3", "parse", "bad formula"),
+        Reply::shed("r4", 50, "queue_full".to_string()),
+        Reply::Pong {
+            id: Some("p1".to_string()),
+        },
+        Reply::Stats {
+            line: "STATS admitted=1 ok=1".to_string(),
+        },
+        Reply::Block {
+            text: "SHARDS shards=1\nrow\n# EOF".to_string(),
+        },
     ] {
-        corpus.push(Reply::from_text(line).encode());
+        corpus.push(reply.encode());
     }
 
     // Truncations: every prefix of every corpus frame.
@@ -345,13 +356,14 @@ fn one_shard(cfg: ServeConfig) -> ShardPoolConfig {
 }
 
 /// Asserts a session produces semantically identical transcripts over
-/// both codecs, against identically-configured fresh one-shard pools.
+/// both codecs, against identically-configured fresh one-shard pools;
+/// returns the transcript.
 fn assert_differential(
     label: &str,
     mk_cfg: impl Fn() -> ServeConfig,
     steps: &[Step],
     mk_gate: impl Fn(&ServeConfig) -> Option<Arc<Gate>>,
-) {
+) -> String {
     let text_cfg = mk_cfg();
     let text_gate = mk_gate(&text_cfg);
     let server = PoolTcpServer::bind("127.0.0.1:0", one_shard(text_cfg)).expect("bind loopback");
@@ -368,6 +380,7 @@ fn assert_differential(
         text, binary,
         "{label}: binary replies are not semantically identical to text"
     );
+    text
 }
 
 /// Deterministic base config mirroring the golden sessions.
@@ -516,9 +529,11 @@ fn differential_eviction_session() {
     // Admission-time (deadline_ms=0) and pop-time (deadline_ms=1 behind
     // a held worker) eviction produce the same `OK … bounded evicted`
     // replies over either codec; the varint deadline override survives
-    // the binary frame.
+    // the binary frame. An evicted query whose formula does not parse
+    // is rescued with its parse error, tallied under `errors`.
     let steps = [
         Step("count e0 deadline_ms=0 {x : 1 <= x <= 9}", 1),
+        Step("count e3 deadline_ms=0 {x : 1 <=}", 1),
         Step("count e1 deadline_ms=1 {x : 1 <= x <= 9}", 0),
         Step("count e2 {x : 1 <= x <= 9}", 0),
         Step("drain", 0),
@@ -527,7 +542,15 @@ fn differential_eviction_session() {
         hold: Some(Gate::new(true)),
         ..base_cfg()
     };
-    assert_differential("eviction", mk_cfg, &steps, |cfg| cfg.hold.clone());
+    let text = assert_differential("eviction", mk_cfg, &steps, |cfg| cfg.hold.clone());
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines[0], "OK e0 bounded evicted 9 ; 9");
+    assert!(lines[1].starts_with("ERR e3 parse "), "got {:?}", lines[1]);
+    assert!(
+        lines[4].starts_with("STATS admitted=4 ok=3 errors=1 "),
+        "got {:?}",
+        lines[4]
+    );
 }
 
 /// Deterministic 2-shard pool config (the `tests/protocol.rs` harness).

@@ -35,6 +35,12 @@ fi
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# The benchmark (BENCHMARK.json) is a standalone package that compiles
+# against the serving API (`wire::Reply`, `ServeConfig`,
+# `ShardPoolConfig`); a change to that API must keep it building.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace -q (PRESBURGER_THREADS=1)"
 PRESBURGER_THREADS=1 cargo test --workspace -q
 
