@@ -69,7 +69,7 @@ fn rec(
         presburger_trace::explain(|| format!("Tawbi leaf: {}", c.to_string(space)));
         return GuardedValue::piece(c, z.clone());
     };
-    let (lowers, uppers, _) = c.bounds_on(v);
+    let (lowers, uppers) = c.bounds_on(v);
     assert!(
         !lowers.is_empty() && !uppers.is_empty(),
         "Tawbi summation requires bounded variables"

@@ -102,7 +102,7 @@ pub(crate) fn sum_convex(
         return Ok(acc);
     }
 
-    let (lowers, uppers, _) = c.bounds_on(v);
+    let (lowers, uppers) = c.bounds_on(v);
     if lowers.is_empty() || uppers.is_empty() {
         return Err(CountError::Unbounded {
             var: ctx.space.name(v).to_string(),
@@ -197,16 +197,15 @@ pub(crate) fn sum_convex(
 fn pick_variable(c: &Conjunct, vars: &[VarId], ctx: &mut Ctx<'_>) -> Result<VarId, CountError> {
     let mut best: Option<(VarId, u64)> = None;
     for v in vars {
-        let (lowers, uppers, _) = c.bounds_on(*v);
-        if lowers.is_empty() || uppers.is_empty() {
+        let n = c.bound_counts(*v);
+        if n.lowers == 0 || n.uppers == 0 {
             // unbounded (or not mentioned at all): the sum diverges
             return Err(CountError::Unbounded {
                 var: ctx.space.name(*v).to_string(),
             });
         }
-        let unit =
-            lowers.iter().all(|b| b.coeff.is_one()) && uppers.iter().all(|b| b.coeff.is_one());
-        let pairs = (lowers.len() * uppers.len()) as u64;
+        let unit = n.unit_lowers == n.lowers && n.unit_uppers == n.uppers;
+        let pairs = (n.lowers * n.uppers) as u64;
         let cost = pairs + if unit { 0 } else { 1000 };
         if best.as_ref().is_none_or(|(_, bc)| cost < *bc) {
             best = Some((*v, cost));
@@ -230,7 +229,7 @@ fn split_bounds(
     ctx: &mut Ctx<'_>,
     upper: bool,
 ) -> Result<GuardedValue, CountError> {
-    let (lowers, uppers, _) = c.bounds_on(v);
+    let (lowers, uppers) = c.bounds_on(v);
     let bounds = if upper { &uppers } else { &lowers };
     let mut acc = GuardedValue::zero();
     for i in 0..bounds.len() {

@@ -42,7 +42,7 @@ pub struct MinMaxSum {
 /// coefficient on `v`, and [`CountError::Unbounded`] if `v` lacks a
 /// lower or upper bound.
 pub fn sum_var_minmax(c: &Conjunct, v: VarId, coeffs: &[MExpr]) -> Result<MinMaxSum, CountError> {
-    let (lowers, uppers, _) = c.bounds_on(v);
+    let (lowers, uppers) = c.bounds_on(v);
     if lowers.is_empty() || uppers.is_empty() {
         return Err(CountError::Unbounded {
             var: format!("v{}", v.index()),

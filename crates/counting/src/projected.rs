@@ -106,10 +106,7 @@ fn sum_clause_inner(
 
     // 1. project wildcards out (exactly, with disjoint splinters so the
     //    resulting clauses can be summed independently).
-    let has_wildcards = {
-        let mentioned = c.mentioned_vars();
-        c.wildcards().iter().any(|w| mentioned.contains(w))
-    };
+    let has_wildcards = c.wildcards().iter().any(|w| c.mentions(*w));
     if has_wildcards {
         let parts = project_wildcards(&c, ctx.space, Shadow::ExactDisjoint);
         let mut acc = GuardedValue::zero();

@@ -18,7 +18,6 @@
 use crate::affine::Affine;
 use crate::space::{Space, VarId};
 use presburger_arith::{gcd, Int};
-use std::collections::BTreeSet;
 
 /// A conjunction of affine equalities, inequalities and stride
 /// constraints over interned variables, with clause-local existential
@@ -37,15 +36,35 @@ use std::collections::BTreeSet;
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Conjunct {
     /// Clause-local existentially quantified variables.
-    pub(crate) wildcards: Vec<VarId>,
+    wildcards: Vec<VarId>,
     /// Affine expressions constrained to equal zero.
-    pub(crate) eqs: Vec<Affine>,
+    eqs: Vec<Affine>,
     /// Affine expressions constrained to be non-negative.
-    pub(crate) geqs: Vec<Affine>,
+    geqs: Vec<Affine>,
     /// Stride constraints `(m, e)` meaning `m | e`, with `m >= 2`.
-    pub(crate) strides: Vec<(Int, Affine)>,
+    strides: Vec<(Int, Affine)>,
     /// Set when normalization discovers a contradiction.
-    pub(crate) contradiction: bool,
+    contradiction: bool,
+    /// Set by [`Conjunct::normalize`], cleared by every mutation: the
+    /// constraints are in normal form and normalizing again is a no-op.
+    normalized: Mark,
+}
+
+/// The normal-form mark. It records how a conjunct was reached, not
+/// what it denotes, so equality and hashing ignore it.
+#[derive(Clone, Copy, Debug, Default)]
+struct Mark(bool);
+
+impl PartialEq for Mark {
+    fn eq(&self, _: &Mark) -> bool {
+        true
+    }
+}
+
+impl Eq for Mark {}
+
+impl std::hash::Hash for Mark {
+    fn hash<H: std::hash::Hasher>(&self, _: &mut H) {}
 }
 
 /// One-sided bound on a variable extracted from a conjunct:
@@ -90,17 +109,17 @@ impl Conjunct {
 
     /// Adds the constraint `e == 0`.
     pub fn add_eq(&mut self, e: Affine) {
-        self.eqs.push(e);
+        self.touch().eqs.push(e);
     }
 
     /// Adds the constraint `e >= 0`.
     pub fn add_geq(&mut self, e: Affine) {
-        self.geqs.push(e);
+        self.touch().geqs.push(e);
     }
 
     /// Adds the constraint `lhs <= rhs`.
     pub fn add_le(&mut self, lhs: Affine, rhs: Affine) {
-        self.geqs.push(rhs - lhs);
+        self.touch().geqs.push(rhs - lhs);
     }
 
     /// Adds the stride constraint `m | e`.
@@ -111,15 +130,44 @@ impl Conjunct {
     pub fn add_stride(&mut self, m: Int, e: Affine) {
         assert!(m.is_positive(), "stride modulus must be positive");
         if !m.is_one() {
-            self.strides.push((m, e));
+            self.touch().strides.push((m, e));
         }
     }
 
     /// Registers `w` as a clause-local existential wildcard.
     pub fn add_wildcard(&mut self, w: VarId) {
         if !self.wildcards.contains(&w) {
-            self.wildcards.push(w);
+            self.touch().wildcards.push(w);
         }
+    }
+
+    /// Removes and returns the equality at `i`.
+    pub fn remove_eq(&mut self, i: usize) -> Affine {
+        self.touch().eqs.remove(i)
+    }
+
+    /// Removes and returns the inequality at `i`.
+    pub fn remove_geq(&mut self, i: usize) -> Affine {
+        self.touch().geqs.remove(i)
+    }
+
+    /// Removes and returns the stride at `i`.
+    pub fn remove_stride(&mut self, i: usize) -> (Int, Affine) {
+        self.touch().strides.remove(i)
+    }
+
+    /// Drops `w` from the wildcard list (its occurrences, if any, become
+    /// free variables).
+    pub fn remove_wildcard(&mut self, w: VarId) {
+        if let Some(i) = self.wildcards.iter().position(|x| *x == w) {
+            self.touch().wildcards.remove(i);
+        }
+    }
+
+    /// Clears the normal-form mark ahead of a mutation.
+    fn touch(&mut self) -> &mut Conjunct {
+        self.normalized = Mark(false);
+        self
     }
 
     /// The wildcard variables of this clause.
@@ -147,25 +195,25 @@ impl Conjunct {
         self.wildcards.contains(&v)
     }
 
-    /// All variables mentioned by any constraint.
-    pub fn mentioned_vars(&self) -> BTreeSet<VarId> {
-        let mut out = BTreeSet::new();
-        for e in self.eqs.iter().chain(self.geqs.iter()) {
-            out.extend(e.vars());
-        }
-        for (_, e) in &self.strides {
-            out.extend(e.vars());
-        }
+    /// All variables mentioned by any constraint, sorted and distinct.
+    pub fn mentioned_vars(&self) -> Vec<VarId> {
+        let mut out: Vec<VarId> = self
+            .eqs
+            .iter()
+            .chain(self.geqs.iter())
+            .chain(self.strides.iter().map(|(_, e)| e))
+            .flat_map(Affine::vars)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
-    /// Variables mentioned that are not wildcards.
-    pub fn free_vars(&self) -> BTreeSet<VarId> {
-        let mut s = self.mentioned_vars();
-        for w in &self.wildcards {
-            s.remove(w);
-        }
-        s
+    /// Variables mentioned that are not wildcards, sorted and distinct.
+    pub fn free_vars(&self) -> Vec<VarId> {
+        let mut out = self.mentioned_vars();
+        out.retain(|v| !self.is_wildcard(*v));
+        out
     }
 
     /// Returns `true` if any constraint mentions `v`.
@@ -180,10 +228,11 @@ impl Conjunct {
     /// The caller is responsible for removing `v` from the wildcard list
     /// if appropriate.
     pub fn substitute(&mut self, v: VarId, replacement: &Affine) {
-        for e in self.eqs.iter_mut().chain(self.geqs.iter_mut()) {
+        let this = self.touch();
+        for e in this.eqs.iter_mut().chain(this.geqs.iter_mut()) {
             *e = e.substitute(v, replacement);
         }
-        for (_, e) in self.strides.iter_mut() {
+        for (_, e) in this.strides.iter_mut() {
             *e = e.substitute(v, replacement);
         }
     }
@@ -192,12 +241,13 @@ impl Conjunct {
     /// Wildcard lists are concatenated; the caller must ensure they are
     /// disjoint (fresh variables).
     pub fn and(&mut self, other: &Conjunct) {
-        self.contradiction |= other.contradiction;
-        self.eqs.extend(other.eqs.iter().cloned());
-        self.geqs.extend(other.geqs.iter().cloned());
-        self.strides.extend(other.strides.iter().cloned());
+        let this = self.touch();
+        this.contradiction |= other.contradiction;
+        this.eqs.extend(other.eqs.iter().cloned());
+        this.geqs.extend(other.geqs.iter().cloned());
+        this.strides.extend(other.strides.iter().cloned());
         for w in &other.wildcards {
-            self.add_wildcard(*w);
+            this.add_wildcard(*w);
         }
     }
 
@@ -205,7 +255,7 @@ impl Conjunct {
     /// `e - m·α = 0` with a fresh wildcard `α` (stride format →
     /// projected format, §2.1).
     pub fn stride_to_wildcard(&mut self, space: &mut Space) {
-        for (m, e) in std::mem::take(&mut self.strides) {
+        for (m, e) in std::mem::take(&mut self.touch().strides) {
             let alpha = space.fresh("s");
             self.add_wildcard(alpha);
             // e - m·alpha == 0
@@ -220,29 +270,54 @@ impl Conjunct {
     ///   sign-canonicalized;
     /// * inequalities are *tightened*: `Σaᵢxᵢ + c ≥ 0` becomes
     ///   `Σ(aᵢ/g)xᵢ + ⌊c/g⌋ ≥ 0` where `g = gcd(aᵢ)`;
-    /// * strides are reduced (`m | e` with all of `e`'s coefficients
-    ///   divisible by `g = gcd(m, content(e))` becomes a stride mod
-    ///   `m/gcd`… conservatively we reduce constants into `[0, m)`);
+    /// * strides `m | e` have `e`'s coefficients and constant reduced
+    ///   into `[0, m)`; then, with `g = gcd(content(e), m)`, if `g`
+    ///   divides the constant the stride becomes `m/g | e/g` (and is
+    ///   dropped when `m/g = 1`);
     /// * constant constraints are checked and dropped;
     /// * duplicate and single-constraint-redundant inequalities are
     ///   dropped; opposite inequality pairs become equalities;
-    /// * unused wildcards are dropped.
+    /// * wildcards whose only occurrence is a single stride are
+    ///   projected out of it, and unused wildcards are dropped.
     ///
     /// Sets the contradiction flag (see [`Conjunct::is_false`]) when a
     /// syntactic contradiction is found.
+    ///
+    /// The result carries a normal-form mark that every mutation
+    /// clears; normalizing a marked conjunct returns at once. Either way
+    /// the call counts in `NormalizeCalls`, the governor's heartbeat.
     pub fn normalize(&mut self) {
-        self.normalize_with(opposite_pairs);
+        if self.normalized.0 {
+            // Still a heartbeat (see `normalize_with`): the governor,
+            // the fault matrix and the counter baselines see every call.
+            presburger_trace::bump(presburger_trace::Counter::NormalizeCalls);
+            debug_assert!(
+                {
+                    let mut fresh = self.clone();
+                    fresh.normalized = Mark(false);
+                    fresh.normalize_with(opposite_pairs, false);
+                    fresh == *self
+                },
+                "stale normal-form mark: {self:?}"
+            );
+            return;
+        }
+        self.normalize_with(opposite_pairs, true);
     }
 
-    /// [`Conjunct::normalize`] with the opposite-pair matcher as a
-    /// parameter, so the tests can run the quadratic reference scan
-    /// through the same path.
-    fn normalize_with(&mut self, opposite: OppositeFn) {
+    /// [`Conjunct::normalize`] without the fast path, with the
+    /// opposite-pair matcher as a parameter (so the tests can run the
+    /// quadratic reference scan through the same path) and with the
+    /// `NormalizeCalls` bump optional (so the debug check of a mark
+    /// neither counts nor reaches the governor).
+    fn normalize_with(&mut self, opposite: OppositeFn, count: bool) {
         // The innermost heartbeat of the whole pipeline: every clause
         // manipulation funnels through here, which makes this counter
         // the governor's most responsive deadline/cancellation
         // checkpoint (a single thread-local load when ungoverned).
-        presburger_trace::bump(presburger_trace::Counter::NormalizeCalls);
+        if count {
+            presburger_trace::bump(presburger_trace::Counter::NormalizeCalls);
+        }
         if self.contradiction {
             return;
         }
@@ -264,13 +339,12 @@ impl Conjunct {
                 *e = e.div_exact(&g);
             }
             // canonical sign: first (lowest VarId) coefficient positive
-            let flip = e.iter().next().is_some_and(|(_, c)| c.is_negative());
-            if flip {
+            if leads_negative(e) {
                 *e = -&*e;
             }
             true
         });
-        eqs.sort_by(cmp_affine);
+        eqs.sort_unstable_by(cmp_affine);
         eqs.dedup();
         self.eqs = eqs;
         if self.contradiction {
@@ -300,44 +374,22 @@ impl Conjunct {
         if self.contradiction {
             return;
         }
-        // keep only the tightest inequality for each slope
-        geqs.sort_by(cmp_affine);
-        let mut kept: Vec<Affine> = Vec::with_capacity(geqs.len());
-        for e in geqs {
-            if let Some(last) = kept.last_mut() {
-                if same_slope(last, &e) {
-                    // same variable part: smaller constant is tighter
-                    if e.constant_term() < last.constant_term() {
-                        *last = e;
-                    }
-                    continue;
-                }
-            }
-            kept.push(e);
-        }
+        // keep only the tightest inequality for each slope: the sort
+        // puts a slope's smallest constant first
+        geqs.sort_unstable_by(cmp_affine);
+        geqs.dedup_by(|e, first| same_slope(first, e));
         // opposite pairs: t + c1 >= 0 and -t + c2 >= 0
-        let Some(tight) = opposite(&kept) else {
+        let paired = self.eqs.len();
+        if !opposite(&mut geqs, &mut self.eqs) {
             self.contradiction = true;
             return;
-        };
-        if !tight.is_empty() {
-            let mut dropped = vec![false; kept.len()];
-            for &(i, j) in &tight {
-                self.eqs.push(kept[i].clone());
-                dropped[i] = true;
-                dropped[j] = true;
-            }
-            self.geqs = kept
-                .into_iter()
-                .zip(dropped)
-                .filter(|(_, d)| !d)
-                .map(|(e, _)| e)
-                .collect();
+        }
+        self.geqs = geqs;
+        if self.eqs.len() > paired {
             // re-normalize to canonicalize the new equalities
-            self.normalize_with(opposite);
+            self.normalize_with(opposite, count);
             return;
         }
-        self.geqs = kept;
 
         // --- strides
         let mut strides = std::mem::take(&mut self.strides);
@@ -370,7 +422,7 @@ impl Conjunct {
             }
             true
         });
-        strides.sort_by(|(m1, e1), (m2, e2)| m1.cmp(m2).then_with(|| cmp_affine(e1, e2)));
+        strides.sort_unstable_by(|(m1, e1), (m2, e2)| m1.cmp(m2).then_with(|| cmp_affine(e1, e2)));
         strides.dedup();
         self.strides = strides;
         if self.contradiction {
@@ -378,80 +430,85 @@ impl Conjunct {
         }
 
         // --- wildcards whose only occurrence is inside a single stride:
-        // ∃w : m | c·w + S  ⇔  gcd(c, m) | S
-        if !self.wildcards.is_empty() {
-            let lone: Vec<VarId> = self
-                .wildcards
-                .iter()
-                .copied()
-                .filter(|w| {
-                    let in_eq = self.eqs.iter().any(|e| e.mentions(*w));
-                    let in_geq = self.geqs.iter().any(|e| e.mentions(*w));
-                    let n_strides = self.strides.iter().filter(|(_, e)| e.mentions(*w)).count();
-                    !in_eq && !in_geq && n_strides == 1
-                })
-                .collect();
-            if !lone.is_empty() {
-                let mut changed = false;
-                for (m, e) in self.strides.iter_mut() {
-                    let mut g = m.clone();
-                    let mut any = false;
-                    for w in &lone {
-                        let c = e.coeff(*w);
-                        if !c.is_zero() {
-                            g = gcd(&g, &c);
-                            e.set_coeff(*w, Int::zero());
-                            any = true;
-                        }
-                    }
-                    if any {
-                        *m = g;
-                        changed = true;
-                    }
-                }
-                if changed {
-                    // moduli may now be 1 or constraints constant
-                    self.strides.retain(|(m, _)| !m.is_one());
-                    self.normalize_with(opposite);
-                    return;
-                }
+        // ∃w : m | c·w + S  ⇔  gcd(c, m) | S. Projecting one such
+        // wildcard leaves the others' occurrences alone, so they go one
+        // at a time.
+        let mut changed = false;
+        for &w in &self.wildcards {
+            if self.eqs.iter().any(|e| e.mentions(w)) || self.geqs.iter().any(|e| e.mentions(w)) {
+                continue;
             }
+            let mut hits = self
+                .strides
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, e))| e.mentions(w));
+            let (Some((k, _)), None) = (hits.next(), hits.next()) else {
+                continue;
+            };
+            let (m, e) = &mut self.strides[k];
+            *m = gcd(m, &e.coeff(w));
+            e.set_coeff(w, Int::zero());
+            changed = true;
+        }
+        if changed {
+            // moduli may now be 1 or constraints constant
+            self.strides.retain(|(m, _)| !m.is_one());
+            self.normalize_with(opposite, count);
+            return;
         }
 
         // --- drop unused wildcards
-        let mentioned = self.mentioned_vars();
-        self.wildcards.retain(|w| mentioned.contains(w));
+        let mut wildcards = std::mem::take(&mut self.wildcards);
+        wildcards.retain(|w| self.mentions(*w));
+        self.wildcards = wildcards;
+        self.normalized = Mark(true);
     }
 
     /// Extracts the lower and upper bounds on `v` from the inequality
-    /// constraints, plus the list of inequalities not mentioning `v`.
+    /// constraints; inequalities not mentioning `v` contribute neither.
     ///
     /// Lower bounds satisfy `expr <= coeff·v`; upper bounds satisfy
     /// `coeff·v <= expr`.
-    pub fn bounds_on(&self, v: VarId) -> (Vec<Bound>, Vec<Bound>, Vec<Affine>) {
+    pub fn bounds_on(&self, v: VarId) -> (Vec<Bound>, Vec<Bound>) {
         let mut lowers = Vec::new();
         let mut uppers = Vec::new();
-        let mut rest = Vec::new();
         for e in &self.geqs {
             let a = e.coeff(v);
             if a.is_zero() {
-                rest.push(e.clone());
-            } else if a.is_positive() {
+                continue;
+            }
+            let mut r = e.clone();
+            r.set_coeff(v, Int::zero());
+            if a.is_positive() {
                 // a·v + r >= 0  =>  -r <= a·v
-                let mut r = e.clone();
-                r.set_coeff(v, Int::zero());
                 lowers.push(Bound { coeff: a, expr: -r });
             } else {
                 // -a'·v + r >= 0  =>  a'·v <= r
-                let mut r = e.clone();
-                r.set_coeff(v, Int::zero());
                 uppers.push(Bound {
                     coeff: -&a,
                     expr: r,
                 });
             }
         }
-        (lowers, uppers, rest)
+        (lowers, uppers)
+    }
+
+    /// Counts the bounds [`Conjunct::bounds_on`] would extract for `v`,
+    /// without building them.
+    pub fn bound_counts(&self, v: VarId) -> BoundCounts {
+        let mut n = BoundCounts::default();
+        for e in &self.geqs {
+            let a = e.coeff(v);
+            if a.is_positive() {
+                n.lowers += 1;
+                n.unit_lowers += a.is_one() as usize;
+            } else if a.is_negative() {
+                n.uppers += 1;
+                n.unit_uppers += (-&a).is_one() as usize;
+            }
+        }
+        n
     }
 
     /// Decides whether a concrete point satisfies this conjunct, given
@@ -583,58 +640,58 @@ fn same_slope(a: &Affine, b: &Affine) -> bool {
             .all(|((v1, c1), (v2, c2))| v1 == v2 && c1 == c2)
 }
 
-/// Matches the opposite inequality pairs `t + c₁ ≥ 0`, `−t + c₂ ≥ 0` of
-/// a list with pairwise distinct slopes: `None` when some pair has
-/// `c₁ + c₂ < 0` (a contradiction), else the index pairs `(i, j)`,
-/// `i < j`, with `c₁ + c₂ = 0`, ordered by `i`.
-type OppositeFn = fn(&[Affine]) -> Option<Vec<(usize, usize)>>;
-
-/// [`OppositeFn`] by a sign-canonical slope order: flipping each slope
-/// so its first coefficient is positive makes opposite slopes equal,
-/// so after sorting the two halves of a pair sit next to each other.
-/// Slopes are distinct, so equal canonical slopes always differ in
-/// sign.
-fn opposite_pairs(kept: &[Affine]) -> Option<Vec<(usize, usize)>> {
-    let mut tight = Vec::new();
-    if kept.len() < 2 {
-        return Some(tight);
-    }
-    let mut order: Vec<usize> = (0..kept.len()).collect();
-    order.sort_by(|&a, &b| cmp_canonical_slope(&kept[a], &kept[b]));
-    for w in order.windows(2) {
-        let (a, b) = (&kept[w[0]], &kept[w[1]]);
-        if cmp_canonical_slope(a, b).is_ne() {
-            continue;
-        }
-        let s = a.constant_term() + b.constant_term();
-        if s.is_negative() {
-            return None;
-        }
-        if s.is_zero() {
-            tight.push((w[0].min(w[1]), w[0].max(w[1])));
-        }
-    }
-    tight.sort_unstable();
-    Some(tight)
+/// Whether the first (lowest `VarId`) coefficient is negative.
+fn leads_negative(e: &Affine) -> bool {
+    e.iter().next().is_some_and(|(_, c)| c.is_negative())
 }
 
-/// Orders slopes with each one's sign flipped to make its first
-/// coefficient positive.
-fn cmp_canonical_slope(a: &Affine, b: &Affine) -> std::cmp::Ordering {
+/// Turns the opposite inequality pairs `t + c₁ ≥ 0`, `−t + c₂ ≥ 0` of
+/// `geqs` (sorted by [`cmp_affine`], slopes pairwise distinct) with
+/// `c₁ + c₂ = 0` into equalities: appends one half of each pair to
+/// `eqs` and removes both halves from `geqs`. Returns `false`, touching
+/// neither list, when some pair has `c₁ + c₂ < 0` (a contradiction).
+type OppositeFn = fn(&mut Vec<Affine>, &mut Vec<Affine>) -> bool;
+
+/// [`OppositeFn`] by binary search: each slope whose first coefficient
+/// is negative looks up its negation in the sorted list. Allocates
+/// nothing unless a pair is tight.
+fn opposite_pairs(geqs: &mut Vec<Affine>, eqs: &mut Vec<Affine>) -> bool {
+    let paired = eqs.len();
+    for e in geqs.iter().filter(|e| leads_negative(e)) {
+        let Ok(j) = geqs.binary_search_by(|f| cmp_slope_to_negation(f, e)) else {
+            continue;
+        };
+        let s = e.constant_term() + geqs[j].constant_term();
+        if s.is_negative() {
+            eqs.truncate(paired);
+            return false;
+        }
+        if s.is_zero() {
+            eqs.push(e.clone());
+        }
+    }
+    if eqs.len() > paired {
+        let tight = &eqs[paired..];
+        geqs.retain(|f| {
+            !tight
+                .iter()
+                .any(|t| same_slope(t, f) || cmp_slope_to_negation(f, t).is_eq())
+        });
+    }
+    true
+}
+
+/// Orders `a`'s slope against the negation of `b`'s, ignoring both
+/// constants — consistent with [`cmp_affine`], so a list sorted by it
+/// can be binary-searched for a slope's opposite.
+fn cmp_slope_to_negation(a: &Affine, b: &Affine) -> std::cmp::Ordering {
     use std::cmp::Ordering;
-    let leads_negative = |e: &Affine| e.iter().next().is_some_and(|(_, c)| c.is_negative());
-    let (fa, fb) = (leads_negative(a), leads_negative(b));
     let mut ai = a.iter();
     let mut bi = b.iter();
     loop {
         match (ai.next(), bi.next()) {
             (Some((v1, c1)), Some((v2, c2))) => {
-                let o = v1.cmp(&v2).then_with(|| match (fa, fb) {
-                    (false, false) => c1.cmp(c2),
-                    (true, true) => c2.cmp(c1),
-                    (true, false) => (-c1).cmp(c2),
-                    (false, true) => c1.cmp(&-c2),
-                });
+                let o = v1.cmp(&v2).then_with(|| c1.cmp(&-c2));
                 if o != Ordering::Equal {
                     return o;
                 }
@@ -646,84 +703,137 @@ fn cmp_canonical_slope(a: &Affine, b: &Affine) -> std::cmp::Ordering {
     }
 }
 
+/// How many lower and upper bounds a variable has in a conjunct, and
+/// how many of each have a unit coefficient (see
+/// [`Conjunct::bound_counts`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BoundCounts {
+    /// Inequalities with a positive coefficient on the variable.
+    pub lowers: usize,
+    /// Inequalities with a negative coefficient on the variable.
+    pub uppers: usize,
+    /// Lower bounds whose coefficient is 1.
+    pub unit_lowers: usize,
+    /// Upper bounds whose coefficient is −1.
+    pub unit_uppers: usize,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// The quadratic opposite-pair scan [`opposite_pairs`] replaced,
     /// kept as the reference it must agree with.
-    fn opposite_pairs_quadratic(kept: &[Affine]) -> Option<Vec<(usize, usize)>> {
+    fn opposite_pairs_quadratic(geqs: &mut Vec<Affine>, eqs: &mut Vec<Affine>) -> bool {
         let mut tight = Vec::new();
         let mut drop_idx: BTreeSet<usize> = BTreeSet::new();
-        for i in 0..kept.len() {
+        for i in 0..geqs.len() {
             if drop_idx.contains(&i) {
                 continue;
             }
-            let neg = -&kept[i];
-            for (j, other) in kept.iter().enumerate().skip(i + 1) {
+            let neg = -&geqs[i];
+            for (j, other) in geqs.iter().enumerate().skip(i + 1) {
                 if drop_idx.contains(&j) {
                     continue;
                 }
                 if same_slope(&neg, other) {
-                    let s = kept[i].constant_term() + other.constant_term();
+                    let s = geqs[i].constant_term() + other.constant_term();
                     if s.is_negative() {
-                        return None;
+                        return false;
                     }
                     if s.is_zero() {
-                        tight.push((i, j));
+                        tight.push(i);
                         drop_idx.insert(i);
                         drop_idx.insert(j);
                     }
                 }
             }
         }
-        Some(tight)
+        eqs.extend(tight.iter().map(|&i| geqs[i].clone()));
+        let mut k = 0;
+        geqs.retain(|_| {
+            k += 1;
+            !drop_idx.contains(&(k - 1))
+        });
+        true
     }
 
-    #[test]
-    fn opposite_pairs_match_the_quadratic_scan() {
-        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-        let mut rng = move |n: u64| {
+    /// A seeded xorshift draw in `0..n`.
+    fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut seed = seed;
+        move |n: u64| {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
             seed % n
+        }
+    }
+
+    /// A random conjunct over `vars`: inequalities drawn from a small
+    /// slope pool so that opposite pairs are common, sometimes an
+    /// equality and a stride, and — when `wild` — random equalities and
+    /// strides with non-unit content and some of `vars` as wildcards.
+    fn random_conjunct(rng: &mut impl FnMut(u64) -> u64, vars: &[VarId], wild: bool) -> Conjunct {
+        let affine = |rng: &mut dyn FnMut(u64) -> u64, spread: u64| {
+            let mut e = Affine::constant(rng(2 * spread + 1) as i64 - spread as i64);
+            for &v in vars {
+                if rng(2) == 0 {
+                    e.set_coeff(v, Int::from(rng(7) as i64 - 3));
+                }
+            }
+            e
         };
+        let mut c = Conjunct::new();
+        let mut pool: Vec<Affine> = Vec::new();
+        for _ in 0..1 + rng(10) {
+            let e = if !pool.is_empty() && rng(3) == 0 {
+                let mut e = -&pool[rng(pool.len() as u64) as usize];
+                e.add_constant(&Int::from(rng(7) as i64 - 3));
+                e
+            } else {
+                affine(rng, 6)
+            };
+            pool.push(e.clone());
+            c.add_geq(e);
+        }
+        if rng(4) == 0 {
+            c.add_eq(Affine::from_terms(&[(vars[0], 1), (vars[1], -2)], 1));
+        }
+        if rng(4) == 0 {
+            c.add_stride(Int::from(3), Affine::from_terms(&[(vars[2], 1)], 1));
+        }
+        if wild {
+            for _ in 0..rng(3) {
+                let k = Int::from(1 + rng(3) as i64);
+                c.add_eq(&affine(rng, 6) * &k);
+            }
+            for _ in 0..rng(3) {
+                let e = affine(rng, 9);
+                c.add_stride(Int::from(2 + rng(5) as i64), e);
+            }
+            for &v in vars {
+                if rng(3) == 0 {
+                    c.add_wildcard(v);
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn opposite_pairs_match_the_quadratic_scan() {
+        let mut rng = rng(0x9e37_79b9_7f4a_7c15);
         let mut s = Space::new();
         let vars: Vec<VarId> = ["x", "y", "z", "w"].iter().map(|n| s.var(n)).collect();
         let mut contradictions = 0;
         let mut pairs = 0;
         for trial in 0..2000 {
-            let mut c = Conjunct::new();
-            let mut pool: Vec<Affine> = Vec::new();
-            for _ in 0..1 + rng(10) {
-                // draw from a small slope pool so opposites are common
-                let e = if !pool.is_empty() && rng(3) == 0 {
-                    let mut e = -&pool[rng(pool.len() as u64) as usize];
-                    e.add_constant(&Int::from(rng(7) as i64 - 3));
-                    e
-                } else {
-                    let mut e = Affine::constant(rng(13) as i64 - 6);
-                    for &v in &vars {
-                        if rng(2) == 0 {
-                            e.set_coeff(v, Int::from(rng(7) as i64 - 3));
-                        }
-                    }
-                    e
-                };
-                pool.push(e.clone());
-                c.add_geq(e);
-            }
-            if rng(4) == 0 {
-                c.add_eq(Affine::from_terms(&[(vars[0], 1), (vars[1], -2)], 1));
-            }
-            if rng(4) == 0 {
-                c.add_stride(Int::from(3), Affine::from_terms(&[(vars[2], 1)], 1));
-            }
+            let c = random_conjunct(&mut rng, &vars, false);
             let mut fast = c.clone();
             fast.normalize();
             let mut reference = c.clone();
-            reference.normalize_with(opposite_pairs_quadratic);
+            reference.normalize_with(opposite_pairs_quadratic, true);
             assert_eq!(fast, reference, "trial {trial}: {}", c.to_string(&s));
             contradictions += fast.is_false() as usize;
             pairs += fast.eqs().len();
@@ -732,6 +842,100 @@ mod tests {
             contradictions > 50 && pairs > 50,
             "{contradictions} {pairs}"
         );
+    }
+
+    #[test]
+    fn normalizing_is_idempotent_and_the_mark_changes_nothing() {
+        let mut rng = rng(0x2545_f491_4f6c_dd1d);
+        let mut s = Space::new();
+        let vars: Vec<VarId> = ["x", "y", "z", "w"].iter().map(|n| s.var(n)).collect();
+        let (mut marked, mut with_wildcards) = (0, 0);
+        for trial in 0..2000 {
+            let c = random_conjunct(&mut rng, &vars, true);
+            let mut once = c.clone();
+            once.normalize();
+            let mut twice = once.clone();
+            twice.normalize();
+            let mut unmarked = once.clone();
+            unmarked.normalized = Mark(false);
+            unmarked.normalize();
+            let show = || c.to_string(&s);
+            assert_eq!(twice, once, "trial {trial}: {}", show());
+            assert_eq!(unmarked, once, "trial {trial}: {}", show());
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            once.push_key_bytes(&mut a);
+            unmarked.push_key_bytes(&mut b);
+            assert_eq!(a, b, "trial {trial}: {}", show());
+            assert_eq!(
+                once.normalized.0,
+                !once.is_false(),
+                "trial {trial}: {}",
+                show()
+            );
+            marked += once.normalized.0 as usize;
+            with_wildcards += (!once.wildcards().is_empty()) as usize;
+        }
+        assert!(
+            marked > 200 && with_wildcards > 50,
+            "{marked} {with_wildcards}"
+        );
+    }
+
+    #[test]
+    fn a_marked_normalize_still_counts_as_a_call() {
+        use presburger_trace::{self as trace, Counter};
+        let (_, x, _) = setup();
+        let mut c = Conjunct::new();
+        c.add_geq(Affine::from_terms(&[(x, 2)], -3));
+        c.normalize();
+        trace::enable_counters(true);
+        let before = trace::snapshot();
+        c.normalize();
+        let calls = trace::snapshot()
+            .delta(&before)
+            .get(Counter::NormalizeCalls);
+        trace::enable_counters(false);
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn every_mutator_clears_the_mark() {
+        let (mut s, x, y) = setup();
+        let mut base = Conjunct::new();
+        base.add_wildcard(y);
+        base.add_eq(Affine::from_terms(&[(x, 1), (y, -2)], 0));
+        base.add_geq(Affine::from_terms(&[(x, 1)], 0));
+        base.add_geq(Affine::from_terms(&[(x, -1)], 9));
+        base.add_stride(Int::from(3), Affine::from_terms(&[(x, 1)], 1));
+        base.normalize();
+        assert!(base.normalized.0);
+        let e = || Affine::from_terms(&[(x, 1)], -1);
+        type Mutator<'a> = Box<dyn Fn(&mut Conjunct, &mut Space) + 'a>;
+        let mutators: Vec<(&str, Mutator)> = vec![
+            ("add_eq", Box::new(|c, _| c.add_eq(e()))),
+            ("add_geq", Box::new(|c, _| c.add_geq(e()))),
+            ("add_le", Box::new(|c, _| c.add_le(e(), Affine::zero()))),
+            (
+                "add_stride",
+                Box::new(|c, _| c.add_stride(Int::from(2), e())),
+            ),
+            ("add_wildcard", Box::new(|c, s| c.add_wildcard(s.var("t")))),
+            ("substitute", Box::new(|c, _| c.substitute(x, &e()))),
+            ("and", Box::new(|c, _| c.and(&Conjunct::new()))),
+            (
+                "stride_to_wildcard",
+                Box::new(|c, s| c.stride_to_wildcard(s)),
+            ),
+            ("remove_eq", Box::new(|c, _| drop(c.remove_eq(0)))),
+            ("remove_geq", Box::new(|c, _| drop(c.remove_geq(0)))),
+            ("remove_stride", Box::new(|c, _| drop(c.remove_stride(0)))),
+            ("remove_wildcard", Box::new(|c, _| c.remove_wildcard(y))),
+        ];
+        for (name, mutate) in &mutators {
+            let mut c = base.clone();
+            mutate(&mut c, &mut s);
+            assert!(!c.normalized.0, "{name} kept the mark");
+        }
     }
 
     fn setup() -> (Space, VarId, VarId) {
@@ -844,14 +1048,19 @@ mod tests {
         c.add_geq(Affine::from_terms(&[(x, 2), (y, 1)], 0)); // 2x + y >= 0: lower -y <= 2x
         c.add_geq(Affine::from_terms(&[(x, -3), (y, 1)], 5)); // 3x <= y + 5
         c.add_geq(Affine::from_terms(&[(y, 1)], -1)); // y >= 1 (no x)
-        let (lo, up, rest) = c.bounds_on(x);
+        let (lo, up) = c.bounds_on(x);
         assert_eq!(lo.len(), 1);
         assert_eq!(lo[0].coeff, Int::from(2));
         assert_eq!(lo[0].expr, Affine::from_terms(&[(y, -1)], 0));
         assert_eq!(up.len(), 1);
         assert_eq!(up[0].coeff, Int::from(3));
         assert_eq!(up[0].expr, Affine::from_terms(&[(y, 1)], 5));
-        assert_eq!(rest.len(), 1);
+        let counts = c.bound_counts(x);
+        assert_eq!((counts.lowers, counts.uppers), (1, 1));
+        assert_eq!((counts.unit_lowers, counts.unit_uppers), (0, 0));
+        let counts = c.bound_counts(y);
+        assert_eq!((counts.lowers, counts.uppers), (3, 0));
+        assert_eq!((counts.unit_lowers, counts.unit_uppers), (3, 0));
     }
 
     #[test]

@@ -168,7 +168,7 @@ fn eliminate_normalized(
         };
     }
     if !c.mentions(v) {
-        c.wildcards.retain(|w| *w != v);
+        c.remove_wildcard(v);
         return Eliminated {
             exact: true,
             disjoint: true,
@@ -176,7 +176,7 @@ fn eliminate_normalized(
         };
     }
 
-    let (lowers, uppers, _) = c.bounds_on(v);
+    let (lowers, uppers) = c.bounds_on(v);
     // Unbounded on one side: an integer v always exists.
     if lowers.is_empty() || uppers.is_empty() {
         let mut r = base_without(&c, v);
@@ -538,7 +538,7 @@ mod tests {
         range: std::ops::RangeInclusive<i64>,
         at: &dyn Fn(VarId) -> Int,
     ) -> std::ops::RangeInclusive<i64> {
-        let (lowers, uppers, _) = c.bounds_on(v);
+        let (lowers, uppers) = c.bounds_on(v);
         let value = |b: &Bound| {
             b.expr
                 .vars()
@@ -576,7 +576,7 @@ mod tests {
             .map(|x| range_of(boxes, *x).unwrap_or_else(|| panic!("no box for {}", space.name(*x))))
             .collect();
         let mut body = c.clone();
-        body.wildcards.retain(|w| *w != v);
+        body.remove_wildcard(v);
         let mut point: Vec<i64> = ranges.iter().map(|r| *r.start()).collect();
         loop {
             let at = |x: VarId| Int::from(point[free.iter().position(|f| *f == x).unwrap()]);

@@ -169,7 +169,7 @@ pub(crate) fn solve_with_fuel(c: &mut Conjunct, space: &mut crate::space::Space,
                 g = presburger_arith::gcd(&g, &e.coeff(*w));
                 s.set_coeff(*w, Int::zero());
             }
-            c.eqs.remove(idx);
+            c.remove_eq(idx);
             if !g.is_one() {
                 c.add_stride(g, s);
             }
@@ -193,10 +193,10 @@ pub(crate) fn solve_with_fuel(c: &mut Conjunct, space: &mut crate::space::Space,
             return;
         }
         for i in convertible.into_iter().rev() {
-            let (m, e) = c.strides.remove(i);
+            let (m, e) = c.remove_stride(i);
             let alpha = space.fresh("s");
             c.add_wildcard(alpha);
-            c.eqs.push(e.add_scaled(&Affine::var(alpha), &-m));
+            c.add_eq(e.add_scaled(&Affine::var(alpha), &-m));
         }
         step();
     }

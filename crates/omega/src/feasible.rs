@@ -98,7 +98,7 @@ fn search(root: Conjunct, space: &mut Space, fuel: u64) -> bool {
                 continue;
             }
         }
-        let vars: Vec<VarId> = c.mentioned_vars().into_iter().collect();
+        let vars = c.mentioned_vars();
         if vars.is_empty() {
             // normalization already verified all constant constraints
             if let Some(p) = back_substitute(&path) {
@@ -431,11 +431,10 @@ fn pick_variable(c: &Conjunct, vars: &[VarId]) -> VarId {
     }
     let mut best: Option<(VarId, u64)> = None;
     for v in vars {
-        let (lowers, uppers, _) = c.bounds_on(*v);
+        let n = c.bound_counts(*v);
         let in_stride = c.strides().iter().any(|(_, e)| e.mentions(*v));
-        let exact =
-            lowers.iter().all(|l| l.coeff.is_one()) || uppers.iter().all(|u| u.coeff.is_one());
-        let pairs = (lowers.len() * uppers.len()) as u64;
+        let exact = n.unit_lowers == n.lowers || n.unit_uppers == n.uppers;
+        let pairs = (n.lowers * n.uppers) as u64;
         // crude cost model: exact eliminations are much cheaper;
         // strides force a conversion first.
         let cost = pairs * if exact { 1 } else { 100 } + if in_stride { 1000 } else { 0 };

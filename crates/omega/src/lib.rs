@@ -59,7 +59,7 @@ pub mod redundant;
 mod space;
 
 pub use affine::Affine;
-pub use conjunct::{Bound, Conjunct};
+pub use conjunct::{Bound, BoundCounts, Conjunct};
 pub use dnf::{Dnf, SimplifyOptions};
 pub use formula::{Constraint, Desugar, Formula};
 pub use parse::{parse_affine, parse_formula, ParseError, ParseFormulaError};

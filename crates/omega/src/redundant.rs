@@ -43,7 +43,7 @@ pub fn remove_redundant(c: &Conjunct, space: &mut Space) -> Conjunct {
             continue;
         }
         let mut trial = c.clone();
-        let e = trial.geqs.remove(i);
+        let e = trial.remove_geq(i);
         // ¬(e ≥ 0)  ≡  −e − 1 ≥ 0
         let mut neg = trial.clone();
         let mut ne = -&e;
@@ -108,7 +108,7 @@ pub fn gist(p: &Conjunct, q: &Conjunct, space: &mut Space) -> Conjunct {
     let mut i = 0;
     while i < result.geqs().len() {
         let mut rest = result.clone();
-        let e = rest.geqs.remove(i);
+        let e = rest.remove_geq(i);
         let mut ctx = rest.clone();
         ctx.and(q);
         let mut ne = -&e;
@@ -124,7 +124,7 @@ pub fn gist(p: &Conjunct, q: &Conjunct, space: &mut Space) -> Conjunct {
     let mut i = 0;
     while i < result.eqs().len() {
         let mut rest = result.clone();
-        let e = rest.eqs.remove(i);
+        let e = rest.remove_eq(i);
         let implied = {
             let mut up = rest.clone();
             up.and(q);
@@ -148,7 +148,7 @@ pub fn gist(p: &Conjunct, q: &Conjunct, space: &mut Space) -> Conjunct {
     let mut i = 0;
     while i < result.strides().len() {
         let mut rest = result.clone();
-        let (m, e) = rest.strides.remove(i);
+        let (m, e) = rest.remove_stride(i);
         let mut ctx = rest.clone();
         ctx.and(q);
         add_negated_stride(&mut ctx, &m, &e, space);

@@ -74,6 +74,9 @@ pub struct Space {
     names: Vec<String>,
     /// Names of ids allocated inside fork blocks (sparse).
     forked: BTreeMap<u32, String>,
+    /// At least every `k` of a `…$k` name in this space, so
+    /// [`Space::fresh`] coins `hint$(fresh_counter + 1)` without a
+    /// lookup.
     fresh_counter: u32,
     /// The next id this space hands out.
     next: u32,
@@ -110,6 +113,9 @@ impl Space {
         );
         let id = self.next;
         self.next += 1;
+        if let Some(k) = fresh_suffix(&name) {
+            self.fresh_counter = self.fresh_counter.max(k);
+        }
         if id as usize == self.names.len() {
             self.names.push(name);
         } else {
@@ -150,13 +156,9 @@ impl Space {
     /// during elimination. Sibling forks may coin the same display name
     /// for different ids; identity is always the id.
     pub fn fresh(&mut self, hint: &str) -> VarId {
-        loop {
-            self.fresh_counter += 1;
-            let name = format!("{hint}${}", self.fresh_counter);
-            if self.lookup(&name).is_none() {
-                return self.alloc(name);
-            }
-        }
+        // Every `…$k` name here has k ≤ fresh_counter, so the next
+        // suffix is new.
+        self.alloc(format!("{hint}${}", self.fresh_counter + 1))
     }
 
     /// Splits off a child space that shares every variable interned so
@@ -212,6 +214,7 @@ impl Space {
         for (id, name) in &child.forked {
             self.forked.entry(*id).or_insert_with(|| name.clone());
         }
+        self.fresh_counter = self.fresh_counter.max(child.fresh_counter);
     }
 
     /// Unions another space into this one, for combining results that
@@ -247,6 +250,7 @@ impl Space {
                 }
             }
         }
+        self.fresh_counter = self.fresh_counter.max(other.fresh_counter);
     }
 
     /// The integer points the feasibility test pooled, most recently
@@ -303,6 +307,12 @@ impl Space {
     }
 }
 
+/// The `k` of a name `…$k`, the shape [`Space::fresh`] coins.
+fn fresh_suffix(name: &str) -> Option<u32> {
+    let (_, k) = name.rsplit_once('$')?;
+    k.parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,6 +337,26 @@ mod tests {
         assert_ne!(s.name(f), "w$1");
         let g = s.fresh("w");
         assert_ne!(f, g);
+    }
+
+    #[test]
+    fn a_parent_that_adopts_sibling_forks_coins_names_neither_used() {
+        let mut s = Space::new();
+        s.var("n");
+        let mut kids = s.fork_many(2);
+        let mut coined = Vec::new();
+        for (k, kid) in kids.iter_mut().enumerate() {
+            for _ in 0..=k {
+                let w = kid.fresh("w");
+                coined.push(kid.name(w).to_string());
+            }
+        }
+        for kid in &kids {
+            s.adopt(kid);
+        }
+        let w = s.fresh("w");
+        assert!(!coined.iter().any(|n| n == s.name(w)), "{coined:?}");
+        assert_eq!(s.lookup(s.name(w)), Some(w));
     }
 
     #[test]

@@ -41,6 +41,15 @@ cargo build --release --workspace
 echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# perfbench checks every answer it gets against brute force and exits
+# non-zero on a wrong one; one short smoke-scale run per engine-bound
+# workload (~2 s each) runs that check on the current engine.
+for workload in paper-cold splinter-cold; do
+    echo "==> perfbench answer check: $workload"
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --scale smoke --trace 0 > /dev/null
+done
+
 echo "==> cargo test --workspace -q (PRESBURGER_THREADS=1)"
 PRESBURGER_THREADS=1 cargo test --workspace -q
 
