@@ -277,7 +277,7 @@ impl Int {
     }
 
     /// Appends a canonical, self-delimiting byte encoding of the value
-    /// to `out`, for use in memo-table and cache keys.
+    /// to `out`, for use in cache and routing keys.
     ///
     /// The encoding is injective: structurally equal values (and only
     /// those) produce equal bytes, at any point in any process — it
@@ -991,8 +991,8 @@ mod tests {
 
     /// Key bytes recorded from the encoding used while `i128` was the
     /// inline width: the tiers are chosen by value, so these must never
-    /// move (memo keys, interned ids, the serve cache key and the shard
-    /// routing hash are built from them).
+    /// move (the serve cache key and the shard routing hash are built
+    /// from them).
     const KEY_BYTES: &[(&str, &str)] = &[
         ("0", "0100"),
         ("-1", "01ff"),

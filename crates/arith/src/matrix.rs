@@ -202,17 +202,6 @@ impl Matrix {
         }
     }
 
-    /// Appends a canonical byte encoding of the matrix (shape plus
-    /// row-major entries) to `out`, for memo-table keys. Injective:
-    /// equal bytes iff equal shape and entries.
-    pub fn push_key_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.rows as u32).to_le_bytes());
-        out.extend_from_slice(&(self.cols as u32).to_le_bytes());
-        for e in &self.data {
-            e.push_key_bytes(out);
-        }
-    }
-
     /// Extracts column `j` as a vector.
     pub fn col(&self, j: usize) -> Vec<Int> {
         (0..self.rows).map(|i| self[(i, j)].clone()).collect()

@@ -27,11 +27,6 @@ pub struct SmithNormalForm {
 
 /// Computes the Smith normal form of `a`.
 ///
-/// A pure function of the matrix, so the result is memoized by
-/// canonical matrix key when sub-problem memoization is active (see
-/// `presburger_trace::memo`); the memo hit replays the original
-/// computation's counter charges, keeping statistics byte-identical.
-///
 /// ```
 /// use presburger_arith::{Matrix, smith::smith_normal_form};
 ///
@@ -41,30 +36,6 @@ pub struct SmithNormalForm {
 /// assert_eq!(snf.rank, 2);
 /// ```
 pub fn smith_normal_form(a: &Matrix) -> SmithNormalForm {
-    use presburger_trace::memo::{self, MemoDomain};
-    use std::sync::Arc;
-
-    if !memo::active() {
-        return smith_normal_form_impl(a);
-    }
-    let mut key = Vec::with_capacity(8 + 4 * a.rows() * a.cols());
-    a.push_key_bytes(&mut key);
-    if let Some(hit) = memo::lookup(MemoDomain::Smith, &key) {
-        if let Ok(snf) = hit.downcast::<SmithNormalForm>() {
-            return (*snf).clone();
-        }
-    }
-    let guard = memo::begin_record();
-    let snf = smith_normal_form_impl(a);
-    let delta = guard.finish();
-    // Rough footprint: three matrices of mostly-small Ints.
-    let bytes = 24
-        * (snf.u.rows() * snf.u.cols() + snf.d.rows() * snf.d.cols() + snf.v.rows() * snf.v.cols());
-    memo::record(MemoDomain::Smith, &key, Arc::new(snf.clone()), delta, bytes);
-    snf
-}
-
-fn smith_normal_form_impl(a: &Matrix) -> SmithNormalForm {
     presburger_trace::bump(presburger_trace::Counter::SmithNormalFormCalls);
     let rows = a.rows();
     let cols = a.cols();

@@ -45,12 +45,6 @@ fn main() {
         if let Some(s) = r.par_speedup {
             obj.field_f64("par_speedup", s);
         }
-        if let Some(h) = r.memo_hit_rate {
-            obj.field_f64("memo_hit_rate", h);
-        }
-        if let Some(s) = r.memo_speedup {
-            obj.field_f64("memo_speedup", s);
-        }
         obj.field_raw("counters", &r.counters.to_json_nonzero());
         entries.push(obj.finish());
     }

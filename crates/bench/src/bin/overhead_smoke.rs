@@ -102,24 +102,8 @@ fn main() {
         "a disabled registry must record nothing"
     );
 
-    // 2d. Unit cost of the memo stand-down guard: with the memo off
-    //     (`CountOptions.memo = false` / `PRESBURGER_MEMO=0`), every
-    //     memoizable call site (eliminate, Smith, Faulhaber) evaluates
-    //     `memo::active()` and nothing else — no key is built. No memo
-    //     scope is installed on this thread, so this loop measures
-    //     exactly that disabled path.
-    assert!(
-        !trace::memo::active(),
-        "overhead loop must measure the disabled path"
-    );
-    let t = Instant::now();
-    for _ in 0..HOOK_LOOPS {
-        std::hint::black_box(trace::memo::active());
-    }
-    let per_memo_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(HOOK_LOOPS);
-
-    // 2e. Per-request cost of the shard router (DESIGN.md §14): one
-    //     `routing_hash` (canonical intern key of the parsed formula)
+    // 2d. Per-request cost of the shard router (DESIGN.md §14): one
+    //     `routing_hash` (canonical key bytes of the parsed formula)
     //     plus one consistent-hash `route` per request, measured on the
     //     §2.6 dependence formula — a far larger routing key than the
     //     stress mix's. Unlike the hooks above this path has no
@@ -141,7 +125,7 @@ fn main() {
     }
     let per_route_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(ROUTE_LOOPS);
 
-    // 2f. Per-request cost of the binary wire codec (DESIGN.md §15):
+    // 2e. Per-request cost of the binary wire codec (DESIGN.md §15):
     //     one request frame encode + decode plus one reply frame
     //     encode + decode, on the same §2.6-style query as the routing
     //     workload. Like routing this path has no disabled state — a
@@ -168,7 +152,7 @@ fn main() {
     }
     let per_wire_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(WIRE_LOOPS);
 
-    // 2g. Per-request cost of the admission layer (DESIGN.md §16): one
+    // 2f. Per-request cost of the admission layer (DESIGN.md §16): one
     //     quota-ledger check (a token-bucket tick under the ledger
     //     lock, cycling four client identities so the bucket map is
     //     exercised), one lane push + strict-priority pop, one
@@ -232,9 +216,6 @@ fn main() {
     // A request records one observation; bounding by the fork count is
     // already 64× conservative for an E3-sized request.
     let obs_overhead_ms = FORKS_PER_RUN * per_obs_ns / 1e6;
-    // Every memoizable call site bumps at least one counter, so the
-    // hook count bounds the number of memo guards per run.
-    let memo_overhead_ms = hooks as f64 * per_memo_ns / 1e6;
     // A pooled request routes exactly once — the multiplier here is 1,
     // not the 64× used for the per-worker hooks above, because routing
     // happens at admission, never inside the compute.
@@ -249,7 +230,6 @@ fn main() {
     let gauge_pct = 100.0 * gauge_overhead_ms / median_ms;
     let fork_pct = 100.0 * fork_overhead_ms / median_ms;
     let obs_pct = 100.0 * obs_overhead_ms / median_ms;
-    let memo_pct = 100.0 * memo_overhead_ms / median_ms;
     let route_pct = 100.0 * route_overhead_ms / median_ms;
     let wire_pct = 100.0 * wire_overhead_ms / median_ms;
     let admit_pct = 100.0 * admit_overhead_ms / median_ms;
@@ -258,7 +238,6 @@ fn main() {
     println!("disabled gauge hook:     {per_gauge_ns:.2} ns");
     println!("disabled fork handle:    {per_fork_ns:.2} ns");
     println!("disabled request metric: {per_obs_ns:.2} ns");
-    println!("disabled memo guard:     {per_memo_ns:.2} ns");
     println!("shard route cost:        {per_route_ns:.2} ns");
     println!("wire codec round trip:   {per_wire_ns:.2} ns");
     println!("admission path cost:     {per_admit_ns:.2} ns");
@@ -287,11 +266,6 @@ fn main() {
         eprintln!("FAIL: disabled request-metrics overhead {obs_pct:.2}% >= 5%");
         std::process::exit(1);
     }
-    println!("memo-guard overhead:     {memo_overhead_ms:.4} ms ({memo_pct:.2}% of E3)");
-    if memo_pct >= 5.0 {
-        eprintln!("FAIL: disabled memo-guard overhead {memo_pct:.2}% >= 5%");
-        std::process::exit(1);
-    }
     println!(
         "shard-routing overhead:  {route_overhead_ms:.4} ms per request ({route_pct:.2}% of E3)"
     );
@@ -313,5 +287,5 @@ fn main() {
         eprintln!("FAIL: admission-path overhead {admit_pct:.2}% >= 5%");
         std::process::exit(1);
     }
-    println!("OK: disabled-collector, disabled-governor, disabled-telemetry, disabled-memo, shard-routing, wire-codec and admission overhead is below the 5% bound");
+    println!("OK: disabled-collector, disabled-governor, disabled-telemetry, shard-routing, wire-codec and admission overhead is below the 5% bound");
 }

@@ -28,8 +28,9 @@ pub struct Report {
     /// Whether the measured result matches the paper's claim (shape,
     /// not absolute timing).
     pub pass: bool,
-    /// Wall time for the whole experiment (checks included) — filled by
-    /// [`all_experiments`].
+    /// Wall time. A timed row (S3) sets the fastest of its runs itself;
+    /// for every other row [`all_experiments`] fills in the whole
+    /// experiment's time, checks included.
     pub wall: Duration,
     /// Pipeline counters accumulated during the experiment — filled by
     /// [`all_experiments`].
@@ -37,13 +38,6 @@ pub struct Report {
     /// Wall-clock speedup of the clause pipeline at 4 worker threads
     /// over 1, measured by the stress experiments (`None` elsewhere).
     pub par_speedup: Option<f64>,
-    /// Memo-table hit rate over the S3 zipf request stream
-    /// (`hits / (hits + misses)`, `None` elsewhere).
-    pub memo_hit_rate: Option<f64>,
-    /// Wall-clock speedup of the S3 zipf request stream with the memo
-    /// on over the same stream with it off, each side's fastest of five
-    /// runs (`None` elsewhere).
-    pub memo_speedup: Option<f64>,
 }
 
 impl Report {
@@ -63,8 +57,6 @@ impl Report {
             wall: Duration::ZERO,
             counters: PipelineStats::default(),
             par_speedup: None,
-            memo_hit_rate: None,
-            memo_speedup: None,
         }
     }
 
@@ -131,21 +123,25 @@ pub fn all_experiments() -> Vec<Report> {
         a6_adaptive_bounds,
         s1_manyclause_determinism,
         s2_manyclause_speedup,
-        s3_memo_zipf,
+        s3_zipf_stream,
     ];
     fns.iter().map(|f| run_instrumented(*f)).collect()
 }
 
-/// Runs one experiment with counters enabled, recording wall time and
-/// the counter delta attributable to it.
+/// Runs one experiment with counters enabled from zero, recording wall
+/// time and the counters it charged. Starting from zero scopes the
+/// gauges (`sum_depth`, `max_coeff_bits`) to the row: a high-water mark
+/// left by an earlier row would otherwise survive the delta.
 fn run_instrumented(f: fn() -> Report) -> Report {
     let was_counting = trace::counting();
     trace::enable_counters(true);
-    let before = trace::snapshot();
+    trace::reset();
     let t = Instant::now();
     let mut r = f();
-    r.wall = t.elapsed();
-    r.counters = trace::snapshot().delta(&before);
+    if r.wall.is_zero() {
+        r.wall = t.elapsed();
+    }
+    r.counters = trace::snapshot();
     trace::enable_counters(was_counting);
     r
 }
@@ -1002,10 +998,7 @@ pub fn s1_manyclause_determinism() -> Report {
         let (r4, c4) = meter(4);
         let identical = r1.to_display_string() == r2.to_display_string()
             && r1.to_display_string() == r4.to_display_string();
-        // Memo hit/miss patterns legitimately vary with table warmth
-        // and thread partitioning; every replayed counter must not.
-        let counters_match = c1.without_memo_meta() == c2.without_memo_meta()
-            && c1.without_memo_meta() == c4.without_memo_meta();
+        let counters_match = c1 == c2 && c1 == c4;
         // the union of the k shifted intervals sweeps [1, n+k−1]
         let values_ok = (0i64..=9).all(|nv| {
             let expect = if nv >= 1 { nv + k as i64 - 1 } else { 0 };
@@ -1080,25 +1073,21 @@ pub fn s2_manyclause_speedup() -> Report {
     r
 }
 
-/// S3: cross-request memoization under a zipf-skewed request mix.
+/// S3: a zipf-skewed request stream, timed.
 ///
 /// A serving process sees the same few queries over and over (a few hot
-/// formulas, a long tail); this experiment replays that shape against
-/// the sub-problem memo. A fixed-seed stream of requests is drawn
-/// zipf-style over a pool of distinct splinter-heavy queries, then run
-/// as five alternating pairs, each run from a cold table: memo off, then
-/// memo on. The pass criterion is transparency (byte-identical rendered
-/// answers in every run, with at least one hit). The hit rate comes from
-/// the first pair; the wall-clock speedup is the ratio of the two sides'
-/// fastest runs, so one noisy sample cannot decide it. Both land in
-/// `memo_hit_rate` / `memo_speedup` in `BENCH_counters.json`, where
-/// `scripts/check.sh`'s memo gate enforces them.
-pub fn s3_memo_zipf() -> Report {
+/// formulas, a long tail). A fixed-seed stream of requests is drawn
+/// zipf-style over a pool of distinct splinter-heavy queries and
+/// counted cold, one request after another, five times. The row's
+/// counters are those of the first run; its wall time is the fastest
+/// run, so one noisy sample cannot decide it. The pass criterion is
+/// determinism: every run renders byte-identical answers.
+pub fn s3_zipf_stream() -> Report {
     const POOL: usize = 16;
     const REQUESTS: usize = 120;
-    const PAIRS: usize = 5;
+    const RUNS: usize = 5;
     // The query pool: each entry owns its space, mirroring independent
-    // requests — nothing is shared except what the memo deduplicates.
+    // requests.
     let mut pool: Vec<(Space, Formula, Vec<VarId>)> = Vec::new();
     for k in 3..=10 {
         let mut s = Space::new();
@@ -1132,57 +1121,40 @@ pub fn s3_memo_zipf() -> Report {
             POOL - 1
         })
         .collect();
-    let run_stream = |memo: bool| -> (Vec<String>, Duration, PipelineStats) {
-        trace::memo::clear_local();
-        trace::memo::clear_shared();
-        let before = trace::snapshot();
+    let run_stream = || -> (Vec<String>, Duration) {
         let t = Instant::now();
         let answers: Vec<String> = stream
             .iter()
             .map(|&q| {
                 let (s, f, vars) = &pool[q];
-                let opts = CountOptions {
-                    memo,
-                    ..CountOptions::default()
-                };
-                try_count_solutions(s, f, vars, &opts)
-                    .expect("zipf request failed")
-                    .to_display_string()
+                count(s, f, vars).to_display_string()
             })
             .collect();
-        (answers, t.elapsed(), trace::snapshot().delta(&before))
+        (answers, t.elapsed())
     };
-    let (off_answers, mut t_off, _) = run_stream(false);
-    let (on_answers, mut t_on, on_stats) = run_stream(true);
-    let mut identical = off_answers == on_answers;
-    // The extra pairs only add timing samples: with counters off they
-    // leave the row's counters those of the first pair.
+    let (first, mut best) = run_stream();
+    let mut identical = true;
+    // The later runs only add timing samples: with counters off they
+    // leave the row's counters those of the first run.
     let was_counting = trace::counting();
     trace::enable_counters(false);
-    for _ in 1..PAIRS {
-        let (off, t, _) = run_stream(false);
-        t_off = t_off.min(t);
-        let (on, t, _) = run_stream(true);
-        t_on = t_on.min(t);
-        identical &= off == off_answers && on == off_answers;
+    for _ in 1..RUNS {
+        let (answers, t) = run_stream();
+        best = best.min(t);
+        identical &= answers == first;
     }
     trace::enable_counters(was_counting);
-    let hits = on_stats.get(Counter::MemoHit);
-    let misses = on_stats.get(Counter::MemoMiss);
-    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    let speedup = t_off.as_secs_f64() / t_on.as_secs_f64().max(1e-9);
     let mut r = Report::new(
         "S3",
-        "stress: zipf request mix, memo-on vs memo-off",
-        "skewed request mixes repeat sub-problems; memoization shortcuts them without changing any answer",
+        "stress: zipf request stream, fastest of 5 runs",
+        "a skewed request mix is counted cold, request by request, with the same answers every run",
         format!(
-            "identical answers across {REQUESTS} zipf requests over {POOL} distinct queries, \
-             memo-on vs memo-off: {identical} (hit rate and speedup in BENCH_counters.json)"
+            "identical answers across {RUNS} runs of {REQUESTS} zipf requests over {POOL} distinct queries: \
+             {identical} (fastest run in the ms column)"
         ),
-        identical && hits > 0,
+        identical,
     );
-    r.memo_hit_rate = Some(hit_rate);
-    r.memo_speedup = Some(speedup);
+    r.wall = best;
     r
 }
 

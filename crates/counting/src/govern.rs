@@ -371,7 +371,6 @@ pub fn try_sum_polynomial_governed(
     opts: &CountOptions,
     gov: &Governor,
 ) -> Result<Outcome, CountError> {
-    let _memo = crate::MemoScope::install(opts.memo);
     let mut space = space.clone();
     let rt = Runtime::new(gov);
     sum_formula_governed(f, vars, poly, &mut space, opts, &rt)
@@ -486,7 +485,6 @@ pub fn try_sum_polynomial_bounds(
     gov: &Governor,
 ) -> Result<(Symbolic, Symbolic), CountError> {
     let _span = trace::span("sum_polynomial_bounds");
-    let _memo = crate::MemoScope::install(opts.memo);
     let mut space = space.clone();
     let rt = Runtime::new(gov);
 

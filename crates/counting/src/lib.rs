@@ -87,14 +87,8 @@ pub struct CountOptions {
     /// the task decomposition and merge order never depend on
     /// scheduling.
     pub threads: usize,
-    /// Memoize pure sub-computations (variable eliminations with their
-    /// splinter sets, Smith normal forms, Faulhaber power sums) across
-    /// clauses — and, when the serving layer enables the shared tier,
-    /// across requests. Answers and trace counters are byte-identical
-    /// either way (hits replay the counter delta the original
-    /// computation charged); only the `memo_*` meta-counters and
-    /// wall-clock time differ. Defaults to the `PRESBURGER_MEMO`
-    /// environment variable (`0`/`false`/`off` disable), else on.
+    /// Ignored: the engine memoizes nothing. Removed with ROADMAP
+    /// item 5's benchmark change.
     pub memo: bool,
 }
 
@@ -110,7 +104,7 @@ impl Default for CountOptions {
             four_piece: false,
             remove_redundant: true,
             threads: default_threads(),
-            memo: default_memo(),
+            memo: false,
         }
     }
 }
@@ -120,40 +114,6 @@ fn default_threads() -> usize {
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .unwrap_or(1)
-}
-
-/// Like [`default_threads`], `PRESBURGER_MEMO` is read per call so a
-/// test (or a long-running service) flipping it is never silently
-/// ignored. Anything other than `0`, `false` or `off` leaves the memo
-/// on.
-fn default_memo() -> bool {
-    !std::env::var("PRESBURGER_MEMO")
-        .map(|s| {
-            let s = s.trim().to_ascii_lowercase();
-            s == "0" || s == "false" || s == "off"
-        })
-        .unwrap_or(false)
-}
-
-/// RAII guard installing the thread's memo flag for the duration of an
-/// engine entry point, restoring the previous state on exit (entries
-/// nest when a caller's summand callback re-enters the engine).
-pub(crate) struct MemoScope {
-    prev: bool,
-}
-
-impl MemoScope {
-    pub(crate) fn install(on: bool) -> MemoScope {
-        let prev = presburger_trace::memo_enabled();
-        presburger_trace::set_memo_enabled(on);
-        MemoScope { prev }
-    }
-}
-
-impl Drop for MemoScope {
-    fn drop(&mut self) {
-        presburger_trace::set_memo_enabled(self.prev);
-    }
 }
 
 /// Errors reported by the counting engine.
@@ -450,7 +410,6 @@ pub fn try_sum_polynomial(
     poly: &QPoly,
     opts: &CountOptions,
 ) -> Result<Symbolic, CountError> {
-    let _memo = MemoScope::install(opts.memo);
     let mut space = space.clone();
     let value = general::sum_formula(f, vars, poly, &mut space, opts)?;
     Ok(Symbolic { space, value })

@@ -158,7 +158,6 @@ pub(crate) fn run_clause_tasks_raw(
             let workers: Vec<_> = (0..threads)
                 .map(|_| {
                     let queue = &queue;
-                    let fork = fork.clone();
                     s.spawn(move || {
                         let handle = fork.begin();
                         let mut done = Vec::new();

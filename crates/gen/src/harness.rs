@@ -1,5 +1,5 @@
 //! The differential harness: runs one generated (or replayed) case
-//! through five independent oracle/metamorphic families.
+//! through four independent oracle/metamorphic families.
 //!
 //! 1. **Brute force** — the engine's count of `A ∨ B`, evaluated at
 //!    concrete parameter points, must equal exhaustive enumeration
@@ -15,10 +15,6 @@
 //!    Haghighat–Polychronopoulos baselines are exact single sums, so
 //!    they must equal (and in particular never fall below) the
 //!    engine's exact count.
-//! 5. **Memo transparency** — recounting with the sub-problem memo
-//!    disabled, and again over the warmed table, must render answers
-//!    byte-identical to each other. A stale or mis-keyed memo entry
-//!    surfaces here as a direct diff instead of downstream value drift.
 //!
 //! Every engine call runs under a [`Governor`] wall-clock deadline, so
 //! a pathological case degrades (and is skipped) rather than hanging
@@ -272,71 +268,6 @@ pub fn check_case(case: &GenCase, h: &Harness, budgets: &BudgetChoice) -> Result
     family_metamorphic(case, h, &binds, &union, &eu)?;
     family_robustness(case, h, budgets, &binds, &union, &eu)?;
     family_baseline(case, h, &binds)?;
-    family_memo(case, h, &union, &eu)?;
-    Ok(())
-}
-
-/// Family 5: memo transparency. Recounts the union with the memo
-/// explicitly disabled, then again with it armed over the (now warm)
-/// thread-local table, and demands the two rendered answers be
-/// byte-identical. Generated cases are heavy on shared stride/coefficient
-/// structure, so the warm pass is served largely from the table — a
-/// stale or mis-keyed entry shows up as a direct rendering diff.
-fn family_memo(
-    case: &GenCase,
-    h: &Harness,
-    union: &Formula,
-    eu: &Engine,
-) -> Result<(), CaseFailure> {
-    let fam = "memo";
-    if !matches!(eu, Engine::Values(_)) {
-        return Ok(());
-    }
-    let run = |memo: bool| {
-        let gov = Governor::new(Budgets {
-            deadline: Some(h.deadline),
-            ..Budgets::unlimited()
-        });
-        let opts = CountOptions {
-            memo,
-            ..CountOptions::default()
-        };
-        try_count_solutions_governed(&case.space, union, &case.vars, &opts, &gov)
-    };
-    let render =
-        |o: Result<Outcome, CountError>, label: &str| -> Result<Option<String>, CaseFailure> {
-            match o {
-                Ok(Outcome::Exact(sym)) => Ok(Some(sym.to_display_string())),
-                // Deadline luck can differ between the passes; a degraded
-                // pass makes the comparison inapplicable, not a failure.
-                Ok(Outcome::Bounded { .. }) => Ok(None),
-                Err(e)
-                    if e.is_degradable()
-                        || matches!(e, CountError::Deadline { .. } | CountError::TooComplex(_)) =>
-                {
-                    Ok(None)
-                }
-                Err(e) => Err(CaseFailure {
-                    family: fam,
-                    kind: "engine-error",
-                    detail: format!(
-                        "{label} recount failed on {}: {e}",
-                        union.to_string(&case.space)
-                    ),
-                }),
-            }
-        };
-    let off = render(run(false), "memo-off")?;
-    let warm = render(run(true), "memo-warm")?;
-    if let (Some(a), Some(b)) = (&off, &warm) {
-        if a != b {
-            return Err(CaseFailure {
-                family: fam,
-                kind: "mismatch",
-                detail: format!("memo-off={a} memo-warm={b}\n{}", case.describe()),
-            });
-        }
-    }
     Ok(())
 }
 

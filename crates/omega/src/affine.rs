@@ -226,11 +226,11 @@ impl Affine {
     }
 
     /// Appends a canonical byte encoding of the expression to `out`,
-    /// for memo-table and cache keys: term count, then `(VarId, coeff)`
+    /// for cache and routing keys: term count, then `(VarId, coeff)`
     /// pairs in ascending variable order, then the constant. Injective
     /// over expressions in the same space — equal bytes iff structurally
     /// equal — and stable across threads and processes (raw `VarId`
-    /// indices, never arena-local handles).
+    /// indices).
     pub fn push_key_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.terms.len() as u32).to_le_bytes());
         for (v, c) in self.terms.iter() {

@@ -553,34 +553,6 @@ impl Conjunct {
         Formula::exists(self.wildcards.clone(), Formula::and(parts))
     }
 
-    /// Appends a canonical byte encoding of the conjunct to `out`, for
-    /// memo-table and cache keys: the contradiction flag, then the
-    /// wildcard list, equalities, inequalities and strides, each
-    /// length-prefixed and in stored order. Injective over conjuncts of
-    /// the same space, and stable across threads and processes (raw
-    /// `VarId` indices, never arena-local handles) — run `normalize`
-    /// first when a canonical constraint order matters.
-    pub fn push_key_bytes(&self, out: &mut Vec<u8>) {
-        out.push(self.contradiction as u8);
-        out.extend_from_slice(&(self.wildcards.len() as u32).to_le_bytes());
-        for w in &self.wildcards {
-            out.extend_from_slice(&(w.index() as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&(self.eqs.len() as u32).to_le_bytes());
-        for e in &self.eqs {
-            e.push_key_bytes(out);
-        }
-        out.extend_from_slice(&(self.geqs.len() as u32).to_le_bytes());
-        for e in &self.geqs {
-            e.push_key_bytes(out);
-        }
-        out.extend_from_slice(&(self.strides.len() as u32).to_le_bytes());
-        for (m, e) in &self.strides {
-            m.push_key_bytes(out);
-            e.push_key_bytes(out);
-        }
-    }
-
     /// Renders the conjunct with variable names from `space`.
     pub fn to_string(&self, space: &Space) -> String {
         if self.contradiction {
@@ -862,10 +834,6 @@ mod tests {
             let show = || c.to_string(&s);
             assert_eq!(twice, once, "trial {trial}: {}", show());
             assert_eq!(unmarked, once, "trial {trial}: {}", show());
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            once.push_key_bytes(&mut a);
-            unmarked.push_key_bytes(&mut b);
-            assert_eq!(a, b, "trial {trial}: {}", show());
             assert_eq!(
                 once.normalized.0,
                 !once.is_false(),

@@ -56,14 +56,6 @@ pub struct Eliminated {
 ///
 /// Strides mentioning `v` are converted to wildcard equalities first;
 /// an equality mentioning `v` always gives a single exact clause.
-///
-/// When memoization is [active](presburger_trace::memo::active) the
-/// stride-free path — a pure function of the normalized conjunct — is
-/// served from the memo table under `MemoDomain::Eliminate`, keyed on
-/// the conjunct's canonical bytes plus `v` and the mode. The
-/// stride-on-`v` path interns fresh wildcards into `space`
-/// ([`Conjunct::stride_to_wildcard`]), so its result depends on space
-/// state and is recomputed every time.
 pub fn eliminate(c: &Conjunct, v: VarId, space: &mut Space, mode: Shadow) -> Eliminated {
     eliminate_with(c, v, space, mode, disjoint_splinters)
 }
@@ -102,60 +94,20 @@ fn eliminate_with(
                 clauses: vec![],
             };
         }
-        // Fresh wildcards were interned just above: the clauses below
-        // name them, so this result is a function of `space`, not of
-        // the canonical key — never memoize it.
-        return eliminate_normalized(&c, v, space, mode, splinters);
     }
-
-    use presburger_trace::memo::{self, MemoDomain};
-    if !memo::active() {
-        return eliminate_normalized(&c, v, space, mode, splinters);
-    }
-    let mut key = Vec::with_capacity(96);
-    c.push_key_bytes(&mut key);
-    key.extend_from_slice(&(v.index() as u32).to_le_bytes());
-    key.push(match mode {
-        Shadow::Real => 0,
-        Shadow::Dark => 1,
-        Shadow::ExactOverlapping => 2,
-        Shadow::ExactDisjoint => 3,
-    });
-    if let Some(hit) = memo::lookup(MemoDomain::Eliminate, &key) {
-        if let Ok(r) = hit.downcast::<Eliminated>() {
-            return (*r).clone();
-        }
-    }
-    let guard = memo::begin_record();
-    let r = eliminate_normalized(&c, v, space, mode, splinters);
-    let delta = guard.finish();
-    let bytes = r
-        .clauses
-        .iter()
-        .map(|cl| 64 + 48 * (cl.eqs().len() + cl.geqs().len() + cl.strides().len()))
-        .sum::<usize>();
-    memo::record(
-        MemoDomain::Eliminate,
-        &key,
-        std::sync::Arc::new(r.clone()),
-        delta,
-        bytes,
-    );
-    r
+    eliminate_normalized(c, v, space, mode, splinters)
 }
 
 /// The elimination body proper, on a conjunct that is already
-/// normalized, carries `v` as a wildcard, and has no stride on `v`
-/// (unless called directly from the stride conversion path). Reads
-/// `space` only for trace labels.
+/// normalized, carries `v` as a wildcard, and has no stride on `v`.
+/// Reads `space` only for trace labels.
 fn eliminate_normalized(
-    c: &Conjunct,
+    mut c: Conjunct,
     v: VarId,
-    space: &mut Space,
+    space: &Space,
     mode: Shadow,
     splinters: SplinterFn,
 ) -> Eliminated {
-    let mut c = c.clone();
     if let Some(idx) = c.eqs().iter().position(|e| e.mentions(v)) {
         trace::bump(Counter::EliminateViaEquality);
         trace::explain(|| format!("eliminate {} via equality", space.name(v)));

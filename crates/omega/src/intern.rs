@@ -1,161 +1,16 @@
-//! Structurally-hashed interning arena for affine terms and conjuncts.
+//! Canonical key bytes for formulas.
 //!
-//! The counting pipeline keeps re-encountering structurally identical
-//! sub-objects: the same affine bound shows up in every splinter of a
-//! clause, and under heavy similar traffic the same conjunct arrives in
-//! request after request. The [`Arena`] gives each distinct structure
-//! one small, copyable handle ([`TermId`] / [`ConjId`]) plus a cached
-//! canonical byte encoding ([`Arena::term_key`] / [`Arena::conj_key`])
-//! — the exact bytes the memo layer (`presburger_trace::memo`) and the
-//! serving result cache key on.
-//!
-//! Structural hashing is by canonical encoding: two objects intern to
-//! the same handle **iff** their `push_key_bytes` encodings agree,
-//! which (the encodings being injective) is iff they are structurally
-//! equal. The handles themselves are arena-local and must never leak
-//! into memo keys — only the canonical bytes are stable across
-//! threads, requests, and processes.
-//!
-//! Each thread owns one arena ([`with_arena`]); entries are immortal
-//! within it (handles are never invalidated) and the whole arena is
-//! dropped wholesale by [`clear`] when a size cap is exceeded — the
-//! same no-stale-entries invalidation story as the memo tables, see
-//! DESIGN.md §13.
+//! [`formula_push_key_bytes`] encodes a parsed formula as a byte string
+//! that is equal for two formulas exactly when they are structurally
+//! equal (DESIGN.md §13). The serving layer keys its result cache and
+//! hashes shard routing on these bytes. They name variables by raw
+//! `VarId` index, so they are stable across threads and processes.
 
-use crate::affine::Affine;
-use crate::conjunct::Conjunct;
 use crate::formula::{Constraint, Formula};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Arc;
 
-/// Handle to an interned affine term in a thread's [`Arena`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TermId(u32);
-
-/// Handle to an interned conjunct in a thread's [`Arena`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ConjId(u32);
-
-/// Entries per thread arena before it is dropped wholesale.
-const ARENA_MAX_ENTRIES: usize = 1 << 16;
-
-/// A structurally-hashed interning arena: one handle and one cached
-/// canonical encoding per distinct structure.
-#[derive(Default)]
-pub struct Arena {
-    term_ids: HashMap<Arc<[u8]>, TermId>,
-    terms: Vec<(Affine, Arc<[u8]>)>,
-    conj_ids: HashMap<Arc<[u8]>, ConjId>,
-    conjs: Vec<(Conjunct, Arc<[u8]>)>,
-}
-
-impl Arena {
-    /// Creates an empty arena.
-    pub fn new() -> Arena {
-        Arena::default()
-    }
-
-    /// Interns `e`, returning its handle. Structurally equal terms get
-    /// equal handles; distinct structures get distinct handles.
-    pub fn intern_term(&mut self, e: &Affine) -> TermId {
-        let mut bytes = Vec::with_capacity(16);
-        e.push_key_bytes(&mut bytes);
-        let key: Arc<[u8]> = Arc::from(bytes);
-        if let Some(&id) = self.term_ids.get(&key) {
-            return id;
-        }
-        if self.terms.len() >= ARENA_MAX_ENTRIES {
-            self.term_ids.clear();
-            self.terms.clear();
-        }
-        let id = TermId(self.terms.len() as u32);
-        self.term_ids.insert(key.clone(), id);
-        self.terms.push((e.clone(), key));
-        id
-    }
-
-    /// Interns `c`, returning its handle.
-    pub fn intern_conj(&mut self, c: &Conjunct) -> ConjId {
-        let mut bytes = Vec::with_capacity(64);
-        c.push_key_bytes(&mut bytes);
-        let key: Arc<[u8]> = Arc::from(bytes);
-        if let Some(&id) = self.conj_ids.get(&key) {
-            return id;
-        }
-        if self.conjs.len() >= ARENA_MAX_ENTRIES {
-            self.conj_ids.clear();
-            self.conjs.clear();
-        }
-        let id = ConjId(self.conjs.len() as u32);
-        self.conj_ids.insert(key.clone(), id);
-        self.conjs.push((c.clone(), key));
-        id
-    }
-
-    /// The interned term behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` came from a different arena generation.
-    pub fn term(&self, id: TermId) -> &Affine {
-        &self.terms[id.0 as usize].0
-    }
-
-    /// The interned conjunct behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` came from a different arena generation.
-    pub fn conj(&self, id: ConjId) -> &Conjunct {
-        &self.conjs[id.0 as usize].0
-    }
-
-    /// The cached canonical encoding of the term behind `id` — the
-    /// stable bytes to build memo/cache keys from (never the handle).
-    pub fn term_key(&self, id: TermId) -> &Arc<[u8]> {
-        &self.terms[id.0 as usize].1
-    }
-
-    /// The cached canonical encoding of the conjunct behind `id`.
-    pub fn conj_key(&self, id: ConjId) -> &Arc<[u8]> {
-        &self.conjs[id.0 as usize].1
-    }
-
-    /// Number of distinct terms interned.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Number of distinct conjuncts interned.
-    pub fn num_conjs(&self) -> usize {
-        self.conjs.len()
-    }
-}
-
-thread_local! {
-    static ARENA: RefCell<Arena> = RefCell::new(Arena::new());
-}
-
-/// Runs `f` with the current thread's arena.
-pub fn with_arena<R>(f: impl FnOnce(&mut Arena) -> R) -> R {
-    ARENA.with(|a| f(&mut a.borrow_mut()))
-}
-
-/// Drops the current thread's arena wholesale (handles from before this
-/// call must not be dereferenced afterwards).
-pub fn clear() {
-    ARENA.with(|a| *a.borrow_mut() = Arena::new());
-}
-
-/// Interns a conjunct in the thread arena and returns its canonical key
-/// bytes — the common one-shot path for memo keying.
-pub fn conj_key_bytes(c: &Conjunct) -> Arc<[u8]> {
-    with_arena(|a| {
-        let id = a.intern_conj(c);
-        a.conj_key(id).clone()
-    })
-}
+/// Does nothing: there is no interning arena any more. Removed with
+/// ROADMAP item 5's benchmark change.
+pub fn clear() {}
 
 /// Appends a canonical byte encoding of `f` to `out`: a tag per node,
 /// children length-prefixed, atoms via the affine/Int encoders, and
@@ -228,6 +83,7 @@ pub fn constraint_push_key_bytes(c: &Constraint, out: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::affine::Affine;
     use crate::space::Space;
     use proptest::prelude::*;
 
@@ -238,44 +94,6 @@ mod tests {
             .map(|&(v, k)| (vars[v as usize % 8], k))
             .collect();
         Affine::from_terms(&terms, c)
-    }
-
-    #[test]
-    fn equal_terms_same_id_unequal_distinct() {
-        let mut s = Space::new();
-        let x = s.var("x");
-        let y = s.var("y");
-        let a = Affine::from_terms(&[(x, 2), (y, -1)], 3);
-        let b = Affine::from_terms(&[(y, -1), (x, 2)], 3); // same structure
-        let c = Affine::from_terms(&[(x, 2), (y, -1)], 4); // differs in constant
-        let mut arena = Arena::new();
-        let ia = arena.intern_term(&a);
-        let ib = arena.intern_term(&b);
-        let ic = arena.intern_term(&c);
-        assert_eq!(ia, ib, "structurally equal terms share a handle");
-        assert_ne!(ia, ic, "distinct structures get distinct handles");
-        assert_eq!(arena.num_terms(), 2);
-        assert_eq!(arena.term(ia), &a);
-        assert_eq!(arena.term_key(ia), arena.term_key(ib));
-    }
-
-    #[test]
-    fn conjunct_interning_is_canonical() {
-        let mut s = Space::new();
-        let x = s.var("x");
-        let mut c1 = Conjunct::new();
-        c1.add_geq(Affine::var(x) - Affine::constant(1));
-        let mut c2 = c1.clone();
-        c2.normalize();
-        c1.normalize();
-        let mut arena = Arena::new();
-        let i1 = arena.intern_conj(&c1);
-        let i2 = arena.intern_conj(&c2);
-        assert_eq!(i1, i2);
-        let mut c3 = Conjunct::new();
-        c3.add_geq(Affine::var(x) - Affine::constant(2));
-        c3.normalize();
-        assert_ne!(arena.intern_conj(&c3), i1);
     }
 
     #[test]
@@ -297,25 +115,25 @@ mod tests {
     }
 
     proptest! {
-        /// Interning is canonical: handles are equal iff the terms are
+        /// Constraint keys are canonical: equal bytes iff the terms are
         /// structurally equal.
         #[test]
-        fn intern_canonical(a in proptest::collection::vec((0u32..8, -9i64..9), 0..5),
-                            ca in -20i64..20,
-                            b in proptest::collection::vec((0u32..8, -9i64..9), 0..5),
-                            cb in -20i64..20)
+        fn constraint_keys_are_injective(
+            a in proptest::collection::vec((0u32..8, -9i64..9), 0..5),
+            ca in -20i64..20,
+            b in proptest::collection::vec((0u32..8, -9i64..9), 0..5),
+            cb in -20i64..20)
         {
             let mut s = Space::new();
             let ea = affine_of(&a, ca, &mut s);
             let mut s2 = Space::new();
             let eb = affine_of(&b, cb, &mut s2);
-            let mut arena = Arena::new();
-            let ia = arena.intern_term(&ea);
-            let ib = arena.intern_term(&eb);
-            prop_assert_eq!(ia == ib, ea == eb);
-            // and re-interning is stable
-            prop_assert_eq!(arena.intern_term(&ea), ia);
-            prop_assert_eq!(arena.intern_term(&eb), ib);
+            let enc = |e: &Affine| {
+                let mut out = Vec::new();
+                constraint_push_key_bytes(&Constraint::Ge(e.clone()), &mut out);
+                out
+            };
+            prop_assert_eq!(enc(&ea) == enc(&eb), ea == eb);
         }
     }
 }

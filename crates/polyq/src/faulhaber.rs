@@ -58,42 +58,7 @@ pub fn binomial(n: u32, k: u32) -> Int {
 /// # Panics
 ///
 /// Panics if `p > MAX_POWER`.
-///
-/// When memoization is [active](presburger_trace::memo::active) the
-/// polynomial is served from the memo table under
-/// `MemoDomain::Faulhaber`, keyed on `(p, v)` — the function is pure,
-/// and the counting engine asks for the same few exponents over and
-/// over (once per convex sum per nesting level).
 pub fn power_sum(p: u32, v: VarId) -> QPoly {
-    use presburger_trace::memo::{self, MemoDomain};
-    use std::sync::Arc;
-    if !memo::active() {
-        return power_sum_impl(p, v);
-    }
-    let mut key = Vec::with_capacity(8);
-    key.extend_from_slice(&p.to_le_bytes());
-    key.extend_from_slice(&(v.index() as u32).to_le_bytes());
-    if let Some(hit) = memo::lookup(MemoDomain::Faulhaber, &key) {
-        if let Ok(f) = hit.downcast::<QPoly>() {
-            return (*f).clone();
-        }
-    }
-    let guard = memo::begin_record();
-    let f = power_sum_impl(p, v);
-    let delta = guard.finish();
-    // F_p has p+1 terms, each a monomial with a rational coefficient.
-    let bytes = 96 * (p as usize + 2);
-    memo::record(
-        MemoDomain::Faulhaber,
-        &key,
-        Arc::new(f.clone()),
-        delta,
-        bytes,
-    );
-    f
-}
-
-fn power_sum_impl(p: u32, v: VarId) -> QPoly {
     assert!(p <= MAX_POWER, "power sum exponent {p} exceeds {MAX_POWER}");
     // Compute F_0 .. F_p by the recurrence
     //   (n+1)^{p+1} - 1 = sum_{j=0}^{p} C(p+1, j) F_j(n)

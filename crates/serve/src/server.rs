@@ -400,13 +400,6 @@ pub(crate) struct Handle {
 impl Server {
     /// Starts shard `shard`'s worker pool, with the pool's `chaos`.
     pub(crate) fn start(cfg: ServeConfig, shard: usize, chaos: Option<Arc<Chaos>>) -> Server {
-        // Cross-request memoization: the shared read-mostly tier makes
-        // sub-problem results (eliminations, Smith forms, Faulhaber
-        // polynomials) O(1) hits across requests and worker threads.
-        // Process-wide and sticky — entries are keyed by canonical
-        // encodings, so they can never go stale (see
-        // `presburger_trace::memo`).
-        trace::memo::enable_shared(true);
         if chaos.is_some() {
             chaos::install_chaos_hook();
         }

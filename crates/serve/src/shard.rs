@@ -62,7 +62,6 @@ use crate::sync::lock_ok;
 use presburger_omega::{parse_formula, Space};
 use presburger_trace::metrics::{ReqCodec, RequestMetrics};
 use presburger_trace::shard::{render_prometheus, ShardRow, ShardRowSnapshot};
-use presburger_trace::{self as trace};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -698,13 +697,11 @@ impl PoolHandle {
         merged
     }
 
-    /// The `metrics` verb's reply: the merged request telemetry, the
-    /// `presburger_shard_*` families, and the process-wide memoization
-    /// totals, `# EOF` terminated.
+    /// The `metrics` verb's reply: the merged request telemetry and the
+    /// `presburger_shard_*` families, `# EOF` terminated.
     pub fn metrics_text(&self) -> String {
         let mut out = self.request_metrics().render_prometheus();
         out.push_str(&render_prometheus(&self.shard_rows()));
-        out.push_str(&trace::memo::prometheus_text());
         out.push_str("# EOF");
         out
     }

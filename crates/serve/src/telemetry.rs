@@ -55,12 +55,9 @@ pub struct TelemetrySettings {
     pub capture_counters: bool,
     /// Capture span trees on workers so flight records carry the full
     /// derivation of a slow request. Costs allocations per span while
-    /// on; independent of the engine's answer. **Off by default**: span
-    /// tracing forces sub-problem memoization to stand down on the
-    /// worker (a memo hit skips the body, so its spans and explain
-    /// events could not be reproduced — see
-    /// [`presburger_trace::memo::active`]), and cross-request memo hits
-    /// are worth more to a serving process than always-on span trees.
+    /// on; changes neither the answer nor the counters. **Off by
+    /// default**: span trees allocate for every span and explain event,
+    /// which a serving process should pay only when asked.
     pub capture_spans: bool,
     /// Flight-recorder ring capacity (newest wins); `0` disables it.
     pub flight_records: usize,

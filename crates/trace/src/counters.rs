@@ -153,15 +153,12 @@ counters! {
     /// propagating the poison (a worker panic under a held lock costs
     /// one request, never the lock).
     ServeLockRecovered => "serve_lock_recovered" / count,
-    /// Sub-problem memo-table hits (eliminate / Faulhaber / Smith).
-    /// Hit counts legitimately vary with thread count and cache
-    /// warmth; determinism gates must mask them (the replayed counter
-    /// deltas keep every *other* counter byte-identical).
+    /// Never bumped: the sub-problem memo is gone. Removed with
+    /// ROADMAP item 5's benchmark change.
     MemoHit => "memo_hits" / count,
-    /// Sub-problem memo-table misses (a fresh computation was recorded).
+    /// Never bumped. Removed with ROADMAP item 5's benchmark change.
     MemoMiss => "memo_misses" / count,
-    /// High-water mark of this thread's local memo-table footprint in
-    /// bytes (gauge; approximate).
+    /// Never raised. Removed with ROADMAP item 5's benchmark change.
     MemoBytes => "memo_bytes" / gauge,
 }
 
@@ -251,12 +248,6 @@ impl PipelineStats {
         self.values[counter as usize]
     }
 
-    /// Builds a snapshot from a raw value array (the memo layer records
-    /// per-computation deltas without touching the live cells).
-    pub(crate) fn from_raw(values: [u64; NUM_COUNTERS]) -> PipelineStats {
-        PipelineStats { values }
-    }
-
     /// Counters attributable to the work done between `earlier` and
     /// `self`: running counts are subtracted, gauges keep their final
     /// high-water mark.
@@ -285,22 +276,6 @@ impl PipelineStats {
     /// True when every counter is zero.
     pub fn is_empty(&self) -> bool {
         self.values.iter().all(|&v| v == 0)
-    }
-
-    /// This snapshot with the memoization meta-counters
-    /// ([`Counter::MemoHit`], [`Counter::MemoMiss`],
-    /// [`Counter::MemoBytes`]) zeroed. They are the only counters
-    /// allowed to differ between memo-on and memo-off runs or across
-    /// thread counts — hit *patterns* vary with table warmth and work
-    /// partitioning, while every replayed counter stays byte-identical
-    /// — so determinism comparisons equate snapshots through this mask.
-    #[must_use]
-    pub fn without_memo_meta(&self) -> PipelineStats {
-        let mut values = self.values;
-        values[Counter::MemoHit as usize] = 0;
-        values[Counter::MemoMiss as usize] = 0;
-        values[Counter::MemoBytes as usize] = 0;
-        PipelineStats { values }
     }
 
     /// Total splinters generated across both exact elimination modes.

@@ -5,56 +5,44 @@
 //! and span tree. The protocol here carries it across the join:
 //!
 //! 1. the parent calls [`fork_scope`] *before* spawning, capturing
-//!    whether counting/tracing/memoization are enabled (a [`ForkScope`]
-//!    is `Clone` + `Send` — a few booleans plus, when memoization is
-//!    on, an `Arc`-shallow snapshot of the parent's memo table so
-//!    workers start warm);
+//!    whether counting/tracing are enabled (a [`ForkScope`] is `Copy` +
+//!    `Send` — two booleans);
 //! 2. each worker calls [`ForkScope::begin`] once, which enables the
-//!    same collection modes on the worker thread, plants the memo
-//!    seed, and snapshots a baseline;
+//!    same collection modes on the worker thread and snapshots a
+//!    baseline;
 //! 3. when the worker is done it calls [`ForkHandle::finish`], yielding
-//!    a `Send`-able [`ForkPart`] with the counter deltas, the span
-//!    subtree, and the memo entries collected on that thread;
+//!    a `Send`-able [`ForkPart`] with the counter deltas and the span
+//!    subtree collected on that thread;
 //! 4. after joining, the parent calls [`merge_fork_part`] on each part:
-//!    running counts are added, gauges take the high-water mark, span
-//!    roots are grafted under the parent's innermost open span, and
-//!    memo entries are inserted if absent (equal keys hold equal
-//!    values, so insertion order is immaterial).
+//!    running counts are added, gauges take the high-water mark, and
+//!    span roots are grafted under the parent's innermost open span.
 //!
 //! When collection is disabled every step is a few boolean moves — no
 //! snapshot, no allocation — so spawning workers costs nothing on the
 //! disabled path (the `overhead_smoke` gate measures this).
 
 use crate::counters::{self, PipelineStats};
-use crate::memo::{self, MemoPart, MemoSeed};
 use crate::span::{self, SpanTree};
 
 /// A parent thread's collection state, captured for handing to workers.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct ForkScope {
     counting: bool,
     tracing: bool,
-    memo: bool,
-    seed: Option<MemoSeed>,
 }
 
 /// Captures the current thread's collection state so worker threads can
-/// inherit it. Cheap (a few thread-local boolean loads) when collection
-/// and memoization are off; with memoization on it also snapshots the
-/// parent's memo table (one `Arc` clone per entry).
+/// inherit it: two thread-local boolean loads.
 pub fn fork_scope() -> ForkScope {
-    let memo = crate::memo_enabled();
     ForkScope {
         counting: crate::counting(),
         tracing: crate::tracing(),
-        memo,
-        seed: if memo { memo::seed() } else { None },
     }
 }
 
 impl ForkScope {
     /// Called once on the worker thread: enables the parent's
-    /// collection modes there, plants the memo seed, and snapshots the
+    /// collection modes there and snapshots the
     /// baseline the final delta is taken against.
     pub fn begin(self) -> ForkHandle {
         let baseline = if self.counting {
@@ -66,15 +54,8 @@ impl ForkScope {
         if self.tracing {
             crate::enable_tracing(true);
         }
-        if self.memo {
-            crate::set_memo_enabled(true);
-            if let Some(seed) = &self.seed {
-                memo::plant(seed);
-            }
-        }
         ForkHandle {
             tracing: self.tracing,
-            memo: self.memo,
             baseline,
         }
     }
@@ -84,7 +65,6 @@ impl ForkScope {
 /// worker).
 pub struct ForkHandle {
     tracing: bool,
-    memo: bool,
     baseline: Option<PipelineStats>,
 }
 
@@ -103,17 +83,7 @@ impl ForkHandle {
         } else {
             None
         };
-        let memo = if self.memo {
-            crate::set_memo_enabled(false);
-            memo::take_part()
-        } else {
-            None
-        };
-        ForkPart {
-            counters,
-            spans,
-            memo,
-        }
+        ForkPart { counters, spans }
     }
 }
 
@@ -123,30 +93,25 @@ impl ForkHandle {
 pub struct ForkPart {
     counters: Option<PipelineStats>,
     spans: Option<SpanTree>,
-    memo: Option<MemoPart>,
 }
 
 impl ForkPart {
     /// True when the worker collected nothing (collection was off).
     pub fn is_empty(&self) -> bool {
-        self.counters.is_none() && self.spans.is_none() && self.memo.is_none()
+        self.counters.is_none() && self.spans.is_none()
     }
 }
 
 /// Merges a worker's measurements into the current thread's collectors:
 /// counts are added, gauges raised to the worker's high-water mark, the
 /// worker's span roots become children of the innermost open span (or
-/// new roots when none is open), and memo entries are folded into this
-/// thread's local memo tier.
+/// new roots when none is open).
 pub fn merge_fork_part(part: ForkPart) {
     if let Some(stats) = part.counters {
         counters::merge(&stats);
     }
     if let Some(tree) = part.spans {
         span::merge_tree(tree);
-    }
-    if let Some(entries) = part.memo {
-        memo::merge_part(entries);
     }
 }
 
@@ -267,45 +232,6 @@ mod tests {
             "gauge is max-of-max: the parent's own 9 must not be lowered"
         );
         crate::enable_counters(false);
-    }
-
-    #[test]
-    fn memo_entries_flow_both_ways_across_a_fork() {
-        use crate::memo::{self, MemoDomain};
-        use std::sync::Arc;
-
-        memo::clear_local();
-        crate::set_memo_enabled(true);
-        // Parent warms one entry, which the worker must see via the
-        // seed; the worker records another, which the parent must see
-        // after the merge.
-        let g = memo::begin_record();
-        let d = g.finish();
-        memo::record(MemoDomain::Smith, b"parent", Arc::new(1u8), d, 1);
-        let scope = fork_scope();
-        let part = std::thread::scope(|s| {
-            s.spawn(move || {
-                let h = scope.begin();
-                assert!(
-                    memo::lookup(MemoDomain::Smith, b"parent").is_some(),
-                    "worker starts warm from the parent's seed"
-                );
-                let g = memo::begin_record();
-                let d = g.finish();
-                memo::record(MemoDomain::Smith, b"worker", Arc::new(2u8), d, 1);
-                h.finish()
-            })
-            .join()
-            .unwrap()
-        });
-        assert!(!part.is_empty(), "worker carried memo entries back");
-        merge_fork_part(part);
-        assert!(
-            memo::lookup(MemoDomain::Smith, b"worker").is_some(),
-            "parent inherits the worker's entries after the join"
-        );
-        crate::set_memo_enabled(false);
-        memo::clear_local();
     }
 
     #[test]

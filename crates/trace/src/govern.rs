@@ -215,23 +215,6 @@ pub fn install(limits: Limits) -> Installed {
     Installed { _private: () }
 }
 
-/// Whether the installed governed region (if any) tolerates sub-problem
-/// memoization. A memo hit replays the original computation's counter
-/// delta in one lump, which preserves every regional *total* but not
-/// the exact interleaving of charges — so regions with per-counter caps
-/// or an armed fault (both of which care about the precise charge at
-/// which a threshold is crossed) are not memo-safe. Deadline- and
-/// cancellation-only regions (the common serving configuration) are.
-pub(crate) fn memo_safe() -> bool {
-    STATE.with(|s| match s.borrow().as_ref() {
-        None => true,
-        Some(st) => {
-            st.limits.caps.iter().all(Option::is_none)
-                && !(st.limits.fault_active && st.limits.fault.is_some())
-        }
-    })
-}
-
 /// Unwinds the current region with a [`Trip`] payload. Public so the
 /// engine's named fuel pools (wildcard projection, disjoint
 /// conversion) can report exhaustion through the same channel.

@@ -50,7 +50,6 @@ pub mod span;
 
 pub use counters::{Counter, PipelineStats};
 pub use fork::{fork_scope, merge_fork_part, ForkHandle, ForkPart, ForkScope};
-pub use memo::{MemoDomain, MemoStats};
 pub use metrics::{Histogram, HistogramSnapshot, ReqOutcome, ReqVerb, RequestMetrics};
 pub use span::{explain, span, span_dyn, SpanGuard, SpanTree};
 
@@ -63,12 +62,6 @@ pub(crate) const FLAG_TRACING: u8 = 1 << 1;
 /// A governed region ([`govern::install`]) is active on this thread:
 /// counter hooks also charge its budgets.
 pub(crate) const FLAG_GOVERNED: u8 = 1 << 2;
-/// At least one [`memo::begin_record`] frame is open on this thread:
-/// counter hooks also accumulate into the recording frames.
-pub(crate) const FLAG_RECORDING: u8 = 1 << 3;
-/// Sub-problem memoization ([`memo`]) is enabled for this thread
-/// (installed by the counting entry points from `CountOptions.memo`).
-pub(crate) const FLAG_MEMO: u8 = 1 << 4;
 
 thread_local! {
     /// All per-thread instrumentation switches in one byte, so the
@@ -113,36 +106,6 @@ pub fn tracing() -> bool {
     flags() & FLAG_TRACING != 0
 }
 
-/// Turns sub-problem memoization on or off for the current thread.
-/// The counting entry points install this from `CountOptions.memo`;
-/// code that never touches the option (direct `omega` calls, most
-/// tests) keeps the default *off* and is entirely unaffected.
-pub fn set_memo_enabled(on: bool) {
-    set_flag(FLAG_MEMO, on);
-}
-
-/// Whether the memo flag is installed on the current thread. Note that
-/// [`memo::active`] additionally requires the governed region (if any)
-/// to be memo-safe.
-#[inline]
-pub fn memo_enabled() -> bool {
-    flags() & FLAG_MEMO != 0
-}
-
-/// Marks whether any memo recording frame is open (managed by
-/// [`memo::begin_record`] / `RecordGuard`).
-pub(crate) fn set_recording(on: bool) {
-    set_flag(FLAG_RECORDING, on);
-}
-
-/// Whether any counter observer is active on this thread (collection,
-/// governance, or a memo recording frame). Used by the memo layer to
-/// skip delta replay when nobody would see it.
-#[inline]
-pub(crate) fn any_observer() -> bool {
-    flags() & (FLAG_COUNTING | FLAG_GOVERNED | FLAG_RECORDING) != 0
-}
-
 /// Adds 1 to `counter` (no-op unless [`enable_counters`] is on or a
 /// governed region is installed).
 #[inline]
@@ -156,17 +119,14 @@ pub fn bump(counter: Counter) {
 #[inline]
 pub fn add(counter: Counter, n: u64) {
     let f = flags();
-    if f & (FLAG_COUNTING | FLAG_GOVERNED | FLAG_RECORDING) == 0 {
+    if f & (FLAG_COUNTING | FLAG_GOVERNED) == 0 {
         return;
     }
     if f & FLAG_COUNTING != 0 {
         counters::add_raw(counter, n);
     }
-    if f & FLAG_RECORDING != 0 {
-        memo::on_add(counter, n);
-    }
     // Charge the governor last: a charge may trip (unwind), and the
-    // collected/recorded value must reflect the work that ran.
+    // collected value must reflect the work that ran.
     if f & FLAG_GOVERNED != 0 {
         govern::charge(counter, n);
     }
@@ -178,14 +138,11 @@ pub fn add(counter: Counter, n: u64) {
 #[inline]
 pub fn record_max(counter: Counter, value: u64) {
     let f = flags();
-    if f & (FLAG_COUNTING | FLAG_GOVERNED | FLAG_RECORDING) == 0 {
+    if f & (FLAG_COUNTING | FLAG_GOVERNED) == 0 {
         return;
     }
     if f & FLAG_COUNTING != 0 {
         counters::max_raw(counter, value);
-    }
-    if f & FLAG_RECORDING != 0 {
-        memo::on_gauge(counter, value);
     }
     if f & FLAG_GOVERNED != 0 {
         govern::charge_gauge(counter, value);

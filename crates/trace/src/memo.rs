@@ -1,708 +1,16 @@
-//! Cross-computation sub-problem memoization.
+//! Stateless stand-ins for the removed sub-problem memo.
 //!
-//! The counting pipeline re-derives the same pure sub-results —
-//! variable eliminations (including their splinter sets), Smith normal
-//! forms, Faulhaber power-sum polynomials — once per clause, and under
-//! heavy similar traffic once per *request*. This module is the shared
-//! engine behind memoizing them: a two-tier, type-erased store keyed by
-//! canonical byte strings (produced by the `omega::intern` arena and
-//! the `arith` key encoders).
-//!
-//! # Tiers
-//!
-//! * **Local tier** — a `thread_local!` `HashMap`, lock-free on the
-//!   hot path. Clause-pipeline workers consult a read-only `Arc`'d
-//!   snapshot of the parent's table ([`MemoSeed`]) as a middle lookup
-//!   tier (planting it costs one pointer clone) and hand their *fresh*
-//!   entries back through the [`crate::fork`] join ([`take_part`] /
-//!   [`merge_part`]), so sequential code after a parallel drain keeps
-//!   the warmth.
-//! * **Shared tier** — a process-wide read-mostly `RwLock` map, off by
-//!   default and enabled by the serving layer ([`enable_shared`]) so
-//!   repeated sub-problems across *requests* (and across worker
-//!   threads) are O(1) hits.
-//!
-//! # Why answers stay byte-identical
-//!
-//! Only *pure* computations are memoized: functions of their canonical
-//! key alone, which intern no fresh variables and read no other state.
-//! A hit therefore returns exactly the value a recomputation would
-//! have produced, so answers are byte-identical memo-on vs memo-off
-//! and at every thread count (hit *patterns* vary; values never do).
-//!
-//! # Why counters stay byte-identical
-//!
-//! Each entry stores the [`PipelineStats`] delta its original
-//! computation charged (captured via [`begin_record`]). A hit
-//! *replays* that delta through [`crate::add`] / [`crate::record_max`]
-//! — feeding statistics, governor budgets, and any enclosing recording
-//! frame — so every counter except the meta-counters
-//! ([`Counter::MemoHit`] / [`Counter::MemoMiss`] / moreover
-//! [`Counter::MemoBytes`]) reads exactly as if the memo did not exist.
-//!
-//! # When memoization stands down
-//!
-//! [`active`] is false — lookups and recording are skipped entirely —
-//! unless the thread's memo flag is on (installed by the counting
-//! entry points from `CountOptions.memo`), span/explain tracing is off
-//! (a hit skips the body, and spans — unlike counters — cannot be
-//! replayed from a stored delta), **and** the installed governed
-//! region, if any, is memo-safe: no counter caps and no armed fault. Capped or faulted regions observe the exact *interleaving*
-//! of charges, not just their totals, so the memo steps aside rather
-//! than perturb trip points by replaying a delta in one lump.
-//! Invalidation is not needed: keys are canonical encodings of the
-//! full input, so an entry can never go stale — tables are only ever
-//! dropped wholesale when a size cap is exceeded.
+//! The engine calls its pure functions (elimination, Smith normal
+//! form, Faulhaber power sums) directly; nothing is cached between or
+//! within queries. These no-ops remain only because the benchmark
+//! package still calls them. They are removed with ROADMAP item 5's
+//! benchmark change.
 
-use crate::counters::{self, Counter, PipelineStats, NUM_COUNTERS};
-use crate::govern;
-use std::any::Any;
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+/// Does nothing. Removed with ROADMAP item 5's benchmark change.
+pub fn clear_local() {}
 
-/// Namespaces separating the key spaces of independently memoized
-/// computations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum MemoDomain {
-    /// `omega::eliminate` results (dark shadow + splinter sets).
-    Eliminate,
-    /// `polyq::faulhaber::power_sum` polynomials.
-    Faulhaber,
-    /// `arith::smith::smith_normal_form` decompositions.
-    Smith,
-}
+/// Does nothing. Removed with ROADMAP item 5's benchmark change.
+pub fn clear_shared() {}
 
-/// A type-erased memoized value.
-pub type MemoValue = Arc<dyn Any + Send + Sync>;
-
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct MemoKey {
-    domain: MemoDomain,
-    bytes: Arc<[u8]>,
-}
-
-struct EntryData {
-    value: MemoValue,
-    /// Counter delta charged by the original computation (meta-counters
-    /// zeroed), replayed on every hit.
-    delta: PipelineStats,
-    /// Approximate footprint (key + value) for the byte caps.
-    bytes: usize,
-}
-
-type Entry = Arc<EntryData>;
-
-/// Local-tier caps: exceeding either clears the thread's table (entries
-/// are immortal otherwise — canonical keys cannot go stale).
-const LOCAL_MAX_ENTRIES: usize = 1 << 15;
-const LOCAL_MAX_BYTES: usize = 32 << 20;
-/// Shared-tier caps (process-wide).
-const SHARED_MAX_ENTRIES: usize = 1 << 16;
-const SHARED_MAX_BYTES: usize = 96 << 20;
-
-#[derive(Default)]
-struct Table {
-    map: HashMap<MemoKey, Entry>,
-    bytes: usize,
-    /// Cached [`MemoSeed`] snapshot of `map`, invalidated by any
-    /// insert. A saturated table (the serving steady state) seeds
-    /// every fork with one `Arc` clone instead of a map copy.
-    snapshot: Option<Arc<HashMap<MemoKey, Entry>>>,
-}
-
-impl Table {
-    fn insert(&mut self, key: MemoKey, entry: Entry, max_entries: usize, max_bytes: usize) {
-        if self.map.len() >= max_entries || self.bytes.saturating_add(entry.bytes) > max_bytes {
-            self.map.clear();
-            self.bytes = 0;
-        }
-        if let Some(prev) = self.map.insert(key, entry.clone()) {
-            self.bytes = self.bytes.saturating_sub(prev.bytes);
-        }
-        self.bytes = self.bytes.saturating_add(entry.bytes);
-        self.snapshot = None;
-    }
-}
-
-thread_local! {
-    static LOCAL: RefCell<Table> = RefCell::new(Table::default());
-    /// The read-only warm snapshot planted by the fork layer, consulted
-    /// as a middle lookup tier (local → seed → shared). Never mutated:
-    /// planting is one `Arc` clone, not a per-entry copy.
-    static SEED: RefCell<Option<Arc<HashMap<MemoKey, Entry>>>> = const { RefCell::new(None) };
-    /// Stack of recording frames for in-flight [`begin_record`] scopes.
-    static FRAMES: RefCell<Vec<[u64; NUM_COUNTERS]>> = const { RefCell::new(Vec::new()) };
-}
-
-static SHARED_ENABLED: AtomicBool = AtomicBool::new(false);
-static SHARED: OnceLock<RwLock<Table>> = OnceLock::new();
-
-/// Process-wide totals, independent of the per-thread counters, for the
-/// serving layer's Prometheus exposition.
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static SHARED_BYTES: AtomicU64 = AtomicU64::new(0);
-static SHARED_ENTRIES: AtomicU64 = AtomicU64::new(0);
-
-fn shared() -> &'static RwLock<Table> {
-    SHARED.get_or_init(|| RwLock::new(Table::default()))
-}
-
-fn read_shared() -> std::sync::RwLockReadGuard<'static, Table> {
-    shared().read().unwrap_or_else(|e| {
-        crate::shard::note_lock_recovered();
-        e.into_inner()
-    })
-}
-
-fn write_shared() -> std::sync::RwLockWriteGuard<'static, Table> {
-    shared().write().unwrap_or_else(|e| {
-        crate::shard::note_lock_recovered();
-        e.into_inner()
-    })
-}
-
-/// Turns the process-wide shared tier on or off (the serving layer
-/// enables it at server start so hits survive across requests and
-/// worker threads). The local tier works either way.
-pub fn enable_shared(on: bool) {
-    SHARED_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the shared tier is enabled.
-pub fn shared_enabled() -> bool {
-    SHARED_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Whether memoization is active on this thread right now: the memo
-/// flag is installed, span/explain tracing is off (a hit skips the
-/// body, so its spans could not be reproduced), *and* the governed
-/// region (if any) is memo-safe. Call before building a key — key
-/// construction is not free.
-pub fn active() -> bool {
-    crate::memo_enabled() && !crate::tracing() && govern::memo_safe()
-}
-
-/// Looks up a canonical key. On a hit the entry's counter delta is
-/// replayed (see the module docs) and the value returned. On a miss
-/// (or when [`active`] is false) returns `None`; genuine misses bump
-/// [`Counter::MemoMiss`].
-pub fn lookup(domain: MemoDomain, key_bytes: &[u8]) -> Option<MemoValue> {
-    if !active() {
-        return None;
-    }
-    let probe = MemoKey {
-        domain,
-        bytes: Arc::from(key_bytes),
-    };
-    let local_hit = LOCAL.with(|t| t.borrow().map.get(&probe).cloned());
-    if let Some(entry) = local_hit {
-        return Some(hit(entry));
-    }
-    // The planted seed is immutable and lives as long as the worker, so
-    // a hit needs no promotion into the local tier.
-    let seed_hit = SEED.with(|s| s.borrow().as_ref().and_then(|map| map.get(&probe).cloned()));
-    if let Some(entry) = seed_hit {
-        return Some(hit(entry));
-    }
-    if shared_enabled() {
-        let shared_hit = {
-            let guard = read_shared();
-            guard.map.get(&probe).cloned()
-        };
-        if let Some(entry) = shared_hit {
-            // Promote into the local tier so the next lookup is
-            // lock-free.
-            LOCAL.with(|t| {
-                let mut t = t.borrow_mut();
-                t.insert(probe, entry.clone(), LOCAL_MAX_ENTRIES, LOCAL_MAX_BYTES);
-                note_local_bytes(t.bytes);
-            });
-            return Some(hit(entry));
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    if crate::counting() {
-        counters::add_raw(Counter::MemoMiss, 1);
-    }
-    None
-}
-
-fn hit(entry: Entry) -> MemoValue {
-    HITS.fetch_add(1, Ordering::Relaxed);
-    if crate::counting() {
-        counters::add_raw(Counter::MemoHit, 1);
-    }
-    replay(&entry.delta);
-    entry.value.clone()
-}
-
-/// Replays a recorded counter delta as if the computation had run:
-/// counts are added and gauges raised through the governed/recorded
-/// paths. Skipped entirely when nothing is observing.
-fn replay(delta: &PipelineStats) {
-    if !crate::any_observer() {
-        return;
-    }
-    for c in Counter::ALL {
-        if matches!(c, Counter::MemoHit | Counter::MemoMiss | Counter::MemoBytes) {
-            continue;
-        }
-        let v = delta.get(c);
-        if v == 0 {
-            continue;
-        }
-        if c.is_gauge() {
-            crate::record_max(c, v);
-        } else {
-            crate::add(c, v);
-        }
-    }
-}
-
-/// An in-flight capture of the counter delta charged by a computation
-/// about to be memoized. Dropping without [`finish`](Self::finish)
-/// (e.g. on unwind) discards the frame.
-pub struct RecordGuard {
-    depth: usize,
-}
-
-/// Opens a recording frame: until the guard is finished or dropped,
-/// every [`crate::add`] / [`crate::record_max`] on this thread also
-/// accumulates into the frame (including deltas replayed by nested
-/// hits).
-pub fn begin_record() -> RecordGuard {
-    let depth = FRAMES.with(|f| {
-        let mut f = f.borrow_mut();
-        f.push([0u64; NUM_COUNTERS]);
-        f.len()
-    });
-    crate::set_recording(true);
-    RecordGuard { depth }
-}
-
-impl RecordGuard {
-    /// Closes the frame and returns the delta it captured.
-    pub fn finish(self) -> PipelineStats {
-        let values = FRAMES.with(|f| {
-            let mut f = f.borrow_mut();
-            debug_assert_eq!(f.len(), self.depth, "unbalanced memo recording frames");
-            let values = f.pop().unwrap_or([0u64; NUM_COUNTERS]);
-            if f.is_empty() {
-                crate::set_recording(false);
-            }
-            values
-        });
-        std::mem::forget(self);
-        PipelineStats::from_raw(values)
-    }
-}
-
-impl Drop for RecordGuard {
-    fn drop(&mut self) {
-        FRAMES.with(|f| {
-            let mut f = f.borrow_mut();
-            f.truncate(self.depth.saturating_sub(1));
-            if f.is_empty() {
-                crate::set_recording(false);
-            }
-        });
-    }
-}
-
-/// Feeds a running-count charge into every open recording frame.
-/// Called from [`crate::add`] when the recording flag is set.
-pub(crate) fn on_add(counter: Counter, n: u64) {
-    FRAMES.with(|f| {
-        for frame in f.borrow_mut().iter_mut() {
-            let cell = &mut frame[counter as usize];
-            *cell = cell.saturating_add(n);
-        }
-    });
-}
-
-/// Feeds a gauge observation into every open recording frame.
-pub(crate) fn on_gauge(counter: Counter, value: u64) {
-    FRAMES.with(|f| {
-        for frame in f.borrow_mut().iter_mut() {
-            let cell = &mut frame[counter as usize];
-            if value > *cell {
-                *cell = value;
-            }
-        }
-    });
-}
-
-/// Records a computed value under its canonical key, with the counter
-/// delta captured by [`begin_record`] and an approximate value
-/// footprint in bytes. Inserts into the local tier and, when enabled,
-/// the shared tier.
-pub fn record(
-    domain: MemoDomain,
-    key_bytes: &[u8],
-    value: MemoValue,
-    mut delta: PipelineStats,
-    value_bytes: usize,
-) {
-    if !active() {
-        return;
-    }
-    // The meta-counters must never be replayed.
-    delta = delta.without_memo_meta();
-    let key = MemoKey {
-        domain,
-        bytes: Arc::from(key_bytes),
-    };
-    let entry: Entry = Arc::new(EntryData {
-        value,
-        delta,
-        bytes: key_bytes.len() + value_bytes + 128,
-    });
-    LOCAL.with(|t| {
-        let mut t = t.borrow_mut();
-        t.insert(
-            key.clone(),
-            entry.clone(),
-            LOCAL_MAX_ENTRIES,
-            LOCAL_MAX_BYTES,
-        );
-        note_local_bytes(t.bytes);
-    });
-    if shared_enabled() {
-        let mut guard = write_shared();
-        guard.insert(key, entry, SHARED_MAX_ENTRIES, SHARED_MAX_BYTES);
-        SHARED_BYTES.store(guard.bytes as u64, Ordering::Relaxed);
-        SHARED_ENTRIES.store(guard.map.len() as u64, Ordering::Relaxed);
-    }
-}
-
-fn note_local_bytes(bytes: usize) {
-    if crate::counting() {
-        counters::max_raw(Counter::MemoBytes, bytes as u64);
-    }
-}
-
-/// A read-only snapshot of a thread's warm entries, handed to forked
-/// workers so they start warm. The snapshot is one `Arc`'d map built
-/// per fork (entries are `Arc`-shared, so building it is refcount
-/// traffic, not data copies); planting it on a worker is a single
-/// pointer clone — workers consult it as a middle lookup tier instead
-/// of copying it into their own tables.
-#[derive(Clone)]
-pub struct MemoSeed {
-    entries: Arc<HashMap<MemoKey, Entry>>,
-}
-
-impl std::fmt::Debug for MemoSeed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemoSeed")
-            .field("entries", &self.entries.len())
-            .finish()
-    }
-}
-
-/// Snapshots the current thread's warm entries (its local tier plus
-/// any seed it was itself planted with, so nested forks inherit the
-/// full view) for seeding workers. Returns `None` when there is
-/// nothing warm or memoization is off.
-pub fn seed() -> Option<MemoSeed> {
-    if !crate::memo_enabled() {
-        return None;
-    }
-    let inherited = SEED.with(|s| s.borrow().clone());
-    LOCAL.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.map.is_empty() {
-            return inherited.map(|entries| MemoSeed { entries });
-        }
-        if let Some(inh) = &inherited {
-            // Nested fork with a warm local tier on top of an inherited
-            // seed: merge the two views (rare — only inner forks hit
-            // this, and only when the worker has learned fresh entries).
-            let mut map = t.map.clone();
-            for (k, v) in inh.iter() {
-                map.entry(k.clone()).or_insert_with(|| v.clone());
-            }
-            return Some(MemoSeed {
-                entries: Arc::new(map),
-            });
-        }
-        if t.snapshot.is_none() {
-            t.snapshot = Some(Arc::new(t.map.clone()));
-        }
-        let entries = t.snapshot.clone().expect("snapshot just filled");
-        Some(MemoSeed { entries })
-    })
-}
-
-/// Installs a seed as this thread's middle lookup tier — a single
-/// `Arc` clone, regardless of how warm the parent was.
-pub fn plant(seed: &MemoSeed) {
-    SEED.with(|s| *s.borrow_mut() = Some(seed.entries.clone()));
-}
-
-/// What a finishing worker hands back across the fork join: its whole
-/// local tier (the thread is about to die, so nothing is lost).
-pub struct MemoPart {
-    entries: Vec<(MemoKey, Entry)>,
-}
-
-impl std::fmt::Debug for MemoPart {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemoPart")
-            .field("entries", &self.entries.len())
-            .finish()
-    }
-}
-
-/// Drains this thread's local tier into a `Send`-able part. Returns
-/// `None` when empty.
-pub fn take_part() -> Option<MemoPart> {
-    // Drop the planted seed: everything in it came from the parent, so
-    // handing it back would be pure duplicate-merge work.
-    SEED.with(|s| s.borrow_mut().take());
-    LOCAL.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.map.is_empty() {
-            return None;
-        }
-        t.bytes = 0;
-        t.snapshot = None;
-        Some(MemoPart {
-            entries: t.map.drain().collect(),
-        })
-    })
-}
-
-/// Merges a worker's part into the current thread's local tier
-/// (insert-if-absent: the parent's own entries win, which is
-/// immaterial — equal keys hold equal values).
-pub fn merge_part(part: MemoPart) {
-    LOCAL.with(|t| {
-        let mut t = t.borrow_mut();
-        for (k, v) in part.entries {
-            if !t.map.contains_key(&k) {
-                t.insert(k, v, LOCAL_MAX_ENTRIES, LOCAL_MAX_BYTES);
-            }
-        }
-        note_local_bytes(t.bytes);
-    });
-}
-
-/// Process-wide memo statistics for the serving layer's metrics verb.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MemoStats {
-    /// Total hits across all threads since process start.
-    pub hits: u64,
-    /// Total misses across all threads since process start.
-    pub misses: u64,
-    /// Entries currently resident in the shared tier.
-    pub shared_entries: u64,
-    /// Approximate bytes currently resident in the shared tier.
-    pub shared_bytes: u64,
-}
-
-/// Reads the process-wide memo statistics.
-pub fn stats() -> MemoStats {
-    MemoStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        shared_entries: SHARED_ENTRIES.load(Ordering::Relaxed),
-        shared_bytes: SHARED_BYTES.load(Ordering::Relaxed),
-    }
-}
-
-/// Renders [`stats`] as Prometheus text exposition lines (HELP/TYPE
-/// and a value line per family, no `# EOF` terminator). Shared by the
-/// serving layer's `metrics` verb and the calculator's `--metrics`.
-pub fn prometheus_text() -> String {
-    let memo = stats();
-    let mut out = String::new();
-    out.push_str("# HELP presburger_memo_hits_total Sub-problem memoization hits (all tiers, process-wide).\n");
-    out.push_str("# TYPE presburger_memo_hits_total counter\n");
-    out.push_str(&format!("presburger_memo_hits_total {}\n", memo.hits));
-    out.push_str(
-        "# HELP presburger_memo_misses_total Sub-problem memoization misses (process-wide).\n",
-    );
-    out.push_str("# TYPE presburger_memo_misses_total counter\n");
-    out.push_str(&format!("presburger_memo_misses_total {}\n", memo.misses));
-    out.push_str(
-        "# HELP presburger_memo_shared_entries Entries resident in the shared memo tier.\n",
-    );
-    out.push_str("# TYPE presburger_memo_shared_entries gauge\n");
-    out.push_str(&format!(
-        "presburger_memo_shared_entries {}\n",
-        memo.shared_entries
-    ));
-    out.push_str(
-        "# HELP presburger_memo_shared_bytes Approximate bytes resident in the shared memo tier.\n",
-    );
-    out.push_str("# TYPE presburger_memo_shared_bytes gauge\n");
-    out.push_str(&format!(
-        "presburger_memo_shared_bytes {}\n",
-        memo.shared_bytes
-    ));
-    out
-}
-
-/// Empties this thread's local tier (benchmarks use this to measure
-/// cold vs warm runs).
-pub fn clear_local() {
-    SEED.with(|s| s.borrow_mut().take());
-    LOCAL.with(|t| {
-        let mut t = t.borrow_mut();
-        t.map.clear();
-        t.bytes = 0;
-        t.snapshot = None;
-    });
-}
-
-/// Empties the shared tier.
-pub fn clear_shared() {
-    let mut guard = write_shared();
-    guard.map.clear();
-    guard.bytes = 0;
-    SHARED_BYTES.store(0, Ordering::Relaxed);
-    SHARED_ENTRIES.store(0, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn with_memo<R>(f: impl FnOnce() -> R) -> R {
-        clear_local();
-        crate::set_memo_enabled(true);
-        let r = f();
-        crate::set_memo_enabled(false);
-        clear_local();
-        r
-    }
-
-    #[test]
-    fn miss_then_hit_returns_identical_value() {
-        with_memo(|| {
-            assert!(lookup(MemoDomain::Smith, b"k1").is_none());
-            let guard = begin_record();
-            crate::add(Counter::SmithNormalFormCalls, 1); // not collected (counting off)
-            let delta = guard.finish();
-            record(MemoDomain::Smith, b"k1", Arc::new(42u64), delta, 8);
-            let v = lookup(MemoDomain::Smith, b"k1").expect("hit");
-            assert_eq!(*v.downcast::<u64>().unwrap(), 42);
-        });
-    }
-
-    #[test]
-    fn hit_replays_recorded_delta() {
-        with_memo(|| {
-            crate::enable_counters(true);
-            crate::reset();
-            // Record a computation charging 3 gist calls + a gauge.
-            let guard = begin_record();
-            crate::add(Counter::GistCalls, 3);
-            crate::record_max(Counter::MaxCoeffBits, 99);
-            let delta = guard.finish();
-            record(MemoDomain::Eliminate, b"e", Arc::new(()), delta, 0);
-            let before = crate::snapshot();
-            let _ = lookup(MemoDomain::Eliminate, b"e").expect("hit");
-            let d = crate::snapshot().delta(&before);
-            assert_eq!(d.get(Counter::GistCalls), 3, "replayed count");
-            assert_eq!(d.get(Counter::MaxCoeffBits), 99, "replayed gauge");
-            assert_eq!(d.get(Counter::MemoHit), 1);
-            assert_eq!(d.get(Counter::MemoMiss), 0);
-            crate::enable_counters(false);
-        });
-    }
-
-    #[test]
-    fn recording_captures_nested_hits() {
-        with_memo(|| {
-            let guard = begin_record();
-            crate::add(Counter::GistCalls, 2);
-            let inner = guard.finish();
-            record(MemoDomain::Faulhaber, b"f", Arc::new(1u8), inner, 1);
-            // An outer recording must see the inner hit's replayed delta.
-            let outer = begin_record();
-            let _ = lookup(MemoDomain::Faulhaber, b"f").expect("hit");
-            crate::add(Counter::GistCalls, 1);
-            let delta = outer.finish();
-            assert_eq!(delta.get(Counter::GistCalls), 3);
-        });
-    }
-
-    #[test]
-    fn inactive_without_flag_and_inside_capped_region() {
-        clear_local();
-        crate::set_memo_enabled(false);
-        assert!(!active(), "memo flag off");
-        crate::set_memo_enabled(true);
-        assert!(active(), "flag on, ungoverned");
-        let mut limits = govern::Limits::default();
-        limits.caps[Counter::GistCalls as usize] = Some(10);
-        {
-            let _g = govern::install(limits);
-            assert!(!active(), "capped region is not memo-safe");
-        }
-        let limits = govern::Limits {
-            deadline: Some((
-                std::time::Instant::now() + std::time::Duration::from_secs(60),
-                60_000,
-            )),
-            ..govern::Limits::default()
-        };
-        {
-            let _g = govern::install(limits);
-            assert!(active(), "deadline-only region is memo-safe");
-        }
-        crate::set_memo_enabled(false);
-    }
-
-    #[test]
-    fn fork_part_round_trip() {
-        with_memo(|| {
-            let guard = begin_record();
-            let delta = guard.finish();
-            record(MemoDomain::Smith, b"worker-entry", Arc::new(7i32), delta, 4);
-            let part = take_part().expect("non-empty");
-            assert!(
-                lookup(MemoDomain::Smith, b"worker-entry").is_none(),
-                "drained"
-            );
-            merge_part(part);
-            let v = lookup(MemoDomain::Smith, b"worker-entry").expect("merged back");
-            assert_eq!(*v.downcast::<i32>().unwrap(), 7);
-        });
-    }
-
-    #[test]
-    fn seed_plants_parent_entries() {
-        with_memo(|| {
-            let guard = begin_record();
-            let delta = guard.finish();
-            record(MemoDomain::Faulhaber, b"warm", Arc::new(5u8), delta, 1);
-            let seed = seed().expect("warm table");
-            clear_local();
-            assert!(lookup(MemoDomain::Faulhaber, b"warm").is_none());
-            plant(&seed);
-            assert!(lookup(MemoDomain::Faulhaber, b"warm").is_some());
-        });
-    }
-
-    #[test]
-    fn shared_tier_promotes_to_local() {
-        with_memo(|| {
-            clear_shared();
-            enable_shared(true);
-            let guard = begin_record();
-            let delta = guard.finish();
-            record(MemoDomain::Smith, b"cross", Arc::new(9u64), delta, 8);
-            clear_local(); // simulate a different request/thread
-            let v = lookup(MemoDomain::Smith, b"cross").expect("shared hit");
-            assert_eq!(*v.downcast::<u64>().unwrap(), 9);
-            enable_shared(false);
-            clear_shared();
-        });
-    }
-}
+/// Does nothing. Removed with ROADMAP item 5's benchmark change.
+pub fn enable_shared(_on: bool) {}

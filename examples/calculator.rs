@@ -19,12 +19,6 @@
 //! * `--json` — with `--stats`/`--trace`, emit JSON instead of text;
 //! * `--threads N` — drain the clause pipeline with `N` worker threads
 //!   (`0` = one per core). Answers are byte-identical at any setting;
-//! * `--no-memo` — disable sub-problem memoization (eliminations,
-//!   Smith forms, Faulhaber polynomials). Answers and counters are
-//!   byte-identical either way; the flag exists for timing comparisons
-//!   and as a belt alongside the `PRESBURGER_MEMO=0` environment knob.
-//!   `--trace` also stands the memo down on its own (a memo hit skips
-//!   the body, so a traced derivation must recompute);
 //! * `--timeout MS` — govern the query with a wall-clock deadline of
 //!   `MS` milliseconds;
 //! * `--max-splinters N` — govern the query with a cap on §5.2
@@ -75,7 +69,6 @@ struct Options {
     binary: bool,
     batch: usize,
     threads: usize,
-    no_memo: bool,
     timeout_ms: Option<u64>,
     max_splinters: Option<u64>,
     degrade: Option<DegradePolicy>,
@@ -142,13 +135,10 @@ fn run_query(query: &str, opts: &Options) -> Result<ReqOutcome, QueryError> {
         .collect();
 
     presburger::reset_stats();
-    let mut count_opts = CountOptions {
+    let count_opts = CountOptions {
         threads: opts.threads,
         ..CountOptions::default()
     };
-    if opts.no_memo {
-        count_opts.memo = false;
-    }
     println!("> {query}");
     let mut outcome = ReqOutcome::Ok;
     let fmt = |c: Option<i64>| c.map_or_else(|| "?".to_string(), |c| c.to_string());
@@ -358,7 +348,6 @@ fn main() {
         binary: false,
         batch: 1,
         threads: CountOptions::default().threads,
-        no_memo: false,
         timeout_ms: None,
         max_splinters: None,
         degrade: None,
@@ -392,7 +381,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--no-memo" => opts.no_memo = true,
             "--threads" => match args.next().as_deref().map(str::parse) {
                 Some(Ok(n)) => opts.threads = n,
                 _ => {
@@ -509,7 +497,6 @@ fn main() {
     if opts.metrics {
         println!("--- metrics ---");
         print!("{}", metrics.render_prometheus());
-        print!("{}", presburger::trace::memo::prometheus_text());
         println!("# EOF");
     }
     if failed {

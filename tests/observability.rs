@@ -237,3 +237,118 @@ fn facade_stats_roundtrip() {
     presburger::enable_stats(false);
     presburger::reset_stats();
 }
+
+/// A few queries of the S3 zipf stream (`presburger-bench`'s
+/// experiments): the E9 parity region split into `k` stride clauses,
+/// and the union of `k` shifted intervals.
+fn zipf_stream_queries() -> Vec<(Space, Formula, Vec<VarId>)> {
+    let mut out = Vec::new();
+    for k in [3i64, 4, 7] {
+        let mut s = Space::new();
+        let i = s.var("i");
+        let j = s.var("j");
+        let n = s.var("n");
+        let clauses = (0..k)
+            .map(|c| {
+                Formula::and(vec![
+                    Formula::le(Affine::constant(1), Affine::var(i)),
+                    Formula::le(Affine::constant(1), Affine::var(j)),
+                    Formula::le(Affine::var(j), Affine::var(n)),
+                    Formula::le(Affine::term(i, 2), Affine::term(j, 3)),
+                    Formula::stride(k, Affine::var(i) - Affine::constant(c)),
+                ])
+            })
+            .collect();
+        out.push((s, Formula::or(clauses), vec![i, j]));
+    }
+    let mut s = Space::new();
+    let x = s.var("x");
+    let n = s.var("n");
+    let clauses = (0..8i64)
+        .map(|o| {
+            Formula::between(
+                Affine::constant(1 + o),
+                x,
+                Affine::var(n) + Affine::constant(o),
+            )
+        })
+        .collect();
+    out.push((s, Formula::or(clauses), vec![x]));
+    out
+}
+
+/// Tracing must not change what it measures: with spans and explain
+/// events on, every answer renders the same and every counter (gauges
+/// included) reads the same as with them off, at 1 and 4 worker
+/// threads. Each query is metered from zeroed counters so a gauge
+/// describes that query alone.
+#[test]
+fn tracing_changes_no_counter_and_no_answer() {
+    let queries = zipf_stream_queries();
+    let mut e11 = Space::new();
+    let (c, beta) = section52_system(&mut e11);
+    let alpha = e11.lookup("alpha").expect("interned above");
+    let projection = Formula::exists(vec![beta], c.to_formula());
+
+    let measure = |traced: bool, work: &mut dyn FnMut() -> String| {
+        trace::enable_counters(true);
+        trace::enable_tracing(traced);
+        trace::reset();
+        let answer = work();
+        let counters = trace::snapshot();
+        let tree = trace::span::take_tree();
+        trace::enable_tracing(false);
+        trace::enable_counters(false);
+        assert_eq!(tree.is_empty(), !traced, "spans recorded iff traced");
+        (answer, counters)
+    };
+    for threads in [1usize, 4] {
+        let opts = CountOptions {
+            threads,
+            ..CountOptions::default()
+        };
+        let run = |traced: bool| {
+            let mut out = Vec::new();
+            for mode in [Shadow::ExactOverlapping, Shadow::ExactDisjoint] {
+                let mut s = e11.clone();
+                out.push(measure(traced, &mut || {
+                    let r = eliminate(&c, beta, &mut s, mode);
+                    let clauses: Vec<String> =
+                        r.clauses.iter().map(|cl| cl.to_string(&s)).collect();
+                    clauses.join(" || ")
+                }));
+            }
+            out.push(measure(traced, &mut || {
+                presburger_counting::try_count_solutions(&e11, &projection, &[alpha], &opts)
+                    .expect("countable")
+                    .to_display_string()
+            }));
+            for (s, f, vars) in &queries {
+                out.push(measure(traced, &mut || {
+                    presburger_counting::try_count_solutions(s, f, vars, &opts)
+                        .expect("countable")
+                        .to_display_string()
+                }));
+            }
+            out
+        };
+        let plain = run(false);
+        let traced = run(true);
+        for (k, (p, t)) in plain.iter().zip(&traced).enumerate() {
+            assert_eq!(
+                p.0, t.0,
+                "threads={threads} query {k}: answer changed under tracing"
+            );
+            assert_eq!(
+                p.1, t.1,
+                "threads={threads} query {k}: counters changed under tracing"
+            );
+        }
+        assert!(
+            plain
+                .iter()
+                .any(|(_, st)| st.get(Counter::SplintersGenerated) > 0),
+            "the mix must splinter"
+        );
+    }
+}
