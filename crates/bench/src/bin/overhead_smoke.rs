@@ -116,7 +116,7 @@ fn main() {
             other => panic!("routing workload must parse: {other:?}"),
         }
     };
-    let ring = presburger_serve::Ring::new(4, 64);
+    let ring = presburger_serve::Ring::new(4);
     const ROUTE_LOOPS: u32 = 100_000;
     let t = Instant::now();
     for _ in 0..ROUTE_LOOPS {
@@ -155,12 +155,11 @@ fn main() {
     // 2f. Per-request cost of the admission layer (DESIGN.md §16): one
     //     quota-ledger check (a token-bucket tick under the ledger
     //     lock, cycling four client identities so the bucket map is
-    //     exercised), one lane push + strict-priority pop, one
-    //     load-derived hint and one detailed shed reason. Reasons are
-    //     only rendered on sheds and hints only on full queues, so
-    //     charging both to every request is conservative. Admission
-    //     runs once per request, before the engine — like routing, its
-    //     full cost is gated directly against E3.
+    //     exercised), one lane push + strict-priority pop, and one
+    //     detailed shed reason. Reasons are only rendered on sheds, so
+    //     charging one to every request is conservative. Admission runs
+    //     once per request, before the engine — like routing, its full
+    //     cost is gated directly against E3.
     let ledger = presburger_serve::QuotaLedger::new(
         presburger_serve::QuotaConfig {
             burst: 1,
@@ -179,12 +178,6 @@ fn main() {
         let lane = presburger_serve::Lane::ALL[(i % 3) as usize];
         lanes.push(lane, std::hint::black_box(i));
         std::hint::black_box(lanes.pop());
-        std::hint::black_box(presburger_serve::admission::load_hint_ms(
-            std::hint::black_box(u64::from(i % 64)),
-            1_500,
-            50,
-            60_000,
-        ));
         std::hint::black_box(presburger_serve::admission::shed_reason(
             "queue_full",
             lane,

@@ -43,8 +43,7 @@
 //! remaining tasks still run, and the panic surfaces as a
 //! deterministic, clause-ordered [`CountError::Internal`] instead of
 //! aborting the process. The same boundary catches the governor's
-//! budget trips. The fault-injection hook
-//! (`PRESBURGER_FAULT=<site>:<nth>[:panic]`, see
+//! budget trips. An injected fault ([`Governor::with_fault`], see
 //! [`presburger_trace::govern`]) exercises both paths from tests.
 
 use crate::general::polish;
@@ -185,14 +184,14 @@ pub struct Governor {
 
 impl Governor {
     /// A governor with the given budgets, the default
-    /// [`DegradePolicy::Bounds`], a fresh cancellation token, and any
-    /// fault armed through the `PRESBURGER_FAULT` environment variable.
+    /// [`DegradePolicy::Bounds`], a fresh cancellation token, and no
+    /// injected fault.
     pub fn new(budgets: Budgets) -> Governor {
         Governor {
             budgets,
             degrade: DegradePolicy::default(),
             cancel: Arc::new(AtomicBool::new(false)),
-            fault: trace::govern::fault_from_env(),
+            fault: None,
         }
     }
 
@@ -202,9 +201,8 @@ impl Governor {
         self
     }
 
-    /// Arms an injected fault from a `<site>:<nth>[:panic]` spec — the
-    /// hermetic (environment-independent) version of
-    /// `PRESBURGER_FAULT`, for tests.
+    /// Arms an injected fault from a `<site>:<nth>[:panic]` spec (see
+    /// `presburger_trace::govern`). This is the only way to arm one.
     pub fn with_fault(mut self, spec: &str) -> Result<Governor, String> {
         self.fault = Some(trace::govern::parse_fault(spec)?);
         Ok(self)
@@ -419,10 +417,15 @@ fn sum_formula_governed(
             }
             Err(why) if rt.policy == DegradePolicy::Bounds && why.is_degradable() => {
                 trace::bump(Counter::ClausesDegraded);
-                let lo = rerun_bound(&out.clause, vars, z, space, opts, rt, Mode::LowerBound)?;
-                let hi = rerun_bound(&out.clause, vars, z, space, opts, rt, Mode::UpperBound)?;
-                lower.add(lo);
-                upper.add(hi);
+                // Degrade limits: no count caps, 2× deadline, fault
+                // disarmed.
+                for (mode, acc) in [
+                    (Mode::LowerBound, &mut lower),
+                    (Mode::UpperBound, &mut upper),
+                ] {
+                    let v = bound_clause(&out.clause, vars, z, space, opts, rt.limits(true), mode)?;
+                    acc.add(v);
+                }
                 if first_why.is_none() {
                     first_why = Some(why.clone());
                 }
@@ -495,9 +498,7 @@ pub fn try_sum_polynomial_bounds(
     .map_err(error_from_panic)?;
 
     // The DNF is disjoint, so per-clause bounds sum to bounds of the
-    // whole. Each clause×mode pass is its own governed region (budget
-    // totals reset per region, keeping trips a pure function of the
-    // clause) under its own unwind boundary.
+    // whole.
     let mut lower = GuardedValue::zero();
     let mut upper = GuardedValue::zero();
     for clause in &dnf.clauses {
@@ -505,13 +506,15 @@ pub fn try_sum_polynomial_bounds(
             (Mode::LowerBound, &mut lower),
             (Mode::UpperBound, &mut upper),
         ] {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let _g = trace::govern::install(rt.limits_bounds());
-                let bound_opts = CountOptions { mode, ..*opts };
-                let mut ctx = Ctx::new(&mut space, &bound_opts);
-                sum_clause(clause, vars, poly, &mut ctx)
-            }));
-            let v = result.unwrap_or_else(|p| Err(error_from_panic(p)))?;
+            let v = bound_clause(
+                clause,
+                vars,
+                poly,
+                &mut space,
+                opts,
+                rt.limits_bounds(),
+                mode,
+            )?;
             acc.add(v);
         }
     }
@@ -530,19 +533,20 @@ pub fn try_sum_polynomial_bounds(
     ))
 }
 
-/// Re-sums one degraded clause in a §4.6 bound mode, governed by the
-/// degrade limits (no count caps, 2× deadline, fault disarmed).
-fn rerun_bound(
+/// Sums one clause in a §4.6 bound mode as its own governed region
+/// under `limits`, behind its own unwind boundary. Budget totals reset
+/// per region, so a trip is a pure function of the clause.
+fn bound_clause(
     clause: &Conjunct,
     vars: &[VarId],
     z: &QPoly,
     space: &mut Space,
     opts: &CountOptions,
-    rt: &Runtime,
+    limits: Limits,
     mode: Mode,
 ) -> Result<GuardedValue, CountError> {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let _g = trace::govern::install(rt.limits(true));
+        let _g = trace::govern::install(limits);
         let bound_opts = CountOptions { mode, ..*opts };
         let mut ctx = Ctx::new(space, &bound_opts);
         sum_clause(clause, vars, z, &mut ctx)

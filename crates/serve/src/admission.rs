@@ -1,5 +1,5 @@
-//! Deadline-aware admission control: priority lanes, per-client
-//! quotas, and load-derived backpressure hints.
+//! Deadline-aware admission control: priority lanes and per-client
+//! quotas.
 //!
 //! # Why admission is its own layer
 //!
@@ -21,9 +21,6 @@
 //!   function of each client's attempt sequence: the same request
 //!   stream sheds the same requests at any shard count, chaos on or
 //!   off, which is what keeps golden transcripts byte-identical.
-//! * **Load-derived hints** ([`load_hint_ms`]) — the `retry_after_ms`
-//!   on a `queue_full` shed can be computed from queue depth × observed
-//!   per-lane service time instead of a static constant.
 //!
 //! Expired-request *eviction* (the other half of deadline-awareness)
 //! lives in the server's admission/pop paths, which own the clocks and
@@ -105,54 +102,31 @@ impl Lane {
 /// Admission-control configuration, part of
 /// [`ServeConfig`](crate::server::ServeConfig).
 ///
-/// The defaults are **legacy-preserving**: no quota, static
-/// `retry_after_ms` hints, plain one-token shed reasons — so every
-/// pre-admission golden transcript replays byte-identically. Features
-/// are opted into per deployment (and per drill).
-#[derive(Clone, Debug)]
+/// The defaults are **legacy-preserving**: no quota and plain
+/// one-token shed reasons, so every pre-admission golden transcript
+/// replays byte-identically. The rest of the admission policy is fixed:
+/// expired requests are evicted to §4.6 bounds, queue wait comes out of
+/// the execution deadline, background work gets a credit of 4 pops
+/// and the quota ledger holds at most 1024 client buckets.
+#[derive(Clone, Debug, Default)]
 pub struct AdmissionConfig {
     /// Per-client token-bucket quota; `None` disables quota metering.
     pub quota: Option<QuotaConfig>,
-    /// Compute `queue_full` retry hints from queue depth × observed
-    /// per-lane service time instead of the static
-    /// `ServeConfig::retry_after_ms`. (Quota hints are always computed
-    /// — they come from the deterministic logical clock.)
-    pub load_hints: bool,
     /// Extend shed `reason=` tokens with the shedding lane and the
     /// computed wait, e.g. `reason=quota:lane=batch:wait_ms=200`.
     /// Off by default: golden transcripts pin the plain tokens.
     pub detail: bool,
-    /// Answer requests whose deadline elapsed while queued with the
-    /// §4.6 budgeted bounds at pop time (and requests that arrive
-    /// already expired at admission time) instead of burning a worker.
-    pub evict_expired: bool,
-    /// Shrink a request's execution deadline by its queue wait, so a
-    /// request admitted with 100 ms that waited 40 ms runs under a
-    /// 60 ms governor budget instead of overshooting.
-    pub deadline_propagation: bool,
-    /// Anti-starvation credit: after this many strict-priority pops
-    /// that bypassed a waiting background request, the next pop takes
-    /// the background lane.
-    pub background_credit: u64,
-    /// Ledger capacity: at most this many distinct client buckets;
-    /// clients beyond the cap share one overflow bucket (bounded
-    /// memory under an identity flood, still deterministic).
-    pub max_clients: usize,
 }
 
-impl Default for AdmissionConfig {
-    fn default() -> AdmissionConfig {
-        AdmissionConfig {
-            quota: None,
-            load_hints: false,
-            detail: false,
-            evict_expired: true,
-            deadline_propagation: true,
-            background_credit: 4,
-            max_clients: 1024,
-        }
-    }
-}
+/// Anti-starvation credit of the server's lanes: after this many
+/// strict-priority pops that bypassed a waiting background request, the
+/// next pop takes the background lane.
+pub(crate) const BACKGROUND_CREDIT: u64 = 4;
+
+/// Quota-ledger capacity: at most this many distinct client buckets;
+/// clients beyond the cap share one overflow bucket (bounded memory
+/// under an identity flood, still deterministic).
+pub(crate) const MAX_CLIENTS: usize = 1024;
 
 /// Per-client token-bucket quota parameters. Costs are metered in
 /// *milli-tokens* (one request = 1000) so refill rates below one token
@@ -368,17 +342,6 @@ impl<T> LaneQueues<T> {
         self.starve = 0;
         out
     }
-}
-
-/// A load-derived backpressure hint: how long a shed client should
-/// wait before retrying, estimated as the work queued ahead of it
-/// (`depth_ahead` requests × `mean_service_us` each), clamped to
-/// `[floor_ms, cap_ms]`. The floor keeps the hint at least as patient
-/// as the static default; the cap keeps a pathological histogram from
-/// advertising an hour.
-pub fn load_hint_ms(depth_ahead: u64, mean_service_us: u64, floor_ms: u64, cap_ms: u64) -> u64 {
-    let est_ms = depth_ahead.saturating_mul(mean_service_us) / 1000;
-    est_ms.clamp(floor_ms, cap_ms.max(floor_ms))
 }
 
 /// Renders a shed `reason=` token: the plain cause, or — with
@@ -604,18 +567,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Lane::Interactive, 10)));
         assert_eq!(q.pop(), Some((Lane::Background, 2)));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn load_hint_scales_and_clamps() {
-        // 8 requests ahead at 2 ms each → 16 ms, floored to 50.
-        assert_eq!(load_hint_ms(8, 2_000, 50, 10_000), 50);
-        // 64 ahead at 5 ms each → 320 ms.
-        assert_eq!(load_hint_ms(64, 5_000, 50, 10_000), 320);
-        // Pathological service time hits the cap.
-        assert_eq!(load_hint_ms(1_000, 1_000_000, 50, 10_000), 10_000);
-        // A floor above the cap never inverts the clamp.
-        assert_eq!(load_hint_ms(1, 1, 500, 100), 500);
     }
 
     #[test]

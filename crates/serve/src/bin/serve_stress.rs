@@ -46,8 +46,10 @@
 //!    stream replays byte-identically at 1, 2 and 4 shards, chaos off
 //!    and under a kill drill. Recorded as the `phase8` object.
 //!
-//! Honours `PRESBURGER_FAULT` (phase 1 runs with the breaker disabled
-//! so env-injected faults stay per-request-deterministic),
+//! Honours `PRESBURGER_FAULT` (parsed once at start, an invalid spec
+//! exits non-zero; armed as `fault_spec` on every pool that arms none
+//! of its own; phase 1 runs with the breaker disabled so the fault
+//! stays per-request-deterministic, and asserts that it fired),
 //! `PRESBURGER_CHAOS` (an extra phase-6 drill with the env-armed
 //! fault), `PRESBURGER_SERVE_SHARDS` (shard count for that drill),
 //! `PRESBURGER_SERVE_CHAOS_ONLY=1` (run phase 6 alone — the
@@ -65,12 +67,13 @@ use presburger_serve::{
     routing_hash, wire, AdmissionConfig, Chaos, PoolHandle, QuotaConfig, RetryPolicy, Ring,
     ServeConfig, ShardPool, ShardPoolConfig,
 };
+use presburger_trace::govern::parse_fault;
 use presburger_trace::json::JsonObject;
 use presburger_trace::metrics::{AdmitDecision, ReqLane, ReqVerb};
 use presburger_trace::shard::ShardRowSnapshot;
 use std::io::{Cursor, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -146,10 +149,27 @@ fn chaos_from_env() -> Option<Arc<Chaos>> {
     Some(Arc::new(chaos))
 }
 
+/// The `PRESBURGER_FAULT` spec, validated once in `main`.
+static ENV_FAULT: OnceLock<Option<String>> = OnceLock::new();
+
+fn env_fault() -> Option<&'static str> {
+    ENV_FAULT.get().and_then(Option::as_deref)
+}
+
+/// Starts a pool over `cfg`, arming the `PRESBURGER_FAULT` spec on it
+/// unless `cfg` arms a fault of its own. Every pool in this harness
+/// starts here.
+fn start_pool(mut cfg: ShardPoolConfig) -> ShardPool {
+    if cfg.shard_cfg.fault_spec.is_none() {
+        cfg.shard_cfg.fault_spec = env_fault().map(str::to_string);
+    }
+    ShardPool::start(cfg)
+}
+
 /// A one-shard pool over `cfg`: the serving path every single-server
 /// phase drives.
 fn one_shard(cfg: ServeConfig) -> ShardPool {
-    ShardPool::start(ShardPoolConfig {
+    start_pool(ShardPoolConfig {
         shards: 1,
         shard_cfg: cfg,
         ..ShardPoolConfig::default()
@@ -178,7 +198,7 @@ fn run_partitioned(
         queue_depth: requests.len() + conns,
         default_deadline_ms: None, // wall-clock-free: replayable
         default_budgets: replay_budgets(),
-        breaker_failures: 0, // see module docs: env faults stay per-request
+        breaker_failures: 0, // see module docs: the env fault stays per-request
         ..ServeConfig::default()
     };
     let server = one_shard(cfg);
@@ -283,6 +303,28 @@ fn phase_replay_determinism(n: usize, conns: usize) -> (usize, Duration) {
             "    run {run}: workers={workers} ok ({} ms)",
             took.as_millis()
         );
+    }
+    if let Some(spec) = env_fault() {
+        // An armed fault that never fires would let a broken mapping
+        // pass vacuously. A panic fault answers `ERR … internal`; a
+        // trip fault answers bounded or with its error (a weaker check:
+        // the replay budgets can trip on their own).
+        let panic = parse_fault(spec).expect("validated in main").panic;
+        let fired = baseline
+            .iter()
+            .flatten()
+            .flat_map(|t| t.lines())
+            .filter(|line| {
+                let mut tok = line.split_whitespace();
+                match (tok.next(), tok.nth(1)) {
+                    (Some("ERR"), Some(kind)) => !panic || kind == "internal",
+                    (Some("OK"), Some("bounded")) => !panic,
+                    _ => false,
+                }
+            })
+            .count();
+        assert!(fired > 0, "PRESBURGER_FAULT={spec} never fired in phase 1");
+        println!("    PRESBURGER_FAULT={spec} fired on {fired} replies");
     }
     (n, elapsed)
 }
@@ -398,7 +440,7 @@ fn phase_drain() {
     // The drain invariant is "no admitted request loses its response" —
     // with an env fault armed, splintery requests legitimately answer
     // ERR internal instead of OK, and that still counts as answered.
-    let fault_armed = std::env::var("PRESBURGER_FAULT").is_ok();
+    let fault_armed = env_fault().is_some();
     // A drain with queued work: everything admitted still answers,
     // within the drain deadline.
     let server = one_shard(ServeConfig {
@@ -617,7 +659,7 @@ fn run_pool_partitioned(
     conns: usize,
     chaos: Option<Arc<Chaos>>,
 ) -> (Vec<String>, Vec<ShardRowSnapshot>) {
-    let pool = ShardPool::start(chaos_pool_cfg(shards, requests.len() + conns, chaos));
+    let pool = start_pool(chaos_pool_cfg(shards, requests.len() + conns, chaos));
     let handle = pool.handle();
     let outputs: Vec<_> = (0..conns).map(|_| SharedBuf::new()).collect();
     thread::scope(|scope| {
@@ -667,7 +709,7 @@ fn census(transcripts: &[String]) -> (u64, u64, u64, u64) {
 /// the most interesting place to arm chaos (its worker is guaranteed to
 /// pop a 3rd job).
 fn plurality_shard(requests: &[GenRequest], shards: usize) -> usize {
-    let ring = Ring::new(shards, 64);
+    let ring = Ring::new(shards);
     let mut routed = vec![0u64; shards];
     for r in requests {
         if let Ok(presburger_serve::Request::Query(q)) = presburger_serve::parse_request(&r.line) {
@@ -938,7 +980,7 @@ fn phase_binary_protocol(n: usize) {
     for shards in [1usize, 2, 4] {
         let (text, _) = run_pool_partitioned(shards, &requests, 1, None);
         let run_binary = |chaos: Option<Arc<Chaos>>, label: &str| -> String {
-            let pool = ShardPool::start(chaos_pool_cfg(shards, n + 1, chaos));
+            let pool = start_pool(chaos_pool_cfg(shards, n + 1, chaos));
             let out = SharedBuf::new();
             serve_connection(
                 &pool.handle(),
@@ -1147,7 +1189,7 @@ fn phase_admission(n: usize) {
     println!("==> phase 8: deadline-aware admission control");
     // With an env fault armed, splintery requests legitimately answer
     // ERR internal; that still counts as answered (phase 4's rule).
-    let fault_armed = std::env::var("PRESBURGER_FAULT").is_ok();
+    let fault_armed = env_fault().is_some();
 
     // 8a: unloaded interactive p99 — the baseline the flooded run is
     // held to. The probe workload is splintery and the cache is off,
@@ -1342,10 +1384,6 @@ fn phase_admission(n: usize) {
         workers: 1,
         hold: Some(gate.clone()),
         default_deadline_ms: None,
-        admission: AdmissionConfig {
-            evict_expired: true,
-            ..AdmissionConfig::default()
-        },
         ..ServeConfig::default()
     });
     let handle = server.handle();
@@ -1394,10 +1432,8 @@ fn phase_admission(n: usize) {
                 tick_ms: 50,
             }),
             detail: true,
-            evict_expired: true,
-            ..AdmissionConfig::default()
         };
-        let pool = ShardPool::start(cfg);
+        let pool = start_pool(cfg);
         let handle = pool.handle();
         let input: String = requests.iter().map(|r| format!("{}\n", r.line)).collect();
         let out = SharedBuf::new();
@@ -1501,6 +1537,14 @@ static PHASE7_BENCH: Mutex<Option<String>> = Mutex::new(None);
 static PHASE8_BENCH: Mutex<Option<String>> = Mutex::new(None);
 
 fn main() {
+    let fault = std::env::var("PRESBURGER_FAULT")
+        .ok()
+        .filter(|s| !s.is_empty());
+    if let Some(Err(e)) = fault.as_deref().map(parse_fault) {
+        eprintln!("serve_stress: PRESBURGER_FAULT: {e}");
+        std::process::exit(2);
+    }
+    ENV_FAULT.set(fault).expect("set once, before any phase");
     let n = env_usize("PRESBURGER_SERVE_REQUESTS", 200);
     let conns = env_usize("PRESBURGER_SERVE_CONNS", 4).max(1);
     let env_chaos = chaos_from_env();

@@ -4,9 +4,11 @@
 //! [`ShardPoolConfig::chaos`](crate::ShardPoolConfig::chaos), arms
 //! exactly one fault per pool — fired by worker `<shard>` when it pops
 //! its `<nth>` job (1-based, counted across restarts) — in the same
-//! spirit as the governor's `PRESBURGER_FAULT`. The library reads no
-//! environment variable for it; the `serve_stress` harness maps
-//! `PRESBURGER_CHAOS` onto the config for operator-style drills.
+//! spirit as the governor's injected fault
+//! ([`ServeConfig::fault_spec`](crate::ServeConfig::fault_spec)). The
+//! library reads no environment variable for either; the
+//! `serve_stress` harness maps `PRESBURGER_CHAOS` onto the config for
+//! operator-style drills.
 //!
 //! * `kill`  — the worker thread panics past its unwind boundary and
 //!   dies (the supervisor must detect the crash and re-dispatch).

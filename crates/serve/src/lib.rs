@@ -23,7 +23,7 @@
 //!   (`client=…`, refilled by a deterministic logical clock so
 //!   transcripts stay byte-identical), eviction of requests whose
 //!   deadline expired while queued (answered with §4.6 bounds instead
-//!   of burning a worker), and load-derived `retry_after_ms` hints.
+//!   of burning a worker).
 //! * **Panic isolation** — every request runs under `catch_unwind`; a
 //!   poisoned request answers `ERR … internal` and the worker lives.
 //! * **Circuit breaking** — after K consecutive internal/deadline

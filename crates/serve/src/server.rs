@@ -58,15 +58,13 @@ use std::time::{Duration, Instant};
 
 /// Per-shard server configuration. `Default` gives a single-worker
 /// shard with a 64-deep queue, a 5 s default deadline, a 3-strike
-/// breaker and a 256-entry / 1 MiB cache.
+/// breaker and a 256-entry cache (bounded to 1 MiB).
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Worker threads draining the admission queue.
     pub workers: usize,
     /// Bounded admission-queue depth; a full queue sheds.
     pub queue_depth: usize,
-    /// `retry_after_ms` hint on `SHED` replies.
-    pub retry_after_ms: u64,
     /// Deadline applied to requests that carry no `deadline_ms`
     /// override. `None` = no default deadline.
     pub default_deadline_ms: Option<u64>,
@@ -79,8 +77,6 @@ pub struct ServeConfig {
     pub breaker_cooldown_ms: u64,
     /// Result-cache entry bound (`0` disables caching).
     pub cache_entries: usize,
-    /// Result-cache byte bound (keys + payloads).
-    pub cache_bytes: usize,
     /// Verify mode: recompute every `n`-th cache hit and alarm on
     /// mismatch. `None` disables verification.
     pub verify_every: Option<u64>,
@@ -88,9 +84,9 @@ pub struct ServeConfig {
     /// cancelling what remains (cancelled work still answers, with
     /// §4.6 bounds where possible).
     pub drain_deadline_ms: u64,
-    /// Hermetic fault injection: a `<site>:<nth>[:panic]` spec applied
-    /// to every governed request, equivalent to setting
-    /// `PRESBURGER_FAULT` but scoped to this server (for tests).
+    /// Fault injection: a `<site>:<nth>[:panic]` spec armed on every
+    /// governed request (`Governor::with_fault`). The only way to arm a
+    /// fault in a server; the library reads no environment variable.
     pub fault_spec: Option<String>,
     /// Request-scoped telemetry: histograms, flight recorder, event
     /// log (see [`crate::telemetry`]). Observational only — response
@@ -100,9 +96,9 @@ pub struct ServeConfig {
     /// each job, making queue-full sheds deterministic.
     pub hold: Option<Arc<Gate>>,
     /// Deadline-aware admission control: priority lanes, per-client
-    /// quotas, expired-request eviction, load-derived hints (see
-    /// [`crate::admission`], DESIGN.md §16). The defaults preserve the
-    /// legacy single-FIFO behavior byte-for-byte.
+    /// quotas and expired-request eviction (see [`crate::admission`],
+    /// DESIGN.md §16). The defaults preserve the legacy single-FIFO
+    /// behavior byte-for-byte.
     pub admission: AdmissionConfig,
 }
 
@@ -111,13 +107,11 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 1,
             queue_depth: 64,
-            retry_after_ms: 50,
             default_deadline_ms: Some(5_000),
             default_budgets: Budgets::unlimited(),
             breaker_failures: 3,
             breaker_cooldown_ms: 1_000,
             cache_entries: 256,
-            cache_bytes: 1 << 20,
             verify_every: None,
             drain_deadline_ms: 2_000,
             fault_spec: None,
@@ -127,6 +121,13 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// The `retry_after_ms` hint on `queue_full` and `draining` sheds.
+/// Quota sheds compute their own from the client's logical clock.
+pub(crate) const RETRY_AFTER_MS: u64 = 50;
+
+/// The result cache's byte bound (keys + payloads).
+const CACHE_BYTES: usize = 1 << 20;
 
 /// A closable gate workers wait on before taking work (test hook for
 /// deterministic shed scenarios).
@@ -406,7 +407,7 @@ impl Server {
         let workers = cfg.workers.max(1);
         let inner = Arc::new(Inner {
             queue: Mutex::new(QueueState {
-                jobs: LaneQueues::new(cfg.admission.background_credit),
+                jobs: LaneQueues::new(admission::BACKGROUND_CREDIT),
                 draining: false,
                 shutdown: false,
             }),
@@ -415,7 +416,7 @@ impl Server {
             drain_cancel: Arc::new(AtomicBool::new(false)),
             drained: AtomicBool::new(false),
             breaker: Mutex::new(Breaker::new(cfg.breaker_failures, cfg.breaker_cooldown_ms)),
-            cache: Mutex::new(ResultCache::new(cfg.cache_entries, cfg.cache_bytes)),
+            cache: Mutex::new(ResultCache::new(cfg.cache_entries, CACHE_BYTES)),
             stats: Stats::default(),
             telemetry: Telemetry::new(cfg.telemetry.clone()),
             workers_alive: AtomicUsize::new(0),
@@ -512,14 +513,14 @@ impl Handle {
                 if q.draining || q.shutdown {
                     results.push(Err(Refused {
                         reason: Refusal::Draining,
-                        retry_after_ms: inner.cfg.retry_after_ms,
+                        retry_after_ms: RETRY_AFTER_MS,
                     }));
                     continue;
                 }
                 if q.jobs.len() >= inner.cfg.queue_depth {
                     results.push(Err(Refused {
                         reason: Refusal::QueueFull,
-                        retry_after_ms: self.queue_full_hint(q.jobs.len() as u64, lane),
+                        retry_after_ms: RETRY_AFTER_MS,
                     }));
                     continue;
                 }
@@ -555,23 +556,6 @@ impl Handle {
             _ => inner.queue_cv.notify_all(),
         }
         results
-    }
-
-    /// The `retry_after_ms` on a `queue_full` shed: the static default,
-    /// or — with [`AdmissionConfig::load_hints`] — queue depth × the
-    /// lane's observed mean service time.
-    fn queue_full_hint(&self, depth: u64, lane: Lane) -> u64 {
-        let cfg = &self.inner.cfg;
-        if !cfg.admission.load_hints {
-            return cfg.retry_after_ms;
-        }
-        let mean_us = self
-            .inner
-            .telemetry
-            .metrics
-            .lane_service(req_lane(lane))
-            .mean() as u64;
-        admission::load_hint_ms(depth, mean_us, cfg.retry_after_ms, LOAD_HINT_CAP_MS)
     }
 
     /// Answers `query` with the budgeted §4.6 bounds (see
@@ -810,9 +794,6 @@ fn req_lane(lane: Lane) -> ReqLane {
     }
 }
 
-/// Cap on a load-derived `queue_full` hint.
-const LOAD_HINT_CAP_MS: u64 = 60_000;
-
 /// The deadline a request is subject to while *queued*: its own
 /// `deadline_ms` override, falling back to the server default.
 pub(crate) fn effective_deadline_ms(cfg: &ServeConfig, query: &Query) -> Option<u64> {
@@ -874,9 +855,8 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
         // Expired in queue: answer immediately with the budgeted §4.6
         // bounds instead of burning a governed run on a reply the client
         // has given up on.
-        let evict = inner.cfg.admission.evict_expired
-            && effective_deadline_ms(&inner.cfg, &job.query)
-                .is_some_and(|d| queue_wait >= Duration::from_millis(d));
+        let evict = effective_deadline_ms(&inner.cfg, &job.query)
+            .is_some_and(|d| queue_wait >= Duration::from_millis(d));
         // The outer unwind boundary: a panic anywhere in processing —
         // including inside rendering — poisons only this request.
         let answer = catch_unwind(AssertUnwindSafe(|| {
@@ -1085,10 +1065,9 @@ fn count_options(query: &Query) -> CountOptions {
 }
 
 /// Computes the answer for one query. Runs on a worker, inside its
-/// unwind boundary. `queue_wait` is how long the request sat queued —
-/// with [`AdmissionConfig::deadline_propagation`] it shrinks the
-/// governed deadline so queue wait cannot overshoot the client's
-/// budget.
+/// unwind boundary. `queue_wait` is how long the request sat queued;
+/// it shrinks the governed deadline so queue wait cannot overshoot the
+/// client's budget.
 fn process(inner: &Arc<Inner>, query: &Query, queue_wait: Duration) -> Answer {
     let p = match Parsed::new(query) {
         Ok(p) => p,
@@ -1161,10 +1140,8 @@ fn compute(inner: &Arc<Inner>, query: &Query, queue_wait: Duration, p: &Parsed) 
     // queue comes out of its execution budget (floored at 1 ms so the
     // governed run still answers — with bounds — instead of hanging the
     // overshoot on the client).
-    if inner.cfg.admission.deadline_propagation {
-        if let Some(d) = budgets.deadline {
-            budgets.deadline = Some(d.saturating_sub(queue_wait).max(Duration::from_millis(1)));
-        }
+    if let Some(d) = budgets.deadline {
+        budgets.deadline = Some(d.saturating_sub(queue_wait).max(Duration::from_millis(1)));
     }
 
     if plan == Plan::Degrade {

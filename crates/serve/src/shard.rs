@@ -54,7 +54,7 @@
 //!
 //! See DESIGN.md §14 for the full design rationale.
 
-use crate::admission::{QuotaDecision, QuotaLedger};
+use crate::admission::{self, QuotaDecision, QuotaLedger};
 use crate::chaos::Chaos;
 use crate::protocol::{Query, ServeError, Verb};
 use crate::server::{self, Handle, Refusal, Refused, Rescue, ServeConfig, Server, Slot};
@@ -69,17 +69,15 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// Shard-pool configuration. `Default` gives two shards with default
-/// [`ServeConfig`]s, 64 vnodes per shard, a 5 s wedge timeout, a 5 ms
-/// probe interval, 10 ms → 1 s restart backoff, and a redispatch budget
-/// of 2 hops before the §4.6 fallback.
+/// [`ServeConfig`]s, a 5 s wedge timeout, a 5 ms probe interval, a
+/// 10 ms restart backoff (capped at 1 s), and a redispatch budget of 2
+/// hops before the §4.6 fallback.
 #[derive(Clone, Debug)]
 pub struct ShardPoolConfig {
     /// Number of shards (each a full server); at least 1.
     pub shards: usize,
     /// Per-shard server configuration, shared by every shard.
     pub shard_cfg: ServeConfig,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub vnodes: usize,
     /// A shard with in-flight work whose heartbeat has not advanced for
     /// this long is condemned as wedged — once every in-flight job has
     /// also outlived twice its effective deadline (jobs without a
@@ -88,10 +86,8 @@ pub struct ShardPoolConfig {
     /// Supervisor probe cadence.
     pub probe_interval_ms: u64,
     /// Base restart backoff after a condemnation; doubles per
-    /// consecutive restart.
+    /// consecutive restart up to 1 s.
     pub restart_backoff_ms: u64,
-    /// Backoff cap; also the healthy streak that resets the ladder.
-    pub restart_backoff_max_ms: u64,
     /// Orphan re-dispatch hops before the §4.6 `failover` fallback.
     pub redispatch_budget: u32,
     /// Orphan age at which the fallback fires regardless of hops
@@ -110,17 +106,21 @@ impl Default for ShardPoolConfig {
         ShardPoolConfig {
             shards: 2,
             shard_cfg: ServeConfig::default(),
-            vnodes: 64,
             wedge_timeout_ms: 5_000,
             probe_interval_ms: 5,
             restart_backoff_ms: 10,
-            restart_backoff_max_ms: 1_000,
             redispatch_budget: 2,
             rescue_after_ms: 3_000,
             chaos: None,
         }
     }
 }
+
+/// Restart backoff cap; also the healthy streak that resets the ladder.
+const RESTART_BACKOFF_MAX_MS: u64 = 1_000;
+
+/// Virtual nodes per shard on the consistent-hash ring.
+const VNODES: usize = 64;
 
 /// The quota identity of a query that reached the pool without a
 /// `client=` option or a connection-scoped identity. Outside the id
@@ -182,7 +182,7 @@ pub fn routing_hash(query: &Query) -> u64 {
     fnv1a(&key)
 }
 
-/// A consistent-hash ring: `vnodes` points per shard, a key routes to
+/// A consistent-hash ring: 64 points per shard, a key routes to
 /// the first point clockwise from its hash. Growing the pool N→N+1
 /// re-routes only the keys that land on the new shard's points —
 /// ~1/(N+1) of the keyspace — so shard caches survive re-sizing.
@@ -193,15 +193,14 @@ pub struct Ring {
 }
 
 impl Ring {
-    /// A ring for `shards` shards with `vnodes` points each. Point
-    /// hashes depend only on `(shard, vnode)`, so rings of different
-    /// sizes share all points of their common shards.
-    pub fn new(shards: usize, vnodes: usize) -> Ring {
+    /// A ring for `shards` shards. Point hashes depend only on
+    /// `(shard, vnode)`, so rings of different sizes share all points of
+    /// their common shards.
+    pub fn new(shards: usize) -> Ring {
         let shards = shards.max(1);
-        let vnodes = vnodes.max(1);
-        let mut points = Vec::with_capacity(shards * vnodes);
+        let mut points = Vec::with_capacity(shards * VNODES);
         for s in 0..shards {
-            for v in 0..vnodes {
+            for v in 0..VNODES {
                 points.push((splitmix64(((s as u64) << 32) | v as u64), s));
             }
         }
@@ -308,13 +307,13 @@ impl ShardPool {
     /// Starts `cfg.shards` servers and the supervisor thread.
     pub fn start(cfg: ShardPoolConfig) -> ShardPool {
         let shards_n = cfg.shards.max(1);
-        let ring = Ring::new(shards_n, cfg.vnodes);
+        let ring = Ring::new(shards_n);
         let rows: Vec<Arc<ShardRow>> = (0..shards_n).map(|_| Arc::new(ShardRow::new())).collect();
         let ledger = cfg
             .shard_cfg
             .admission
             .quota
-            .map(|q| Arc::new(QuotaLedger::new(q, cfg.shard_cfg.admission.max_clients)));
+            .map(|q| Arc::new(QuotaLedger::new(q, admission::MAX_CLIENTS)));
         let now = Instant::now();
         let states: Vec<ShardState> = (0..shards_n)
             .map(|i| {
@@ -439,9 +438,7 @@ impl PoolHandle {
             });
             if let Some(refused) = refused {
                 slots.push(Slot::ready(shard().shed(&query, refused)));
-            } else if inner.cfg.shard_cfg.admission.evict_expired
-                && server::effective_deadline_ms(&inner.cfg.shard_cfg, &query) == Some(0)
-            {
+            } else if server::effective_deadline_ms(&inner.cfg.shard_cfg, &query) == Some(0) {
                 slots.push(Slot::ready(
                     shard().rescue(&query, Rescue::EvictedAtAdmission),
                 ));
@@ -541,7 +538,7 @@ impl PoolHandle {
     fn draining(&self) -> Refused {
         Refused {
             reason: Refusal::Draining,
-            retry_after_ms: self.inner.cfg.shard_cfg.retry_after_ms,
+            retry_after_ms: server::RETRY_AFTER_MS,
         }
     }
 
@@ -738,7 +735,7 @@ fn backoff_ms(cfg: &ShardPoolConfig, consecutive: u32) -> u64 {
     let exp = consecutive.saturating_sub(1).min(16);
     cfg.restart_backoff_ms
         .saturating_mul(1u64 << exp)
-        .min(cfg.restart_backoff_max_ms)
+        .min(RESTART_BACKOFF_MAX_MS)
 }
 
 /// Records requests that `try_enqueue` just admitted to shard `i` on
@@ -831,7 +828,7 @@ fn supervise_tick(inner: &Arc<PoolInner>) {
             // A healthy streak as long as the backoff cap resets the
             // ladder.
             if let Some(r) = st.last_restart {
-                if now.duration_since(r) >= Duration::from_millis(cfg.restart_backoff_max_ms) {
+                if now.duration_since(r) >= Duration::from_millis(RESTART_BACKOFF_MAX_MS) {
                     st.consecutive_restarts = 0;
                     st.last_restart = None;
                 }
@@ -1006,7 +1003,7 @@ mod tests {
 
     #[test]
     fn ring_route_is_stable_and_in_range() {
-        let ring = Ring::new(4, 64);
+        let ring = Ring::new(4);
         assert_eq!(ring.shards(), 4);
         for k in 0..1000u64 {
             let h = splitmix64(k);

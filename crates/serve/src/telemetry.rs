@@ -43,8 +43,7 @@ use std::time::Duration;
 /// Telemetry configuration, part of
 /// [`ServeConfig`](crate::server::ServeConfig). The default enables
 /// the in-memory consumers (histograms, counter capture, flight
-/// recorder) and leaves the event log off unless `PRESBURGER_EVENT_LOG`
-/// names a path.
+/// recorder) and leaves the event log off.
 #[derive(Clone, Debug)]
 pub struct TelemetrySettings {
     /// Record request histograms and counter families (`metrics` verb).
@@ -64,11 +63,9 @@ pub struct TelemetrySettings {
     /// A request at least this slow (end-to-end, microseconds) is
     /// flight-recorded even if it tripped nothing.
     pub flight_threshold_us: u64,
-    /// JSONL event-log path; `None` disables the log. Defaults from
-    /// `PRESBURGER_EVENT_LOG`.
+    /// JSONL event-log path; `None` (the default) disables the log.
     pub event_log: Option<String>,
     /// Log every `n`-th request (`0` and `1` both mean every request).
-    /// Defaults from `PRESBURGER_EVENT_SAMPLE`.
     pub event_sample: u64,
 }
 
@@ -80,19 +77,15 @@ impl Default for TelemetrySettings {
             capture_spans: false,
             flight_records: 64,
             flight_threshold_us: 250_000,
-            event_log: std::env::var("PRESBURGER_EVENT_LOG")
-                .ok()
-                .filter(|p| !p.is_empty()),
-            event_sample: std::env::var("PRESBURGER_EVENT_SAMPLE")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1),
+            event_log: None,
+            event_sample: 1,
         }
     }
 }
 
 impl TelemetrySettings {
-    /// Everything off — the configuration `overhead_smoke` measures.
+    /// Everything off: no histograms, counter capture, flight recorder
+    /// or event log.
     pub fn disabled() -> TelemetrySettings {
         TelemetrySettings {
             metrics: false,

@@ -144,15 +144,12 @@ fn golden_metrics_exposition() {
 
 #[test]
 fn flight_recorder_captures_faulted_request() {
-    // The check.sh drill: with PRESBURGER_FAULT=splinters_generated:1
-    // armed process-wide (or the equivalent hermetic fault_spec when
-    // run standalone), a splintery request trips the governor and the
-    // flight recorder must retain the full evidence. The latency
-    // threshold is pushed out of reach so the governor trip is the
-    // only possible trigger.
-    let env_fault = std::env::var("PRESBURGER_FAULT").is_ok();
+    // With a splinters_generated:1 fault armed, a splintery request
+    // trips the governor and the flight recorder must retain the full
+    // evidence. The latency threshold is pushed out of reach so the
+    // governor trip is the only possible trigger.
     let cfg = ServeConfig {
-        fault_spec: (!env_fault).then(|| "splinters_generated:1".to_string()),
+        fault_spec: Some("splinters_generated:1".to_string()),
         telemetry: TelemetrySettings {
             flight_threshold_us: u64::MAX,
             // Span capture is opt-in; this drill asserts the retained

@@ -308,7 +308,7 @@ fn pool_base_cfg() -> ShardPoolConfig {
 /// exactly the shard that will pop it).
 fn routed_shard(line: &str) -> usize {
     match parse_request(line).expect("parse") {
-        Request::Query(q) => Ring::new(2, 64).route(routing_hash(&q)),
+        Request::Query(q) => Ring::new(2).route(routing_hash(&q)),
         _ => unreachable!(),
     }
 }
@@ -449,7 +449,6 @@ fn golden_quota_session() {
                 tick_ms: 100,
             }),
             detail: true,
-            ..AdmissionConfig::default()
         },
         ..base_cfg()
     };

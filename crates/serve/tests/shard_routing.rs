@@ -33,8 +33,8 @@ proptest! {
     /// N → N+1: moved keys move only *to* the new shard, and few move.
     #[test]
     fn growing_the_ring_is_minimally_disruptive(seed in any::<u64>(), n in 1usize..8) {
-        let old = Ring::new(n, 64);
-        let new = Ring::new(n + 1, 64);
+        let old = Ring::new(n);
+        let new = Ring::new(n + 1);
         let keys = 2_000u64;
         let mut moved = 0u64;
         for k in 0..keys {
@@ -61,7 +61,7 @@ proptest! {
     /// (no shard is starved by vnode placement).
     #[test]
     fn every_shard_owns_keyspace(seed in any::<u64>(), n in 1usize..9) {
-        let ring = Ring::new(n, 64);
+        let ring = Ring::new(n);
         let mut hits = vec![0u64; n];
         for k in 0..4_000u64 {
             hits[ring.route(mix(seed.wrapping_add(k)))] += 1;
@@ -85,10 +85,10 @@ fn textual_variants_route_to_the_same_shard() {
     let hashes: Vec<u64> = variants.iter().map(|l| routing_hash(&query(l))).collect();
     assert!(hashes.windows(2).all(|w| w[0] == w[1]), "{hashes:?}");
     for n in 1..6 {
-        let ring = Ring::new(n, 64);
+        let ring = Ring::new(n);
         let shard = ring.route(hashes[0]);
         assert!(shard < n);
-        assert_eq!(shard, Ring::new(n, 64).route(hashes[0]));
+        assert_eq!(shard, Ring::new(n).route(hashes[0]));
     }
 }
 
@@ -97,6 +97,6 @@ fn textual_variants_route_to_the_same_shard() {
 fn unparsable_formulas_route_deterministically() {
     let q = query("count bad {x : x <<>> 3}");
     assert_eq!(routing_hash(&q), routing_hash(&q));
-    let ring = Ring::new(3, 64);
+    let ring = Ring::new(3);
     assert!(ring.route(routing_hash(&q)) < 3);
 }

@@ -515,7 +515,6 @@ fn differential_quota_session() {
                     tick_ms: 100,
                 }),
                 detail: true,
-                ..AdmissionConfig::default()
             },
             ..base_cfg()
         },
@@ -567,7 +566,7 @@ fn pool_base_cfg() -> ShardPoolConfig {
 
 fn routed_shard(line: &str) -> usize {
     match parse_request(line).expect("parse") {
-        Request::Query(q) => Ring::new(2, 64).route(presburger_serve::routing_hash(&q)),
+        Request::Query(q) => Ring::new(2).route(presburger_serve::routing_hash(&q)),
         _ => unreachable!(),
     }
 }

@@ -21,7 +21,10 @@
 //!
 //! # Fault injection
 //!
-//! `PRESBURGER_FAULT=<site>:<nth>[:panic]` arms a one-shot fault:
+//! A `<site>:<nth>[:panic]` spec ([`parse_fault`]) arms a one-shot
+//! fault. The library reads no environment variable for it: the
+//! counting crate arms it through `Governor::with_fault` and the
+//! serving layer through `ServeConfig::fault_spec`.
 //!
 //! * `<site>` — a counter name (see [`Counter::name`]) or the
 //!   pseudo-sites `deadline` / `cancel`;
@@ -67,7 +70,7 @@ pub enum FaultSite {
     Cancel,
 }
 
-/// A parsed `PRESBURGER_FAULT` specification.
+/// A parsed `<site>:<nth>[:panic]` fault specification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
     /// The counter (or pseudo-site) the fault is armed on.
@@ -109,20 +112,6 @@ pub fn parse_fault(spec: &str) -> Result<FaultSpec, String> {
         return Err(format!("fault spec {spec:?}: <nth> must be >= 1"));
     }
     Ok(FaultSpec { site, nth, panic })
-}
-
-/// Reads and parses `PRESBURGER_FAULT` from the environment. An
-/// unparsable value is reported on stderr and ignored (the production
-/// path must never die because of a typo in a test harness variable).
-pub fn fault_from_env() -> Option<FaultSpec> {
-    let spec = std::env::var("PRESBURGER_FAULT").ok()?;
-    match parse_fault(&spec) {
-        Ok(f) => Some(f),
-        Err(e) => {
-            eprintln!("ignoring PRESBURGER_FAULT: {e}");
-            None
-        }
-    }
 }
 
 /// The budgets a governed region is charged against. Plain data: the

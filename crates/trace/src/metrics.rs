@@ -560,7 +560,7 @@ impl RequestMetrics {
     }
 
     /// A snapshot of one lane's service-time (worker pop to reply)
-    /// histogram — the load-derived backpressure hint reads its mean.
+    /// histogram.
     pub fn lane_service(&self, lane: ReqLane) -> HistogramSnapshot {
         self.lane_service_us[lane as usize].snapshot()
     }

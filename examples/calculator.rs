@@ -48,9 +48,17 @@
 //! * `--batch K` — with `--binary`, pack up to `K` consecutive count /
 //!   sum requests into one atomically-admitted batch frame (max 64;
 //!   control verbs flush the pending batch first).
+//!
+//! Environment (the library reads none of these; this binary maps
+//! them, and an invalid value exits 2 naming the variable):
+//! * `PRESBURGER_FAULT=<site>:<nth>[:panic]` — arm an injected fault
+//!   on governed queries (`Governor::with_fault`) and, under `--serve`,
+//!   on every request (`ServeConfig::fault_spec`);
+//! * `PRESBURGER_EVENT_LOG=<path>` / `PRESBURGER_EVENT_SAMPLE=<n>` —
+//!   under `--serve`, write the JSONL event log, every `n`-th request.
 
 use presburger::prelude::*;
-use presburger::serve::ServeConfig;
+use presburger::serve::{ServeConfig, TelemetrySettings};
 use presburger::trace::json::JsonObject;
 use presburger::trace::metrics::{
     ReqLane, ReqOutcome, ReqVerb, RequestMetrics, RequestObservation,
@@ -72,6 +80,8 @@ struct Options {
     timeout_ms: Option<u64>,
     max_splinters: Option<u64>,
     degrade: Option<DegradePolicy>,
+    /// The `PRESBURGER_FAULT` spec, validated in `main`.
+    fault: Option<String>,
 }
 
 /// A failed query: a stable machine-readable kind plus human detail.
@@ -143,12 +153,17 @@ fn run_query(query: &str, opts: &Options) -> Result<ReqOutcome, QueryError> {
     let mut outcome = ReqOutcome::Ok;
     let fmt = |c: Option<i64>| c.map_or_else(|| "?".to_string(), |c| c.to_string());
     if opts.governed() {
-        let gov = Governor::new(Budgets {
+        let mut gov = Governor::new(Budgets {
             deadline: opts.timeout_ms.map(Duration::from_millis),
             max_splinters: opts.max_splinters,
             ..Budgets::unlimited()
         })
         .with_degrade(opts.degrade.unwrap_or_default());
+        if let Some(spec) = &opts.fault {
+            gov = gov
+                .with_fault(spec)
+                .expect("PRESBURGER_FAULT was validated in main");
+        }
         let out = presburger::try_count_solutions_governed(&space, &f, &vars, &count_opts, &gov)
             .map_err(|e| QueryError {
                 kind: e.kind(),
@@ -337,7 +352,31 @@ fn run_client(addr: &str, binary: bool, batch: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// An environment variable's value; empty counts as unset.
+fn env(name: &str) -> Option<String> {
+    std::env::var(name).ok().filter(|v| !v.is_empty())
+}
+
+/// Parses an environment variable with `parse`, exiting 2 with a
+/// message naming the variable when its value is invalid.
+fn env_parsed<T, E: std::fmt::Display>(
+    name: &str,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> Option<T> {
+    let value = env(name)?;
+    match parse(&value) {
+        Ok(v) => Some(v),
+        Err(e) => {
+            eprintln!("{name}={value:?}: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
+    let fault = env_parsed("PRESBURGER_FAULT", |spec| {
+        presburger::trace::govern::parse_fault(spec).map(|_| spec.to_string())
+    });
     let mut opts = Options {
         stats: false,
         trace: false,
@@ -351,6 +390,7 @@ fn main() {
         timeout_ms: None,
         max_splinters: None,
         degrade: None,
+        fault,
     };
     let mut rest: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -431,6 +471,12 @@ fn main() {
             default_deadline_ms: opts
                 .timeout_ms
                 .or(ServeConfig::default().default_deadline_ms),
+            fault_spec: opts.fault.clone(),
+            telemetry: TelemetrySettings {
+                event_log: env("PRESBURGER_EVENT_LOG"),
+                event_sample: env_parsed("PRESBURGER_EVENT_SAMPLE", str::parse).unwrap_or(1),
+                ..TelemetrySettings::default()
+            },
             ..ServeConfig::default()
         };
         match presburger::serve::run_stdio(cfg) {

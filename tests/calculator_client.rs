@@ -5,6 +5,8 @@
 //! byte-identical across codecs (modulo `queue_depth_peak`, which is
 //! scheduling-dependent: the text client pipelines lines one by one
 //! while the binary client admits whole batch frames atomically).
+//! It also checks that the calculator rejects an invalid
+//! `PRESBURGER_FAULT`.
 
 use presburger::counting::Budgets;
 use presburger::serve::{PoolTcpServer, ServeConfig, ShardPoolConfig};
@@ -134,4 +136,18 @@ drain
         mask_peak(&binary),
         "binary client EOF drain drifted from text"
     );
+}
+
+/// A typo in `PRESBURGER_FAULT` fails loudly instead of running the
+/// query with no fault armed.
+#[test]
+fn invalid_fault_spec_exits_nonzero_naming_the_variable() {
+    let out = Command::new(calculator_bin())
+        .args(["--timeout", "5000", "count {x : 1 <= x <= 3}"])
+        .env("PRESBURGER_FAULT", "bogus:1")
+        .output()
+        .expect("run calculator");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "exited {:?}", out.status);
+    assert!(stderr.contains("PRESBURGER_FAULT"), "stderr was: {stderr}");
 }

@@ -3,9 +3,10 @@
 //! to the paper's §4.6 bounds.
 //!
 //! The `fault_injection_from_env` test is the target of the check.sh
-//! fault matrix: it is driven by `PRESBURGER_FAULT=<site>:<nth>[:panic]`
-//! and asserts the documented Outcome/CountError for whichever site is
-//! armed (see DESIGN.md §9).
+//! fault matrix: it maps `PRESBURGER_FAULT=<site>:<nth>[:panic]` onto
+//! `Governor::with_fault` and asserts the documented Outcome/CountError
+//! for whichever site is armed (see DESIGN.md §9). The library itself
+//! reads no environment variable.
 
 use presburger::prelude::*;
 use presburger::trace::govern::{parse_fault, FaultSite};
@@ -442,16 +443,23 @@ fn governed_determinism_across_thread_counts() {
     assert_eq!(sequential, parallel);
 }
 
-/// The check.sh fault-matrix target. Reads `PRESBURGER_FAULT`, runs a
-/// formula that charges the armed site, and asserts the documented
-/// Outcome/CountError for that site (DESIGN.md §9). A no-op when the
-/// variable is unset, so plain `cargo test` runs are unaffected.
+/// The check.sh fault-matrix target. Arms `PRESBURGER_FAULT` with
+/// `Governor::with_fault`, runs a formula that charges the armed site,
+/// and asserts the documented Outcome/CountError for that site
+/// (DESIGN.md §9). A no-op when the variable is unset, so plain
+/// `cargo test` runs are unaffected.
 #[test]
 fn fault_injection_from_env() {
     let Ok(spec) = std::env::var("PRESBURGER_FAULT") else {
         return;
     };
     let fault = parse_fault(&spec).expect("matrix specs are valid");
+    let gov = Governor::new(Budgets {
+        deadline: Some(Duration::from_secs(30)),
+        ..Budgets::unlimited()
+    })
+    .with_fault(&spec)
+    .expect("matrix specs are valid");
 
     // E11 charges every site except max_coeff_bits (splinters, DNF
     // work, depth, pieces, normalize heartbeats); bignum growth needs
@@ -470,17 +478,9 @@ fn fault_injection_from_env() {
             Formula::le(Affine::term(x, A), Affine::var(n)),
         ]);
         let z = QPoly::var(x) * QPoly::var(x) * QPoly::var(x) * QPoly::var(x) * QPoly::var(x);
-        let gov = Governor::new(Budgets {
-            deadline: Some(Duration::from_secs(30)),
-            ..Budgets::unlimited()
-        });
         try_sum_polynomial_governed(&s, &f, &[x], &z, &CountOptions::default(), &gov)
     } else {
         let (f, vars) = e11(&mut s);
-        let gov = Governor::new(Budgets {
-            deadline: Some(Duration::from_secs(30)),
-            ..Budgets::unlimited()
-        });
         governed(&s, &f, &vars, &gov)
     };
 
@@ -521,6 +521,36 @@ fn fault_injection_from_env() {
             }
             other => panic!("expected a budget outcome from {spec}, got {other:?}"),
         },
+    }
+}
+
+/// `Governor::new` arms no fault, whatever the environment holds. With
+/// `PRESBURGER_FAULT` unset, this test re-runs itself in a child process
+/// with the variable set; the child asserts that E11, whose exact count
+/// charges `sum_depth`, still comes back exact.
+#[test]
+fn governor_new_ignores_the_environment() {
+    const NAME: &str = "governor_new_ignores_the_environment";
+    if std::env::var_os("PRESBURGER_FAULT").is_none() {
+        let out = std::process::Command::new(std::env::current_exe().expect("current_exe"))
+            .args(["--exact", NAME, "--test-threads=1"])
+            .env("PRESBURGER_FAULT", "sum_depth:1")
+            .output()
+            .expect("re-run the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "child run failed: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    let mut s = Space::new();
+    let (f, vars) = e11(&mut s);
+    let gov = Governor::new(Budgets::unlimited());
+    match governed(&s, &f, &vars, &gov) {
+        Ok(Outcome::Exact(_)) => {}
+        other => panic!("Governor::new armed a fault from the environment: {other:?}"),
     }
 }
 
