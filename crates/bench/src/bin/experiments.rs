@@ -17,21 +17,19 @@ use presburger_trace::json::{array, JsonObject};
 use presburger_trace::Counter;
 
 fn main() {
-    println!("| Id | Experiment | Paper | Measured | Counters | ms | par_speedup | Pass |");
-    println!("|----|------------|-------|----------|----------|----|-------------|------|");
+    println!("| Id | Experiment | Paper | Measured | Counters | ms | Pass |");
+    println!("|----|------------|-------|----------|----------|----|------|");
     let mut failures = 0;
     let mut entries = Vec::new();
     for r in all_experiments() {
         println!(
-            "| {} | {} | {} | {} | {} | {:.1} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {:.1} | {} |",
             r.id,
             r.title,
             r.paper.replace('|', "\\|"),
             r.measured.replace('|', "\\|"),
             r.counter_summary().replace('|', "\\|"),
             r.wall.as_secs_f64() * 1e3,
-            r.par_speedup
-                .map_or("—".to_string(), |s| format!("{s:.2}×")),
             if r.pass { "✅" } else { "❌" }
         );
         if !r.pass {
@@ -42,9 +40,6 @@ fn main() {
         obj.field_str("title", r.title);
         obj.field_bool("pass", r.pass);
         obj.field_f64("wall_ms", r.wall.as_secs_f64() * 1e3);
-        if let Some(s) = r.par_speedup {
-            obj.field_f64("par_speedup", s);
-        }
         obj.field_raw("counters", &r.counters.to_json_nonzero());
         entries.push(obj.finish());
     }

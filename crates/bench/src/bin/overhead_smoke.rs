@@ -9,14 +9,6 @@
 //! the disabled-collector overhead, which is compared against the
 //! median untraced wall time of the same simplification.
 //!
-//! The same bound must hold when the counting engine spawns worker
-//! threads: each worker adds one fork handle
-//! (`fork_scope`/`begin`/`finish`/`merge_fork_part` round trip), so the
-//! handle's disabled-path cost is measured the same way and gated at
-//! the same 5% — workers are far rarer than hooks, so in practice this
-//! asserts the handle is no more expensive than a handful of hook
-//! loads.
-//!
 //! ```text
 //! cargo run --release -p presburger-bench --bin overhead_smoke
 //! ```
@@ -66,17 +58,6 @@ fn main() {
         );
     }
     let per_gauge_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(HOOK_LOOPS);
-
-    // 2b. Unit cost of a disabled fork handle (what every spawned
-    //     worker pays when tracing is off).
-    const FORK_LOOPS: u32 = 1_000_000;
-    let t = Instant::now();
-    for _ in 0..FORK_LOOPS {
-        let scope = std::hint::black_box(trace::fork_scope());
-        let handle = scope.begin();
-        trace::merge_fork_part(std::hint::black_box(handle.finish()));
-    }
-    let per_fork_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(FORK_LOOPS);
 
     // 2c. Unit cost of a disabled request-metrics observation (what the
     //     serve worker pays per request when telemetry histograms are
@@ -198,19 +179,16 @@ fn main() {
     walls.sort_by(|a, b| a.total_cmp(b));
     let median_ms = walls[walls.len() / 2];
 
-    // A generous worker-count bound: one fork handle per worker per
-    // sum_formula call; E3-sized work never spawns more than this.
-    const FORKS_PER_RUN: f64 = 64.0;
+    // A request records one observation; bounding by 64 is already 64×
+    // conservative for an E3-sized request.
+    const OBS_PER_RUN: f64 = 64.0;
     let overhead_ms = hooks as f64 * per_hook_ns / 1e6;
     // Gauge hooks are a (small) subset of all hooks; bounding them by
     // the full hook count is conservative.
     let gauge_overhead_ms = hooks as f64 * per_gauge_ns / 1e6;
-    let fork_overhead_ms = FORKS_PER_RUN * per_fork_ns / 1e6;
-    // A request records one observation; bounding by the fork count is
-    // already 64× conservative for an E3-sized request.
-    let obs_overhead_ms = FORKS_PER_RUN * per_obs_ns / 1e6;
+    let obs_overhead_ms = OBS_PER_RUN * per_obs_ns / 1e6;
     // A pooled request routes exactly once — the multiplier here is 1,
-    // not the 64× used for the per-worker hooks above, because routing
+    // not the 64× used for the observations above, because routing
     // happens at admission, never inside the compute.
     let route_overhead_ms = per_route_ns / 1e6;
     // Likewise a binary request is framed and unframed exactly once per
@@ -221,7 +199,6 @@ fn main() {
     let admit_overhead_ms = per_admit_ns / 1e6;
     let pct = 100.0 * overhead_ms / median_ms;
     let gauge_pct = 100.0 * gauge_overhead_ms / median_ms;
-    let fork_pct = 100.0 * fork_overhead_ms / median_ms;
     let obs_pct = 100.0 * obs_overhead_ms / median_ms;
     let route_pct = 100.0 * route_overhead_ms / median_ms;
     let wire_pct = 100.0 * wire_overhead_ms / median_ms;
@@ -229,7 +206,6 @@ fn main() {
     println!("hooks per E3 run:        {hooks}");
     println!("disabled hook cost:      {per_hook_ns:.2} ns");
     println!("disabled gauge hook:     {per_gauge_ns:.2} ns");
-    println!("disabled fork handle:    {per_fork_ns:.2} ns");
     println!("disabled request metric: {per_obs_ns:.2} ns");
     println!("shard route cost:        {per_route_ns:.2} ns");
     println!("wire codec round trip:   {per_wire_ns:.2} ns");
@@ -237,9 +213,6 @@ fn main() {
     println!("E3 median wall:          {median_ms:.3} ms");
     println!("estimated overhead:      {overhead_ms:.4} ms ({pct:.2}% of E3)");
     println!("gauge/governor overhead: {gauge_overhead_ms:.4} ms ({gauge_pct:.2}% of E3)");
-    println!(
-        "fork-handle overhead:    {fork_overhead_ms:.4} ms at 64 workers ({fork_pct:.2}% of E3)"
-    );
     println!(
         "request-metrics overhead: {obs_overhead_ms:.4} ms at 64 observations ({obs_pct:.2}% of E3)"
     );
@@ -249,10 +222,6 @@ fn main() {
     }
     if gauge_pct >= 5.0 {
         eprintln!("FAIL: disabled-governor gauge overhead {gauge_pct:.2}% >= 5%");
-        std::process::exit(1);
-    }
-    if fork_pct >= 5.0 {
-        eprintln!("FAIL: disabled fork-handle overhead {fork_pct:.2}% >= 5%");
         std::process::exit(1);
     }
     if obs_pct >= 5.0 {

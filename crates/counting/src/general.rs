@@ -4,12 +4,10 @@
 //! clauses would double-count; the paper's alternative, inclusion–
 //! exclusion, needs `2^k − 1` summations for `k` clauses), then each
 //! clause is summed independently through the projected transform
-//! (§4.5.2) and the convex engine (§4.4). The per-clause work runs on
-//! the deterministic task pipeline ([`crate::pipeline`]): with
-//! [`CountOptions::threads`] > 1 the clauses are summed concurrently,
-//! with byte-identical results at any thread count.
+//! (§4.5.2) and the convex engine (§4.4). The clauses are summed one
+//! after another, in clause order, by the clause loop in `pipeline.rs`.
 
-use crate::pipeline::run_clause_tasks;
+use crate::pipeline::sum_clauses;
 use crate::{CountError, CountOptions};
 use presburger_omega::dnf::{simplify, SimplifyOptions};
 use presburger_omega::{Formula, Space, VarId};
@@ -26,7 +24,12 @@ pub fn sum_formula(
 ) -> Result<GuardedValue, CountError> {
     let _span = presburger_trace::span("sum_formula");
     let dnf = simplify(f, space, &SimplifyOptions::disjoint());
-    let acc = run_clause_tasks(dnf.clauses, vars, z, space, opts)?;
+    // The clauses are disjoint, so their sums add; the earliest failing
+    // clause's error is the one reported.
+    let mut acc = GuardedValue::zero();
+    for out in sum_clauses(dnf.clauses, vars, z, space, opts, None) {
+        acc.add(out.result?);
+    }
     Ok(polish(acc, space, opts))
 }
 

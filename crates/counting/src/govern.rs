@@ -29,25 +29,24 @@
 //!
 //! # Determinism
 //!
-//! Count budgets are charged per clause task against totals that reset
-//! with each task, so whether a clause trips is a pure function of the
-//! clause — independent of thread count — and the PR 2 byte-identical
-//! guarantee extends to governed runs. Only the deadline and the
-//! cancellation token observe real time and are therefore outside that
-//! guarantee.
+//! Count budgets are charged per clause against totals that reset with
+//! each clause, so whether a clause trips depends on that clause alone,
+//! and the degraded answer is the same on every run. Only the deadline
+//! and the cancellation token observe real time and are therefore
+//! outside that guarantee.
 //!
 //! # Panic isolation
 //!
-//! Every clause task (governed or not) runs under
-//! [`std::panic::catch_unwind`]; a worker panic is caught, the
-//! remaining tasks still run, and the panic surfaces as a
-//! deterministic, clause-ordered [`CountError::Internal`] instead of
-//! aborting the process. The same boundary catches the governor's
-//! budget trips. An injected fault ([`Governor::with_fault`], see
-//! [`presburger_trace::govern`]) exercises both paths from tests.
+//! Every clause (governed or not) runs under
+//! [`std::panic::catch_unwind`]; a panic is caught, the remaining
+//! clauses still run, and the panic surfaces as a clause-ordered
+//! [`CountError::Internal`] instead of aborting the process. The same
+//! boundary catches the governor's budget trips. An injected fault
+//! ([`Governor::with_fault`], see [`presburger_trace::govern`])
+//! exercises both paths from tests.
 
 use crate::general::polish;
-use crate::pipeline::run_clause_tasks_raw;
+use crate::pipeline::sum_clauses;
 use crate::projected::{sum_clause, Ctx};
 use crate::{CountError, CountOptions, Mode, Symbolic};
 use presburger_omega::dnf::{simplify, SimplifyOptions};
@@ -62,7 +61,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Resource budgets for one governed run. Every field is optional; the
-/// default is unlimited. Each cap is charged against a per-clause-task
+/// default is unlimited. Each cap is charged against a per-clause
 /// total (so a budget bounds the work of each independent clause, and
 /// trips deterministically — see the module docs).
 #[derive(Clone, Copy, Debug, Default)]
@@ -231,7 +230,7 @@ impl Governor {
 
 /// The per-run view of a [`Governor`]: budgets mapped to counter caps
 /// and the deadline durations anchored to the run's start instant.
-/// Shared (`&Runtime`) by every clause task of one run.
+/// Shared (`&Runtime`) by every clause of one run.
 pub(crate) struct Runtime {
     caps: [Option<u64>; NUM_COUNTERS],
     deadline: Option<(Instant, u64)>,
@@ -268,7 +267,7 @@ impl Runtime {
     }
 
     /// Installs the exact-pass limits on the current thread for the
-    /// duration of one governed region (a clause task or the DNF
+    /// duration of one governed region (a clause or the DNF
     /// phase).
     pub(crate) fn enter_task(&self) -> trace::govern::Installed {
         trace::govern::install(self.limits(false))
@@ -315,7 +314,7 @@ impl Runtime {
 
 /// Converts a caught unwind payload into a structured [`CountError`]:
 /// governor [`Trip`]s become their budget/deadline/cancellation
-/// variants, anything else is a genuine worker panic and becomes
+/// variants, anything else is a genuine panic and becomes
 /// [`CountError::Internal`].
 pub(crate) fn error_from_panic(payload: Box<dyn std::any::Any + Send>) -> CountError {
     match payload.downcast::<Trip>() {
@@ -393,22 +392,19 @@ fn sum_formula_governed(
     }))
     .map_err(error_from_panic)?;
 
-    // Phase B: one governed region per clause task; workers install
-    // the region themselves, and every task runs to completion even
-    // when one trips.
-    let outcomes = run_clause_tasks_raw(dnf.clauses, vars, z, space, opts, Some(rt));
+    // Phase B: one governed region per clause; every clause runs even
+    // when an earlier one trips.
+    let outcomes = sum_clauses(dnf.clauses, vars, z, space, opts, Some(rt));
 
     // Phase C: deterministic degrading merge, in clause order. Exact
     // clauses contribute identically to both accumulators; degraded
-    // clauses are re-summed sequentially on the main space under the
-    // §4.6 bound modes. The DNF is disjoint, so per-clause brackets
-    // sum to a bracket of the whole.
+    // clauses are re-summed under the §4.6 bound modes. The DNF is
+    // disjoint, so per-clause brackets sum to a bracket of the whole.
     let mut lower = GuardedValue::zero();
     let mut upper = GuardedValue::zero();
     let mut statuses = Vec::with_capacity(outcomes.len());
     let mut first_why: Option<CountError> = None;
     for out in outcomes {
-        space.adopt(&out.space);
         match out.result {
             Ok(v) => {
                 statuses.push(ClauseStatus::Exact);

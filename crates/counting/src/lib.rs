@@ -45,7 +45,7 @@ pub mod enumerate;
 pub mod general;
 pub mod govern;
 pub mod minmax;
-pub mod pipeline;
+mod pipeline;
 pub mod projected;
 
 pub use govern::{
@@ -81,39 +81,24 @@ pub struct CountOptions {
     /// variable choice (§4.4 step 1). Disabling this reproduces the
     /// Tawbi-style behaviour the paper compares against (ablation A1).
     pub remove_redundant: bool,
-    /// Worker threads draining the clause-task pipeline: `1` runs the
-    /// tasks inline on the calling thread, `0` means one worker per
-    /// available core. Results are byte-identical at every setting —
-    /// the task decomposition and merge order never depend on
-    /// scheduling.
+    /// Ignored: the engine sums the clauses on the calling thread.
+    /// Removed with ROADMAP item 4's benchmark change.
     pub threads: usize,
     /// Ignored: the engine memoizes nothing. Removed with ROADMAP
-    /// item 5's benchmark change.
+    /// item 4's benchmark change.
     pub memo: bool,
 }
 
 impl Default for CountOptions {
-    /// The default thread count honours the `PRESBURGER_THREADS`
-    /// environment variable — read **per call**, so tests (and long-
-    /// running services) that change the variable after the first count
-    /// are not silently ignored — falling back to `1`, the sequential
-    /// behaviour.
     fn default() -> CountOptions {
         CountOptions {
             mode: Mode::Exact,
             four_piece: false,
             remove_redundant: true,
-            threads: default_threads(),
+            threads: 1,
             memo: false,
         }
     }
-}
-
-fn default_threads() -> usize {
-    std::env::var("PRESBURGER_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1)
 }
 
 /// Errors reported by the counting engine.
@@ -145,9 +130,9 @@ pub enum CountError {
     },
     /// The [`Governor`] cancellation token was set.
     Cancelled,
-    /// A clause worker panicked; the panic was caught, the pipeline
-    /// completed, and the message is reported here instead of aborting
-    /// the process.
+    /// Summing a clause panicked; the panic was caught, the remaining
+    /// clauses still ran, and the message is reported here instead of
+    /// aborting the process.
     Internal(String),
 }
 

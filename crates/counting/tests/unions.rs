@@ -1,60 +1,26 @@
-//! Determinism of the parallel clause pipeline: the engine must produce
-//! *structurally identical* results at every thread count, because the
-//! task decomposition (clause order, `Space` fork blocks, per-task
-//! budgets) is fixed before any worker starts. These tests drive the
-//! same randomized multi-clause formulas through `threads = 1`, `2`,
-//! and `8` and assert the resulting [`GuardedValue`]s are equal — not
-//! just numerically, piece for piece — and that brute-force enumeration
-//! agrees on sampled symbol values.
+//! Multi-clause unions against brute force: each formula simplifies to
+//! several disjoint clauses, whose sums the engine adds in clause
+//! order. Every count is checked by enumeration at sampled values of
+//! the symbol `n`.
 
 use presburger_arith::Int;
-use presburger_counting::{enumerate, try_count_solutions, CountOptions, Symbolic};
+use presburger_counting::{enumerate, try_count_solutions, CountOptions};
 use presburger_omega::{Affine, Formula, Space, VarId};
 use proptest::prelude::*;
 
-fn count_with_threads(
-    s: &Space,
-    f: &Formula,
-    vars: &[VarId],
-    threads: usize,
-) -> Result<Symbolic, TestCaseError> {
-    let opts = CountOptions {
-        threads,
-        ..CountOptions::default()
-    };
-    try_count_solutions(s, f, vars, &opts)
-        .map_err(|e| TestCaseError::fail(format!("count failed (threads={threads}): {e}")))
-}
-
-/// Counts `f` at `threads` ∈ {1, 2, 8}, asserts the three results are
-/// structurally identical, and checks the first against brute force for
-/// every `n` in `ns`.
-fn check_thread_counts(
+/// Counts `f` and checks it against brute force for every `n` in `ns`.
+fn check_against_brute(
     s: &Space,
     f: &Formula,
     vars: &[VarId],
     brute_range: std::ops::RangeInclusive<i64>,
     ns: std::ops::RangeInclusive<i64>,
 ) -> Result<(), TestCaseError> {
-    let seq = count_with_threads(s, f, vars, 1)?;
-    for threads in [2usize, 8] {
-        let par = count_with_threads(s, f, vars, threads)?;
-        prop_assert_eq!(
-            &seq.value,
-            &par.value,
-            "GuardedValue differs between threads=1 and threads={}",
-            threads
-        );
-        prop_assert_eq!(
-            seq.to_display_string(),
-            par.to_display_string(),
-            "display differs between threads=1 and threads={}",
-            threads
-        );
-    }
+    let sym = try_count_solutions(s, f, vars, &CountOptions::default())
+        .map_err(|e| TestCaseError::fail(format!("count failed: {e}")))?;
     for nv in ns {
         let brute = enumerate::count_formula(f, vars, brute_range.clone(), &|_| Int::from(nv));
-        prop_assert_eq!(seq.eval_i64(&[("n", nv)]), Some(brute as i64), "n={}", nv);
+        prop_assert_eq!(sym.eval_i64(&[("n", nv)]), Some(brute as i64), "n={}", nv);
     }
     Ok(())
 }
@@ -63,7 +29,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Unions of shifted boxes: each disjunct becomes (at least) one
-    /// clause task, so the pipeline genuinely fans out.
+    /// disjoint clause.
     #[test]
     fn interval_unions(k in 2usize..=6, w in 1i64..=4) {
         let mut s = Space::new();
@@ -80,11 +46,11 @@ proptest! {
                 })
                 .collect(),
         );
-        check_thread_counts(&s, &f, &[x], -2..=30, -2..=8)?;
+        check_against_brute(&s, &f, &[x], -2..=30, -2..=8)?;
     }
 
-    /// 2-D union with strides and a coupling constraint: clause tasks
-    /// that each splinter further inside the worker.
+    /// 2-D union with strides and a coupling constraint: clauses that
+    /// each splinter further.
     #[test]
     fn strided_union_2d(m in 2i64..=3, r in 0i64..=1, c in 1i64..=3) {
         let mut s = Space::new();
@@ -102,7 +68,7 @@ proptest! {
             Formula::le(Affine::constant(-3), Affine::var(y)),
         ]);
         let f = Formula::or(vec![band, blob]);
-        check_thread_counts(&s, &f, &[x, y], -4..=12, -1..=9)?;
+        check_against_brute(&s, &f, &[x, y], -4..=12, -1..=9)?;
     }
 
     /// Negation-induced DNF blowup: box minus a union of holes turns
@@ -122,12 +88,11 @@ proptest! {
             Formula::between(Affine::constant(-1), y, Affine::var(n)),
             Formula::not(holes),
         ]);
-        check_thread_counts(&s, &f, &[x, y], -3..=10, -2..=8)?;
+        check_against_brute(&s, &f, &[x, y], -3..=10, -2..=8)?;
     }
 
     /// Mixed arity: one equality-constrained clause, one triangular
-    /// clause, one strided clause — heterogeneous task costs exercise
-    /// out-of-order completion with in-order merge.
+    /// clause, one strided clause.
     #[test]
     fn heterogeneous_clauses(a in 1i64..=2, off in -1i64..=2) {
         let mut s = Space::new();
@@ -149,54 +114,13 @@ proptest! {
             Formula::stride(3, Affine::var(x)),
         ]);
         let f = Formula::or(vec![eq_clause, tri_clause, stride_clause]);
-        check_thread_counts(&s, &f, &[x, y], -8..=12, -2..=7)?;
+        check_against_brute(&s, &f, &[x, y], -8..=12, -2..=7)?;
     }
 }
 
-/// threads=0 (one worker per core) also matches the sequential answer.
+/// A two-clause union, one clause symbolic and one constant.
 #[test]
-fn auto_thread_count_matches_sequential() {
-    let mut s = Space::new();
-    let x = s.var("x");
-    let n = s.var("n");
-    let f = Formula::or(
-        (0..5i64)
-            .map(|o| {
-                Formula::between(
-                    Affine::constant(1 + 3 * o),
-                    x,
-                    Affine::var(n) + Affine::constant(3 * o),
-                )
-            })
-            .collect(),
-    );
-    let seq = try_count_solutions(
-        &s,
-        &f,
-        &[x],
-        &CountOptions {
-            threads: 1,
-            ..CountOptions::default()
-        },
-    )
-    .unwrap();
-    let auto = try_count_solutions(
-        &s,
-        &f,
-        &[x],
-        &CountOptions {
-            threads: 0,
-            ..CountOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(seq.value, auto.value);
-    assert_eq!(seq.to_display_string(), auto.to_display_string());
-}
-
-/// More workers than clauses: the surplus threads must be harmless.
-#[test]
-fn more_threads_than_clauses() {
+fn two_clause_union() {
     let mut s = Space::new();
     let x = s.var("x");
     let n = s.var("n");
@@ -204,29 +128,9 @@ fn more_threads_than_clauses() {
         Formula::between(Affine::constant(1), x, Affine::var(n)),
         Formula::between(Affine::constant(20), x, Affine::constant(25)),
     ]);
-    let seq = try_count_solutions(
-        &s,
-        &f,
-        &[x],
-        &CountOptions {
-            threads: 1,
-            ..CountOptions::default()
-        },
-    )
-    .unwrap();
-    let wide = try_count_solutions(
-        &s,
-        &f,
-        &[x],
-        &CountOptions {
-            threads: 16,
-            ..CountOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(seq.value, wide.value);
+    let count = try_count_solutions(&s, &f, &[x], &CountOptions::default()).unwrap();
     for nv in -1i64..=30 {
         let brute = enumerate::count_formula(&f, &[x], -2..=40, &|_| Int::from(nv));
-        assert_eq!(seq.eval_i64(&[("n", nv)]), Some(brute as i64), "n={nv}");
+        assert_eq!(count.eval_i64(&[("n", nv)]), Some(brute as i64), "n={nv}");
     }
 }

@@ -15,9 +15,8 @@
 //! * [`metamorphic`] — count-preserving rewrites (renaming,
 //!   translation) for engine-vs-engine cross-checks.
 //! * [`harness`] — four oracle/metamorphic families per case:
-//!   brute force, inclusion–exclusion + invariances, thread-count
-//!   determinism + governed bracketing, and baseline (Tawbi/HP)
-//!   sanity ([`check_case`]).
+//!   brute force, inclusion–exclusion + invariances, governed
+//!   bracketing, and baseline (Tawbi/HP) sanity ([`check_case`]).
 //! * [`shrink`] — a delta-debugging minimizer that reduces a failing
 //!   case before it is reported ([`shrink_case`]).
 //! * [`corpus`] — the persistent `tests/corpus/*.pres` seed corpus

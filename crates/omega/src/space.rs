@@ -5,36 +5,21 @@
 //! The space records the human-readable name of each variable; *roles*
 //! (symbolic constant vs. counted variable vs. clause-local wildcard)
 //! are decided by the operations that consume the ids, not by the space.
-//!
-//! # Forking
-//!
-//! A space can be [forked](Space::fork): the child sees every variable
-//! the parent had at fork time and allocates any *new* ids from a block
-//! of the id range disjoint from the parent's (and from every sibling's).
-//! Ids therefore never collide between a parent and its forks, which
-//! lets independent tasks intern fresh variables concurrently without
-//! sharing `&mut` access to one space. Because the blocks are carved
-//! deterministically (by fork order, not by scheduling), the ids a task
-//! allocates are a pure function of the fork tree — the foundation of
-//! the counting engine's any-thread-count determinism. Re-uniting a
-//! child is a conflict-free union ([`Space::adopt`]): no renumbering
-//! ever happens.
+//! Ids are dense: the `k`-th variable interned has index `k`.
 //!
 //! # Witness pool
 //!
 //! A space also keeps the last few integer points the feasibility test
-//! found ([`crate::feasible`]), most recently used first. Children
-//! start with a copy of their parent's pool, and neither
-//! [`Space::adopt`] nor [`Space::absorb`] merges pools back, so the
-//! pool's contents are a pure function of the query and the fork tree
-//! — never of thread scheduling or of earlier requests.
+//! found ([`crate::feasible`]), most recently used first. The counting
+//! engine sums a formula's clauses one after another on one space, so
+//! a point found for one clause can answer a feasibility test in the
+//! next. [`Space::absorb`] does not merge pools, so the pool's contents
+//! are a pure function of the query, never of earlier requests.
 
 use presburger_arith::Int;
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// Identifier of an interned variable. Ordered by creation within one
-/// space; fork blocks order after the densely allocated prefix.
+/// Identifier of an interned variable, ordered by creation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub(crate) u32);
 
@@ -68,36 +53,17 @@ const WITNESS_POOL: usize = 8;
 /// assert_eq!(space.var("n"), n);       // interning is idempotent
 /// assert_eq!(space.name(n), "n");
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Space {
-    /// Names of the densely allocated prefix: ids `0..names.len()`.
+    /// Names by id: variable `k` is `names[k]`.
     names: Vec<String>,
-    /// Names of ids allocated inside fork blocks (sparse).
-    forked: BTreeMap<u32, String>,
     /// At least every `k` of a `…$k` name in this space, so
     /// [`Space::fresh`] coins `hint$(fresh_counter + 1)` without a
     /// lookup.
     fresh_counter: u32,
-    /// The next id this space hands out.
-    next: u32,
-    /// Exclusive end of the id range this space may allocate from.
-    hi: u32,
     /// Integer points of recently feasible clauses, most recently used
     /// first (see the module docs).
     witnesses: Vec<Point>,
-}
-
-impl Default for Space {
-    fn default() -> Space {
-        Space {
-            names: Vec::new(),
-            forked: BTreeMap::new(),
-            fresh_counter: 0,
-            next: 0,
-            hi: u32::MAX,
-            witnesses: Vec::new(),
-        }
-    }
 }
 
 impl Space {
@@ -107,20 +73,11 @@ impl Space {
     }
 
     fn alloc(&mut self, name: String) -> VarId {
-        assert!(
-            self.next < self.hi,
-            "Space: variable id range exhausted (too many forks or fresh variables)"
-        );
-        let id = self.next;
-        self.next += 1;
+        let id = u32::try_from(self.names.len()).expect("Space: variable id range exhausted");
         if let Some(k) = fresh_suffix(&name) {
             self.fresh_counter = self.fresh_counter.max(k);
         }
-        if id as usize == self.names.len() {
-            self.names.push(name);
-        } else {
-            self.forked.insert(id, name);
-        }
+        self.names.push(name);
         VarId(id)
     }
 
@@ -139,86 +96,26 @@ impl Space {
         self.var(name)
     }
 
-    /// Looks up a variable by name without interning. When forks have
-    /// introduced duplicate names, the lowest id wins.
+    /// Looks up a variable by name without interning.
     pub fn lookup(&self, name: &str) -> Option<VarId> {
-        if let Some(i) = self.names.iter().position(|n| n == name) {
-            return Some(VarId(i as u32));
-        }
-        self.forked
+        self.names
             .iter()
-            .find(|(_, n)| n.as_str() == name)
-            .map(|(&id, _)| VarId(id))
+            .position(|n| n == name)
+            .map(|i| VarId(i as u32))
     }
 
     /// Creates a fresh variable guaranteed not to collide with any
-    /// existing name *in this space*. Used for wildcards introduced
-    /// during elimination. Sibling forks may coin the same display name
-    /// for different ids; identity is always the id.
+    /// existing name in this space. Used for wildcards introduced
+    /// during elimination.
     pub fn fresh(&mut self, hint: &str) -> VarId {
         // Every `…$k` name here has k ≤ fresh_counter, so the next
         // suffix is new.
         self.alloc(format!("{hint}${}", self.fresh_counter + 1))
     }
 
-    /// Splits off a child space that shares every variable interned so
-    /// far and allocates new ids from a block disjoint from the
-    /// parent's remaining range. Equivalent to `fork_many(1)`.
-    pub fn fork(&mut self) -> Space {
-        self.fork_many(1)
-            .pop()
-            .expect("fork_many(1) yields one child")
-    }
-
-    /// Splits off `k` child spaces with pairwise disjoint allocation
-    /// blocks (each also disjoint from the parent's remaining range).
-    /// The carve depends only on this space's state and `k` — never on
-    /// scheduling — so repeated runs produce identical ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the remaining id range is too small to carve `k`
-    /// useful blocks (requires pathologically deep fork nesting).
-    pub fn fork_many(&mut self, k: usize) -> Vec<Space> {
-        if k == 0 {
-            return Vec::new();
-        }
-        // Keep the lower half of the unallocated range for ourselves;
-        // slice the upper half evenly among the children.
-        let avail = self.hi - self.next;
-        let mid = self.next + avail / 2;
-        let slice = (self.hi - mid) / k as u32;
-        assert!(
-            slice >= 2,
-            "Space: id range exhausted by forking ({k} children from {avail} free ids)"
-        );
-        let children = (0..k as u32)
-            .map(|i| Space {
-                names: self.names.clone(),
-                forked: self.forked.clone(),
-                fresh_counter: self.fresh_counter,
-                next: mid + i * slice,
-                hi: mid + (i + 1) * slice,
-                witnesses: self.witnesses.clone(),
-            })
-            .collect();
-        self.hi = mid;
-        children
-    }
-
-    /// Re-unites a fork: records the child's block-allocated names so
-    /// this space can resolve ids the child created. Blocks are
-    /// disjoint by construction, so this is a conflict-free union — no
-    /// id is ever renumbered (the "merge is a no-op" guarantee).
-    pub fn adopt(&mut self, child: &Space) {
-        for (id, name) in &child.forked {
-            self.forked.entry(*id).or_insert_with(|| name.clone());
-        }
-        self.fresh_counter = self.fresh_counter.max(child.fresh_counter);
-    }
-
     /// Unions another space into this one, for combining results that
-    /// stem from the same base space.
+    /// stem from the same base space: the ids both spaces have must
+    /// agree by name, and the longer space's extra ids are appended.
     ///
     /// # Panics
     ///
@@ -231,25 +128,7 @@ impl Space {
                 "Space::absorb: spaces disagree on variable v{i}"
             );
         }
-        if other.names.len() > self.names.len() {
-            let was_dense = self.next as usize == self.names.len();
-            self.names
-                .extend(other.names[self.names.len()..].iter().cloned());
-            if was_dense {
-                self.next = self.names.len() as u32;
-            }
-        }
-        for (id, name) in &other.forked {
-            match self.forked.get(id) {
-                Some(existing) => assert_eq!(
-                    existing, name,
-                    "Space::absorb: spaces disagree on variable v{id}"
-                ),
-                None => {
-                    self.forked.insert(*id, name.clone());
-                }
-            }
-        }
+        self.names.extend(other.names[shared..].iter().cloned());
         self.fresh_counter = self.fresh_counter.max(other.fresh_counter);
     }
 
@@ -276,34 +155,26 @@ impl Space {
     ///
     /// # Panics
     ///
-    /// Panics if `v` was not created by this space (or a fork it has
-    /// since [adopted](Space::adopt)).
+    /// Panics if `v` was not created by this space.
     pub fn name(&self, v: VarId) -> &str {
-        if v.index() < self.names.len() {
-            &self.names[v.index()]
-        } else {
-            self.forked
-                .get(&v.0)
-                .unwrap_or_else(|| panic!("VarId v{} is unknown to this space", v.0))
-        }
+        self.names
+            .get(v.index())
+            .unwrap_or_else(|| panic!("VarId v{} is unknown to this space", v.0))
     }
 
     /// Number of interned variables.
     pub fn len(&self) -> usize {
-        self.names.len() + self.forked.len()
+        self.names.len()
     }
 
     /// Returns `true` if no variables have been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty() && self.forked.is_empty()
+        self.names.is_empty()
     }
 
-    /// Iterates over all interned variable ids, densely allocated ids
-    /// first, then fork-block ids in increasing order.
+    /// Iterates over all interned variable ids in creation order.
     pub fn iter(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.names.len() as u32)
-            .chain(self.forked.keys().copied())
-            .map(VarId)
+        (0..self.names.len() as u32).map(VarId)
     }
 }
 
@@ -340,26 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn a_parent_that_adopts_sibling_forks_coins_names_neither_used() {
-        let mut s = Space::new();
-        s.var("n");
-        let mut kids = s.fork_many(2);
-        let mut coined = Vec::new();
-        for (k, kid) in kids.iter_mut().enumerate() {
-            for _ in 0..=k {
-                let w = kid.fresh("w");
-                coined.push(kid.name(w).to_string());
-            }
-        }
-        for kid in &kids {
-            s.adopt(kid);
-        }
-        let w = s.fresh("w");
-        assert!(!coined.iter().any(|n| n == s.name(w)), "{coined:?}");
-        assert_eq!(s.lookup(s.name(w)), Some(w));
-    }
-
-    #[test]
     fn iteration_order_is_creation_order() {
         let mut s = Space::new();
         let ids: Vec<VarId> = ["x", "y", "z"].iter().map(|n| s.var(n)).collect();
@@ -367,107 +218,47 @@ mod tests {
     }
 
     #[test]
-    fn forks_allocate_disjoint_ids() {
-        let mut s = Space::new();
-        let n = s.var("n");
-        let mut kids = s.fork_many(3);
-        let parent_new = s.fresh("p");
-        let mut seen = vec![parent_new];
-        for k in &mut kids {
-            assert_eq!(k.name(n), "n"); // inherited
-            let a = k.fresh("w");
-            let b = k.var("brand-new");
-            seen.push(a);
-            seen.push(b);
-        }
-        let mut dedup = seen.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), seen.len(), "ids collided: {seen:?}");
-    }
-
-    #[test]
-    fn fork_carve_is_deterministic() {
-        let build = || {
-            let mut s = Space::new();
-            s.var("n");
-            let mut kids = s.fork_many(4);
-            kids.iter_mut()
-                .map(|k| (k.fresh("w"), k.fresh("t")))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn adopt_makes_child_names_resolvable() {
-        let mut s = Space::new();
-        s.var("n");
-        let mut child = s.fork();
-        let w = child.fresh("w");
-        let name = child.name(w).to_string();
-        s.adopt(&child);
-        assert_eq!(s.name(w), name);
-        assert_eq!(s.lookup(&name), Some(w));
-        assert_eq!(s.len(), 2);
-        assert!(s.iter().any(|v| v == w));
-    }
-
-    #[test]
-    fn nested_forks_stay_disjoint() {
-        let mut s = Space::new();
-        s.var("n");
-        let mut child = s.fork();
-        let grandkids = child.fork_many(2);
-        let mut ids: Vec<VarId> = Vec::new();
-        ids.push(s.fresh("a"));
-        ids.push(child.fresh("b"));
-        for mut g in grandkids {
-            ids.push(g.fresh("c"));
-        }
-        let mut dedup = ids.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), ids.len(), "ids collided: {ids:?}");
-    }
-
-    #[test]
-    fn absorb_unions_names() {
+    fn absorb_appends_the_longer_tail() {
         let mut base = Space::new();
-        base.var("n");
-        let mut a = base.clone();
-        let mut b = base.clone();
-        let x = a.var("x");
-        let y = b.fork().fresh("y"); // fork id, unknown to `a`
-        let mut b2 = base.clone();
-        let child = {
-            let mut c = b2.fork();
-            let got = c.fresh("y");
-            assert_eq!(got, y); // deterministic carve
-            c
-        };
-        b2.adopt(&child);
-        a.absorb(&b2);
-        assert_eq!(a.name(x), "x");
-        assert!(a.name(y).starts_with("y$"));
+        let n = base.var("n");
+        let mut grown = base.clone();
+        let w = grown.fresh("w");
+        grown.fresh("w");
+        base.absorb(&grown);
+        assert_eq!(base.name(n), "n");
+        assert_eq!(base.name(w), "w$1");
+        assert_eq!(base.len(), 3);
+        // The counter came along: the next coined name is new.
+        let next = base.fresh("w");
+        assert_eq!(base.name(next), "w$3");
+        // Absorbing a prefix of this space changes nothing.
+        let before = base.len();
+        base.absorb(&grown);
+        assert_eq!(base.len(), before);
     }
 
     #[test]
-    fn forks_inherit_the_witness_pool_and_never_merge_it_back() {
+    #[should_panic(expected = "disagree on variable v1")]
+    fn absorb_rejects_spaces_from_different_bases() {
+        let mut a = Space::new();
+        a.var("n");
+        a.var("x");
+        let mut b = Space::new();
+        b.var("n");
+        b.var("y");
+        a.absorb(&b);
+    }
+
+    #[test]
+    fn absorb_never_merges_the_witness_pool() {
         let mut s = Space::new();
         let x = s.var("x");
         let point = |v: i64| vec![(x, Int::from(v))];
         s.remember_witness(point(1));
-        let mut kids = s.fork_many(2);
-        for k in &kids {
-            assert_eq!(k.witnesses(), [point(1)]);
-        }
-        kids[0].remember_witness(point(2));
-        kids[1].remember_witness(point(3));
-        s.adopt(&kids[0]);
-        s.absorb(&kids[1]);
+        let mut other = s.clone();
+        other.remember_witness(point(2));
+        s.absorb(&other);
         assert_eq!(s.witnesses(), [point(1)]);
-        assert_eq!(kids[0].witnesses(), [point(2), point(1)]);
     }
 
     #[test]
@@ -488,10 +279,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "unknown to this space")]
-    fn foreign_fork_id_panics() {
-        let mut s = Space::new();
-        let mut child = s.fork();
-        let w = child.fresh("w");
-        s.name(w); // never adopted
+    fn foreign_id_panics() {
+        let s = Space::new();
+        let mut other = s.clone();
+        let w = other.fresh("w");
+        s.name(w);
     }
 }

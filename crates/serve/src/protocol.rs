@@ -16,7 +16,8 @@
 //!
 //! Blank lines and lines starting with `#` are ignored. Option keys:
 //! `deadline_ms`, `max_splinters`, `max_dnf_clauses`, `max_depth`,
-//! `max_pieces`, `max_coeff_bits`, `threads`, `prio` (a priority lane:
+//! `max_pieces`, `max_coeff_bits`, `threads` (accepted and ignored: the
+//! engine sums on the worker's own thread), `prio` (a priority lane:
 //! `interactive`, `batch` or `background` — see [`crate::admission`]),
 //! and `client` (a quota identity, same charset as an id; defaults to
 //! a connection-scoped identity when quotas are on).
@@ -97,8 +98,6 @@ pub struct Overrides {
     pub max_pieces: Option<u64>,
     /// Cap on coefficient bit-length.
     pub max_coeff_bits: Option<u64>,
-    /// Clause-pipeline worker threads for this request.
-    pub threads: Option<usize>,
     /// Priority lane (`prio=`); `None` rides the default `batch` lane.
     pub prio: Option<Lane>,
 }
@@ -392,9 +391,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 let value = parsed.map_err(|_| {
                     err(Some(id), format!("option {key} needs an unsigned integer"))
                 })?;
-                match slot {
-                    Some(slot) => *slot = Some(value),
-                    None => overrides.threads = Some((value as usize).min(16)),
+                // `threads=` is parsed like any option and then dropped.
+                if let Some(slot) = slot {
+                    *slot = Some(value);
                 }
                 continue;
             }
@@ -506,6 +505,20 @@ mod tests {
             let e = parse_request(line).unwrap_err();
             assert_eq!(e.id.as_deref(), Some("r4"), "line {line:?}");
         }
+    }
+
+    #[test]
+    fn threads_is_accepted_and_dropped() {
+        // Any unsigned value parses (the old server clamped it to 16)
+        // and leaves no trace in the parsed request.
+        for line in [
+            "count r1 threads=4 {x : x = 1}",
+            "count r1 threads=999 {x : x = 1}",
+        ] {
+            assert_eq!(query(line), query("count r1 {x : x = 1}"), "{line}");
+        }
+        let e = parse_request("count r1 threads=many {x : x = 1}").unwrap_err();
+        assert_eq!(e.id.as_deref(), Some("r1"));
     }
 
     #[test]

@@ -751,7 +751,7 @@ impl Inner {
         };
         let reply = match Parsed::new(query) {
             Err(reply) => reply,
-            Ok(p) => match p.bounds(query, budgets) {
+            Ok(p) => match p.bounds(budgets) {
                 Ok((lo, hi)) => Reply::bounded(&query.id, why.label(), &lo, &hi),
                 Err(_) if matches!(why, Rescue::Cancelled(_)) => {
                     Reply::err(&query.id, "cancelled", "cancelled by drain deadline")
@@ -1036,7 +1036,7 @@ impl Parsed {
     /// [`presburger_counting::try_sum_polynomial_bounds`]) and a fresh
     /// cancellation token — a drain rescue must not be cancelled by the
     /// very drain token that sent it here.
-    fn bounds(&self, query: &Query, budgets: Budgets) -> Result<(String, String), CountError> {
+    fn bounds(&self, budgets: Budgets) -> Result<(String, String), CountError> {
         let gov = Governor::new(budgets);
         let r = catch_unwind(AssertUnwindSafe(|| {
             try_sum_polynomial_bounds(
@@ -1044,7 +1044,7 @@ impl Parsed {
                 &self.formula,
                 &self.vars,
                 &self.poly,
-                &count_options(query),
+                &CountOptions::default(),
                 &gov,
             )
         }));
@@ -1053,14 +1053,6 @@ impl Parsed {
             Ok(Err(e)) => Err(e),
             Err(_) => Err(CountError::Internal("bound pass panicked".to_string())),
         }
-    }
-}
-
-/// The engine options a query asks for (`threads=`).
-fn count_options(query: &Query) -> CountOptions {
-    CountOptions {
-        threads: query.overrides.threads.unwrap_or(1),
-        ..CountOptions::default()
     }
 }
 
@@ -1164,7 +1156,7 @@ fn compute(inner: &Arc<Inner>, query: &Query, queue_wait: Duration, p: &Parsed) 
             &p.formula,
             &p.vars,
             &p.poly,
-            &count_options(query),
+            &CountOptions::default(),
             &gov,
         )
     }));

@@ -5,8 +5,8 @@
 //! [`RequestTelemetry`]: its queue wait (admission → worker pop),
 //! end-to-end latency, governed-engine time, outcome class, and — when
 //! counter capture is on — the pipeline-counter delta attributable to
-//! just that request (snapshot-diff around the worker's run, the same
-//! trick `ForkHandle::finish` uses). [`Telemetry::record`] fans the
+//! just that request (a snapshot diff of the worker thread's counters
+//! around the run; the engine runs the whole query on that thread). [`Telemetry::record`] fans the
 //! observation out to three consumers:
 //!
 //! 1. the histogram/counter registry

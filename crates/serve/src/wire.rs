@@ -40,7 +40,9 @@
 //! bytes are an error), fixed field order, and a fixed presence-bitmask
 //! order for query overrides — so `encode(decode(bytes)) == bytes` for
 //! every valid frame, which lets caches and routers key on encoded
-//! frames directly.
+//! frames directly. The one exception is the retired `threads`
+//! override bit: a decoder still accepts it (value at most 16) and
+//! drops it, so its re-encoding is the same frame without it.
 //!
 //! # Batching
 //!
@@ -247,7 +249,9 @@ pub enum WireRequest {
 }
 
 /// The override presence bitmask, in fixed field order (bit 0 first).
-/// Bit 7 is the priority lane (`prio=`), encoded as [`Lane::wire`].
+/// Bit 6 is the retired `threads` override, never encoded and dropped
+/// on decode. Bit 7 is the priority lane (`prio=`), encoded as
+/// [`Lane::wire`].
 const OVERRIDE_BITS: usize = 8;
 
 fn override_values(q: &Query) -> [Option<u64>; OVERRIDE_BITS] {
@@ -259,7 +263,7 @@ fn override_values(q: &Query) -> [Option<u64>; OVERRIDE_BITS] {
         o.max_depth,
         o.max_pieces,
         o.max_coeff_bits,
-        o.threads.map(|t| t as u64),
+        None,
         o.prio.map(Lane::wire),
     ]
 }
@@ -429,16 +433,11 @@ fn decode_query(tag: u8, payload: &[u8]) -> Result<Query, ProtocolError> {
         max_depth: values[3],
         max_pieces: values[4],
         max_coeff_bits: values[5],
-        threads: None,
         prio: None,
     };
-    if let Some(t) = values[6] {
-        // Canonical: the text path clamps threads to 16; the binary
-        // path rejects instead, so decode∘encode is the identity.
-        if t > 16 {
-            return Err(werr(format!("threads={t} exceeds the cap of 16")));
-        }
-        overrides.threads = Some(t as usize);
+    // The retired `threads` override: older clients may still send it.
+    if let Some(t) = values[6].filter(|&t| t > 16) {
+        return Err(werr(format!("threads={t} exceeds the cap of 16")));
     }
     if let Some(p) = values[7] {
         overrides.prio =
@@ -1334,16 +1333,35 @@ mod tests {
         assert_eq!(decode_wire_request(&padded).unwrap_err().kind, "wire");
     }
 
+    /// A frame as an older client sends it: `line`'s request with its
+    /// one override (`max_coeff_bits`, bit 5, the last two payload
+    /// bytes) moved to the retired `threads` bit 6.
+    fn with_threads_bit(line: &str) -> Vec<u8> {
+        let mut bytes = encode_request(&req(line));
+        let mask = bytes.len() - 2;
+        assert_eq!(bytes[mask], 1 << 5);
+        bytes[mask] = 1 << 6;
+        bytes
+    }
+
+    #[test]
+    fn the_retired_threads_bit_is_accepted_and_dropped() {
+        let bytes = with_threads_bit("count r1 max_coeff_bits=16 {x : x = 1}");
+        let (decoded, used) = decode_wire_request(&bytes).expect("decodes");
+        assert_eq!(used, bytes.len());
+        let plain = req("count r1 {x : x = 1}");
+        assert_eq!(decoded, WireRequest::One(plain.clone()));
+        assert_eq!(
+            encode_wire_request(&decoded).unwrap(),
+            encode_request(&plain)
+        );
+        // Above the old cap of 16 the frame is still rejected.
+        let bytes = with_threads_bit("count r1 max_coeff_bits=17 {x : x = 1}");
+        assert_eq!(decode_wire_request(&bytes).unwrap_err().kind, "wire");
+    }
+
     #[test]
     fn query_decode_enforces_protocol_invariants() {
-        // threads above the text-path cap is non-canonical.
-        let mut q = match req("count r1 threads=4 {x : x = 1}") {
-            Request::Query(q) => q,
-            _ => unreachable!(),
-        };
-        q.overrides.threads = Some(17);
-        let bytes = encode_request(&Request::Query(q));
-        assert_eq!(decode_wire_request(&bytes).unwrap_err().kind, "wire");
         // Invalid id.
         let mut q2 = match req("count r1 {x : x = 1}") {
             Request::Query(q) => q,

@@ -130,7 +130,7 @@ counters! {
     GovernorTrips => "governor_trips" / count,
     /// Clauses degraded from exact counting to §4.6 bounds.
     ClausesDegraded => "clauses_degraded" / count,
-    /// Worker panics caught and isolated by the clause pipeline.
+    /// Panics caught and isolated at a clause boundary.
     WorkerPanics => "worker_panics" / count,
     /// Requests admitted by the serving layer (`presburger-serve`).
     ServeRequests => "serve_requests" / count,
@@ -190,22 +190,6 @@ pub(crate) fn max_raw(counter: Counter, value: u64) {
             cell.set(value);
         }
     });
-}
-
-/// Folds a worker thread's snapshot into this thread's cells: running
-/// counts are added, gauges raised to the worker's high-water mark.
-pub(crate) fn merge(stats: &PipelineStats) {
-    for c in Counter::ALL {
-        let v = stats.get(c);
-        if v == 0 {
-            continue;
-        }
-        if c.is_gauge() {
-            max_raw(c, v);
-        } else {
-            add_raw(c, v);
-        }
-    }
 }
 
 pub(crate) fn snapshot() -> PipelineStats {

@@ -33,9 +33,9 @@
 //! * `:panic` — raise a plain `panic!` instead of a budget-style trip,
 //!   exercising the pipeline's panic isolation.
 //!
-//! Charged totals are per governed region (one clause task, or the DNF
+//! Charged totals are per governed region (one clause, or the DNF
 //! phase), so the fault fires deterministically in the first region
-//! that reaches the threshold — independent of thread count. Faults
+//! that reaches the threshold. Faults
 //! are only armed in *exact* regions: degraded (§4.6 bounds) reruns
 //! run fault-free so that the degradation path itself stays testable.
 
@@ -115,7 +115,7 @@ pub fn parse_fault(spec: &str) -> Result<FaultSpec, String> {
 }
 
 /// The budgets a governed region is charged against. Plain data: the
-/// counting crate builds one per region (clause task, DNF phase, or
+/// counting crate builds one per region (clause, DNF phase, or
 /// degraded rerun) and [installs](install) it on the executing thread.
 #[derive(Clone, Debug)]
 pub struct Limits {

@@ -19,10 +19,8 @@
 //!   many-threaded request path).
 //!
 //! Everything is per-thread: enabling collection on one thread does not
-//! observe or perturb work on another. Worker threads hand their
-//! measurements back to the spawning thread through the [`fork`]
-//! protocol ([`fork_scope`] → [`ForkScope::begin`] →
-//! [`ForkHandle::finish`] → [`merge_fork_part`]).
+//! observe or perturb work on another. The counting engine runs a query
+//! on the calling thread, so that thread's collectors see all of it.
 //!
 //! # Example
 //!
@@ -40,7 +38,6 @@
 //! ```
 
 pub mod counters;
-pub mod fork;
 pub mod govern;
 pub mod json;
 pub mod memo;
@@ -49,7 +46,6 @@ pub mod shard;
 pub mod span;
 
 pub use counters::{Counter, PipelineStats};
-pub use fork::{fork_scope, merge_fork_part, ForkHandle, ForkPart, ForkScope};
 pub use metrics::{Histogram, HistogramSnapshot, ReqOutcome, ReqVerb, RequestMetrics};
 pub use span::{explain, span, span_dyn, SpanGuard, SpanTree};
 

@@ -13,7 +13,7 @@
 //! - [`Histogram`]: a fixed-allocation log-bucketed histogram with
 //!   lock-free recording (relaxed atomic adds) and an owned
 //!   [`HistogramSnapshot`] whose merge is associative and commutative
-//!   bucket-for-bucket — the same algebra as the fork-counter merge.
+//!   bucket-for-bucket.
 //! - [`RequestMetrics`]: the serving pipeline's registry — request
 //!   latency, queue wait, govern overhead, and splinters-per-request
 //!   histograms plus a `{verb, outcome}` labeled request-counter
@@ -141,7 +141,7 @@ impl Histogram {
 /// [`merge`](HistogramSnapshot::merge) is element-wise addition, so it
 /// is associative and commutative bucket-for-bucket (property-tested in
 /// this module) — snapshots from many workers or phases can be folded
-/// in any order, exactly like fork counters.
+/// in any order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (not cumulative).

@@ -121,41 +121,6 @@ pub fn reset() {
     COLLECTOR.with(|c| *c.borrow_mut() = Collector::default());
 }
 
-/// Grafts an already-completed tree (taken from a worker thread via the
-/// fork protocol) into this thread's collector: its roots become
-/// children of the innermost open span, or new roots when none is open.
-/// Recorded wall times are preserved verbatim.
-pub(crate) fn merge_tree(tree: SpanTree) {
-    COLLECTOR.with(|c| {
-        let mut c = c.borrow_mut();
-        fn insert(c: &mut Collector, rec: SpanRecord, parent: Option<usize>) {
-            let index = c.nodes.len();
-            c.nodes.push(Node {
-                label: Cow::Owned(rec.label),
-                started: Instant::now(), // unused: elapsed is already final
-                elapsed: Some(rec.elapsed),
-                children: Vec::new(),
-                events: rec.events,
-            });
-            match parent {
-                Some(p) => c.nodes[p].children.push(index),
-                None => c.roots.push(index),
-            }
-            for ch in rec.children {
-                insert(c, ch, Some(index));
-            }
-        }
-        let top = c.stack.last().copied();
-        match top {
-            Some(t) => c.nodes[t].events.extend(tree.orphan_events),
-            None => c.orphan_events.extend(tree.orphan_events),
-        }
-        for r in tree.roots {
-            insert(&mut c, r, top);
-        }
-    });
-}
-
 /// Takes the completed span tree collected so far on this thread,
 /// leaving the collector empty. Spans still open are reported with
 /// their elapsed-so-far time.

@@ -17,8 +17,6 @@
 //! * `--trace` — additionally record timing spans and `explain` events
 //!   and print them as an indented derivation tree;
 //! * `--json` — with `--stats`/`--trace`, emit JSON instead of text;
-//! * `--threads N` — drain the clause pipeline with `N` worker threads
-//!   (`0` = one per core). Answers are byte-identical at any setting;
 //! * `--timeout MS` — govern the query with a wall-clock deadline of
 //!   `MS` milliseconds;
 //! * `--max-splinters N` — govern the query with a cap on §5.2
@@ -34,8 +32,9 @@
 //!   run the hardened serving loop over stdin/stdout: one request per
 //!   line (`count <id> {vars : formula}`, `ping`, `stats`, `drain`),
 //!   one response per line, with admission control, circuit breaking
-//!   and graceful drain on EOF (see `presburger_serve`). `--threads`
-//!   sets the worker count and `--timeout` the per-request deadline.
+//!   and graceful drain on EOF (see `presburger_serve`). `--threads N`
+//!   sets the worker count (default 1, `0` = one per core) and
+//!   `--timeout` the per-request deadline.
 //!   A TCP server reached via `--connect` speaks the same protocol —
 //!   plus the binary codec below, auto-detected per connection;
 //! * `--connect HOST:PORT` — client mode: read request lines from
@@ -52,8 +51,9 @@
 //! Environment (the library reads none of these; this binary maps
 //! them, and an invalid value exits 2 naming the variable):
 //! * `PRESBURGER_FAULT=<site>:<nth>[:panic]` — arm an injected fault
-//!   on governed queries (`Governor::with_fault`) and, under `--serve`,
-//!   on every request (`ServeConfig::fault_spec`);
+//!   (`Governor::with_fault`): a query runs governed whenever one is
+//!   armed, and under `--serve` every request carries it
+//!   (`ServeConfig::fault_spec`);
 //! * `PRESBURGER_EVENT_LOG=<path>` / `PRESBURGER_EVENT_SAMPLE=<n>` —
 //!   under `--serve`, write the JSONL event log, every `n`-th request.
 
@@ -76,7 +76,8 @@ struct Options {
     connect: Option<String>,
     binary: bool,
     batch: usize,
-    threads: usize,
+    /// `--serve` worker count (`--threads`); `0` means one per core.
+    workers: usize,
     timeout_ms: Option<u64>,
     max_splinters: Option<u64>,
     degrade: Option<DegradePolicy>,
@@ -107,9 +108,12 @@ impl From<&'static str> for QueryError {
 }
 
 impl Options {
-    /// Any governor flag present → run the query governed.
+    /// Any governor flag or an armed fault → run the query governed.
     fn governed(&self) -> bool {
-        self.timeout_ms.is_some() || self.max_splinters.is_some() || self.degrade.is_some()
+        self.timeout_ms.is_some()
+            || self.max_splinters.is_some()
+            || self.degrade.is_some()
+            || self.fault.is_some()
     }
 }
 
@@ -145,10 +149,7 @@ fn run_query(query: &str, opts: &Options) -> Result<ReqOutcome, QueryError> {
         .collect();
 
     presburger::reset_stats();
-    let count_opts = CountOptions {
-        threads: opts.threads,
-        ..CountOptions::default()
-    };
+    let count_opts = CountOptions::default();
     println!("> {query}");
     let mut outcome = ReqOutcome::Ok;
     let fmt = |c: Option<i64>| c.map_or_else(|| "?".to_string(), |c| c.to_string());
@@ -386,7 +387,7 @@ fn main() {
         connect: None,
         binary: false,
         batch: 1,
-        threads: CountOptions::default().threads,
+        workers: 1,
         timeout_ms: None,
         max_splinters: None,
         degrade: None,
@@ -422,9 +423,9 @@ fn main() {
                 }
             },
             "--threads" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => opts.threads = n,
+                Some(Ok(n)) => opts.workers = n,
                 _ => {
-                    eprintln!("--threads needs a number (0 = one per core)");
+                    eprintln!("--threads needs a --serve worker count (0 = one per core)");
                     std::process::exit(2);
                 }
             },
@@ -467,7 +468,10 @@ fn main() {
 
     if opts.serve {
         let cfg = ServeConfig {
-            workers: presburger::resolve_threads(opts.threads).max(1),
+            workers: match opts.workers {
+                0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                n => n,
+            },
             default_deadline_ms: opts
                 .timeout_ms
                 .or(ServeConfig::default().default_deadline_ms),

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: build, tests (sequential AND parallel engine), lints,
-# formatting, cross-thread determinism of the experiments output, the
-# experiments counter baseline, and the trace-overhead smoke check.
+# Full local gate: build, tests, lints, formatting, the experiments
+# counter baseline, and the trace-overhead smoke check.
 # Run from the repository root.
 #
 #   bash scripts/check.sh                    run every gate
@@ -12,22 +11,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Timing legitimately varies run to run: blank the ms / par_speedup
-# columns, normalize wall times quoted inside Measured cells (E3) and
-# the host's core count (S2), and keep everything else — ids, measured
-# values, counters, pass marks. Cells may contain escaped \| so count
-# columns from the end of the row, where ms is third-from-last.
+# Timing legitimately varies run to run: blank the ms column, normalize
+# wall times quoted inside Measured cells (E3), and keep everything
+# else — ids, measured values, counters, pass marks. Cells may contain
+# escaped \| so count columns from the end of the row, where ms is
+# second-from-last.
 strip_timing() {
-    awk -F'|' 'BEGIN{OFS="|"} NF>=8 {$(NF-3)=""; $(NF-2)=""}
-        {gsub(/[0-9]+\.[0-9]+ ms/, "_ ms"); gsub(/[0-9]+ core\(s\)/, "_ core(s)"); print}'
+    awk -F'|' 'BEGIN{OFS="|"} NF>=8 {$(NF-2)=""}
+        {gsub(/[0-9]+\.[0-9]+ ms/, "_ ms"); print}'
 }
 experiments_table() {
-    PRESBURGER_THREADS=$1 cargo run --release -q -p presburger-bench --bin experiments | strip_timing
+    cargo run --release -q -p presburger-bench --bin experiments | strip_timing
 }
 baseline=scripts/experiments.baseline
 
 if [ "${1:-}" = "--record-baseline" ]; then
-    experiments_table 1 > "$baseline"
+    experiments_table > "$baseline"
     echo "recorded $baseline"
     exit 0
 fi
@@ -50,11 +49,8 @@ for workload in paper-cold splinter-cold; do
         --workload "$workload" --seconds 1 --scale smoke --trace 0 > /dev/null
 done
 
-echo "==> cargo test --workspace -q (PRESBURGER_THREADS=1)"
-PRESBURGER_THREADS=1 cargo test --workspace -q
-
-echo "==> cargo test --workspace -q (PRESBURGER_THREADS=4)"
-PRESBURGER_THREADS=4 cargo test --workspace -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -62,36 +58,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> experiments output is identical at 1 and 4 threads"
-# With timing stripped (see strip_timing above), every cell must be
-# byte-identical across thread counts.
-out1=$(experiments_table 1)
-out4=$(experiments_table 4)
-if [ "$out1" != "$out4" ]; then
-    echo "FAIL: experiments output differs between 1 and 4 threads" >&2
-    diff <(printf '%s\n' "$out1") <(printf '%s\n' "$out4") >&2 || true
-    exit 1
-fi
-
 echo "==> experiments counters and answers match $baseline"
-# The checked-in 1-thread table is the counter baseline: any change to
-# a counter, a measured answer or a pass mark on any E/A/S row fails
+# The checked-in table is the counter baseline: any change to a
+# counter, a measured answer or a pass mark on any E/A/S row fails
 # here. Re-record with `bash scripts/check.sh --record-baseline` when
 # the change is intended, and commit the new baseline with it.
-if ! diff "$baseline" <(printf '%s\n' "$out1") >&2; then
+if ! diff "$baseline" <(experiments_table) >&2; then
     echo "FAIL: experiments table differs from $baseline (diff above)" >&2
     exit 1
 fi
 
-echo "==> memo shims stay unused"
-# The sub-problem memo and the interning arena are gone. A few no-op
-# symbols stay only because perfbench still calls them
+echo "==> memo and threads shims stay unused"
+# The sub-problem memo, the interning arena and the clause threads are
+# gone. A few no-op symbols stay only because perfbench still uses them
 # (`trace::memo::{clear_local, clear_shared, enable_shared}`,
-# `intern::clear`, the `Memo*` counters, `CountOptions.memo`), until
-# the next benchmark change deletes them (ROADMAP item 5). Nothing
-# else may name them, so they cannot become load-bearing again.
+# `intern::clear`, the `Memo*` counters, `CountOptions.memo` and
+# `CountOptions.threads`), until the next benchmark change deletes them
+# (ROADMAP item 4). Nothing else may name them, so they cannot become
+# load-bearing again.
 if git grep --untracked -nE \
-    'trace::memo|intern::clear|Memo(Hit|Miss|Bytes)|(^|[^A-Za-z0-9_])memo[[:space:]]*:|\.memo([^A-Za-z0-9_]|$)' \
+    'trace::memo|intern::clear|Memo(Hit|Miss|Bytes)|(^|[^A-Za-z0-9_])(memo|threads)[[:space:]]*:([^:]|$)|\.(memo|threads)([^A-Za-z0-9_]|$)' \
     -- '*.rs' '*.sh' \
     ':!crates/trace/src/memo.rs' ':!crates/omega/src/intern.rs' \
     ':!crates/counting/src/lib.rs' ':!crates/trace/src/counters.rs' \
@@ -103,11 +89,8 @@ fi
 echo "==> the libraries read no environment"
 # Settings reach the library through its options and configs only; the
 # binaries and test harnesses map PRESBURGER_* variables onto them.
-# PRESBURGER_THREADS (crates/counting/src/lib.rs) is the one exception
-# left: the workspace-wide test runs above set it.
 env_reads=$(git grep -nE 'env::var(_os)?[(]' -- src ':(glob)crates/*/src/**' \
-    ':(exclude,glob)crates/*/src/bin/**' ':!crates/gen' ':!crates/bench' \
-    | grep -v '^crates/counting/src/lib\.rs:' || true)
+    ':(exclude,glob)crates/*/src/bin/**' ':!crates/gen' ':!crates/bench' || true)
 if [ -n "$env_reads" ]; then
     printf '%s\n' "$env_reads" >&2
     echo "FAIL: the library lines above read the environment" >&2
@@ -143,7 +126,7 @@ echo "==> fuzz smoke (generative differential harness, fixed seed)"
 #   1. the seed corpus must exist and replay clean;
 #   2. 200 fixed-seed generated cases must pass all four oracle
 #      families (brute force, inclusion–exclusion + invariances,
-#      determinism + governed bracketing, baselines);
+#      governed bracketing, baselines);
 #   3.+4. with each deliberate engine bug armed, the harness must
 #      CATCH it and shrink it to a ≤3-constraint counterexample (the
 #      test inverts its expectation when PRESBURGER_GEN_FAULT is set).

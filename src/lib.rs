@@ -90,17 +90,6 @@ pub fn reset_stats() {
     presburger_trace::reset();
 }
 
-/// Resolves a [`CountOptions`](prelude::CountOptions) `threads` request
-/// to a concrete worker count (`0` = one per available core).
-///
-/// The counting engine drains its clause-task pipeline with this many
-/// `std::thread::scope` workers; answers are byte-identical at every
-/// setting. The default honours the `PRESBURGER_THREADS` environment
-/// variable.
-pub fn resolve_threads(requested: usize) -> usize {
-    presburger_counting::pipeline::resolve_threads(requested)
-}
-
 /// Resource-governed counting: budgets, deadlines, cancellation, and
 /// graceful degradation to the paper's §4.6 bounds. See
 /// [`counting::govern`] for the full story.

@@ -151,3 +151,21 @@ fn invalid_fault_spec_exits_nonzero_naming_the_variable() {
     assert!(!out.status.success(), "exited {:?}", out.status);
     assert!(stderr.contains("PRESBURGER_FAULT"), "stderr was: {stderr}");
 }
+
+/// An armed fault alone makes a query governed: without any governor
+/// flag, `sum_depth:1` still degrades the count to §4.6 bounds.
+#[test]
+fn an_armed_fault_alone_governs_the_query() {
+    let out = Command::new(calculator_bin())
+        .arg("count {i,j : 1 <= i && j <= n && 2i <= 3j}")
+        .env("PRESBURGER_FAULT", "sum_depth:1")
+        .output()
+        .expect("run calculator");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "exited {:?}", out.status);
+    assert!(
+        stdout.contains("degraded to §4.6 bounds (budget exceeded: sum_depth"),
+        "stdout was: {stdout}"
+    );
+    assert!(stdout.contains("100→[7525,7575]"), "stdout was: {stdout}");
+}

@@ -190,7 +190,7 @@ proptest! {
     /// Governed counting is total: under tight budgets and a deadline,
     /// random formulas never panic — they return Exact, Bounded, or a
     /// structured error — and never run past ~2× the deadline (the
-    /// degrade-deadline guarantee), at 1 and at 4 worker threads.
+    /// degrade-deadline guarantee).
     #[test]
     fn no_panic_under_governed_budgets(
         atoms in proptest::collection::vec(
@@ -220,38 +220,34 @@ proptest! {
         }
         let f = Formula::and(parts);
         const DEADLINE: Duration = Duration::from_millis(250);
-        for threads in [1usize, 4] {
-            let gov = Governor::new(Budgets {
-                deadline: Some(DEADLINE),
-                max_splinters: Some(8),
-                max_dnf_clauses: Some(64),
-                max_depth: Some(4),
-                max_pieces: Some(16),
-                max_coeff_bits: Some(128),
-            });
-            let opts = CountOptions { threads, ..CountOptions::default() };
-            let started = Instant::now();
-            // Totality IS the assertion: a panic here fails the test.
-            let outcome = try_count_solutions_governed(&s, &f, &[i, j], &opts, &gov);
-            let elapsed = started.elapsed();
-            // 2× the deadline plus slack for scheduling noise and the
-            // ungoverned polish pass.
-            prop_assert!(
-                elapsed <= DEADLINE * 2 + Duration::from_millis(750),
-                "threads={}: governed run took {:?}",
-                threads,
-                elapsed
-            );
-            match outcome {
-                Ok(Outcome::Exact(_)) | Ok(Outcome::Bounded { .. }) => {}
-                Err(
-                    CountError::Unbounded { .. }
-                    | CountError::TooComplex(_)
-                    | CountError::BudgetExceeded { .. }
-                    | CountError::Deadline { .. },
-                ) => {}
-                Err(e) => prop_assert!(false, "threads={}: unexpected error {}", threads, e),
-            }
+        let gov = Governor::new(Budgets {
+            deadline: Some(DEADLINE),
+            max_splinters: Some(8),
+            max_dnf_clauses: Some(64),
+            max_depth: Some(4),
+            max_pieces: Some(16),
+            max_coeff_bits: Some(128),
+        });
+        let started = Instant::now();
+        // Totality IS the assertion: a panic here fails the test.
+        let outcome = try_count_solutions_governed(&s, &f, &[i, j], &CountOptions::default(), &gov);
+        let elapsed = started.elapsed();
+        // 2× the deadline plus slack for scheduling noise and the
+        // ungoverned polish pass.
+        prop_assert!(
+            elapsed <= DEADLINE * 2 + Duration::from_millis(750),
+            "governed run took {:?}",
+            elapsed
+        );
+        match outcome {
+            Ok(Outcome::Exact(_)) | Ok(Outcome::Bounded { .. }) => {}
+            Err(
+                CountError::Unbounded { .. }
+                | CountError::TooComplex(_)
+                | CountError::BudgetExceeded { .. }
+                | CountError::Deadline { .. },
+            ) => {}
+            Err(e) => prop_assert!(false, "unexpected error {}", e),
         }
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! Every generated case runs through four oracle/metamorphic families:
 //! brute-force enumeration, inclusion–exclusion + invariances,
-//! thread-determinism + governed bracketing, and baseline (Tawbi / HP)
-//! sanity. Failures are delta-debugged to a minimal counterexample
+//! governed bracketing, and baseline (Tawbi / HP) sanity. Failures are delta-debugged to a minimal counterexample
 //! before being reported.
 //!
 //! Knobs:

@@ -10,7 +10,7 @@
 
 use presburger::prelude::*;
 use presburger::trace::govern::{parse_fault, FaultSite};
-use presburger_counting::Symbolic;
+use presburger_counting::{enumerate, Symbolic};
 use std::time::Duration;
 
 /// Example 9: `1 ≤ i ∧ 1 ≤ j ≤ n ∧ 2i ≤ 3j` over `[i, j]` — closed
@@ -95,7 +95,7 @@ fn assert_brackets(
 }
 
 /// Runs a formula with every clause forced to degrade (the `sum_depth`
-/// fault fires on the first recursion step of every clause task) and
+/// fault fires on the first recursion step of every clause) and
 /// checks the §4.6 bracket against the ungoverned exact answer.
 fn check_degraded_brackets(s: &Space, f: &Formula, vars: &[VarId], bindings: &[Vec<(&str, i64)>]) {
     let exact = try_count_solutions(s, f, vars, &CountOptions::default()).expect("countable");
@@ -230,7 +230,7 @@ fn splinter_budget_degrades_e11() {
     });
     match governed(&s, &f, &vars, &gov) {
         // Splinters can be charged while the DNF phase projects the
-        // existential variable (an error) or inside the clause task
+        // existential variable (an error) or inside a clause
         // (degrades): both must name the splinter budget.
         Ok(Outcome::Bounded {
             lower, upper, why, ..
@@ -408,39 +408,58 @@ fn coeff_bits_budget_trips_on_bignum_growth() {
 }
 
 #[test]
-fn governed_determinism_across_thread_counts() {
-    // Degraded outcomes keep PR 2's determinism guarantee: count
-    // budgets trip as a pure function of each clause task, so the
-    // rendered bounds and the per-clause statuses are byte-identical
-    // at every thread count.
+fn union3_degrades_clause_by_clause_in_order() {
+    // `sum_depth:1` trips the first recursion step of every clause, so
+    // each disjoint clause of the union degrades on its own: one status
+    // per clause, in clause order, and the summed brackets still hold
+    // the brute-force count.
     let mut s = Space::new();
     let (f, vars) = union3(&mut s);
-    let run = |threads: usize| {
-        let gov = Governor::new(Budgets::unlimited())
-            .with_fault("sum_depth:1")
-            .unwrap();
-        let opts = CountOptions {
-            threads,
-            ..CountOptions::default()
-        };
-        match try_count_solutions_governed(&s, &f, &vars, &opts, &gov).unwrap() {
-            Outcome::Exact(_) => panic!("sum_depth:1 must degrade"),
-            Outcome::Bounded {
-                lower,
-                upper,
-                why,
-                clauses,
-            } => (
-                lower.to_display_string(),
-                upper.to_display_string(),
-                why.to_string(),
-                clauses,
-            ),
-        }
+    let mut clause_space = s.clone();
+    let clauses = presburger::omega::dnf::simplify(
+        &f,
+        &mut clause_space,
+        &presburger::omega::dnf::SimplifyOptions::disjoint(),
+    )
+    .clauses
+    .len();
+    assert!(clauses >= 3, "union3 has {clauses} disjoint clauses");
+    let gov = Governor::new(Budgets::unlimited())
+        .with_fault("sum_depth:1")
+        .unwrap();
+    let Outcome::Bounded {
+        lower,
+        upper,
+        why,
+        clauses: statuses,
+    } = governed(&s, &f, &vars, &gov).unwrap()
+    else {
+        panic!("sum_depth:1 must degrade");
     };
-    let sequential = run(1);
-    let parallel = run(4);
-    assert_eq!(sequential, parallel);
+    let is_depth_trip = |e: &CountError| {
+        matches!(
+            e,
+            CountError::BudgetExceeded {
+                resource: "sum_depth",
+                ..
+            }
+        )
+    };
+    assert!(is_depth_trip(&why), "unexpected why: {why}");
+    assert_eq!(statuses.len(), clauses);
+    for (k, st) in statuses.iter().enumerate() {
+        match st {
+            ClauseStatus::Degraded { why } => assert!(is_depth_trip(why), "clause {k}: {why}"),
+            other => panic!("clause {k} did not degrade: {other:?}"),
+        }
+    }
+    for n in 0i64..=12 {
+        let brute = enumerate::count_formula(&f, &vars, -5..=70, &|_| Int::from(n));
+        let b = [("n", n)];
+        let exact = Rat::from(brute as i64);
+        let (l, u) = (lower.eval_rat(&b), upper.eval_rat(&b));
+        assert!(l <= exact && exact <= u, "n={n}: {l} <= {exact} <= {u}");
+    }
 }
 
 /// The check.sh fault-matrix target. Arms `PRESBURGER_FAULT` with
@@ -501,7 +520,7 @@ fn fault_injection_from_env() {
             other => panic!("expected Cancelled from {spec}, got {other:?}"),
         },
         FaultSite::Deadline => match outcome {
-            // Degradable: Bounded when tripped inside a clause task,
+            // Degradable: Bounded when tripped inside a clause,
             // the error itself when tripped in the DNF phase.
             Ok(Outcome::Bounded { why, .. }) => {
                 assert!(matches!(why, CountError::Deadline { .. }), "why: {why}")

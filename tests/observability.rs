@@ -279,9 +279,8 @@ fn zipf_stream_queries() -> Vec<(Space, Formula, Vec<VarId>)> {
 
 /// Tracing must not change what it measures: with spans and explain
 /// events on, every answer renders the same and every counter (gauges
-/// included) reads the same as with them off, at 1 and 4 worker
-/// threads. Each query is metered from zeroed counters so a gauge
-/// describes that query alone.
+/// included) reads the same as with them off. Each query is metered
+/// from zeroed counters so a gauge describes that query alone.
 #[test]
 fn tracing_changes_no_counter_and_no_answer() {
     let queries = zipf_stream_queries();
@@ -289,6 +288,7 @@ fn tracing_changes_no_counter_and_no_answer() {
     let (c, beta) = section52_system(&mut e11);
     let alpha = e11.lookup("alpha").expect("interned above");
     let projection = Formula::exists(vec![beta], c.to_formula());
+    let opts = CountOptions::default();
 
     let measure = |traced: bool, work: &mut dyn FnMut() -> String| {
         trace::enable_counters(true);
@@ -302,53 +302,40 @@ fn tracing_changes_no_counter_and_no_answer() {
         assert_eq!(tree.is_empty(), !traced, "spans recorded iff traced");
         (answer, counters)
     };
-    for threads in [1usize, 4] {
-        let opts = CountOptions {
-            threads,
-            ..CountOptions::default()
-        };
-        let run = |traced: bool| {
-            let mut out = Vec::new();
-            for mode in [Shadow::ExactOverlapping, Shadow::ExactDisjoint] {
-                let mut s = e11.clone();
-                out.push(measure(traced, &mut || {
-                    let r = eliminate(&c, beta, &mut s, mode);
-                    let clauses: Vec<String> =
-                        r.clauses.iter().map(|cl| cl.to_string(&s)).collect();
-                    clauses.join(" || ")
-                }));
-            }
+    let run = |traced: bool| {
+        let mut out = Vec::new();
+        for mode in [Shadow::ExactOverlapping, Shadow::ExactDisjoint] {
+            let mut s = e11.clone();
             out.push(measure(traced, &mut || {
-                presburger_counting::try_count_solutions(&e11, &projection, &[alpha], &opts)
+                let r = eliminate(&c, beta, &mut s, mode);
+                let clauses: Vec<String> = r.clauses.iter().map(|cl| cl.to_string(&s)).collect();
+                clauses.join(" || ")
+            }));
+        }
+        out.push(measure(traced, &mut || {
+            presburger_counting::try_count_solutions(&e11, &projection, &[alpha], &opts)
+                .expect("countable")
+                .to_display_string()
+        }));
+        for (s, f, vars) in &queries {
+            out.push(measure(traced, &mut || {
+                presburger_counting::try_count_solutions(s, f, vars, &opts)
                     .expect("countable")
                     .to_display_string()
             }));
-            for (s, f, vars) in &queries {
-                out.push(measure(traced, &mut || {
-                    presburger_counting::try_count_solutions(s, f, vars, &opts)
-                        .expect("countable")
-                        .to_display_string()
-                }));
-            }
-            out
-        };
-        let plain = run(false);
-        let traced = run(true);
-        for (k, (p, t)) in plain.iter().zip(&traced).enumerate() {
-            assert_eq!(
-                p.0, t.0,
-                "threads={threads} query {k}: answer changed under tracing"
-            );
-            assert_eq!(
-                p.1, t.1,
-                "threads={threads} query {k}: counters changed under tracing"
-            );
         }
-        assert!(
-            plain
-                .iter()
-                .any(|(_, st)| st.get(Counter::SplintersGenerated) > 0),
-            "the mix must splinter"
-        );
+        out
+    };
+    let plain = run(false);
+    let traced = run(true);
+    for (k, (p, t)) in plain.iter().zip(&traced).enumerate() {
+        assert_eq!(p.0, t.0, "query {k}: answer changed under tracing");
+        assert_eq!(p.1, t.1, "query {k}: counters changed under tracing");
     }
+    assert!(
+        plain
+            .iter()
+            .any(|(_, st)| st.get(Counter::SplintersGenerated) > 0),
+        "the mix must splinter"
+    );
 }
