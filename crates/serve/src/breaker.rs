@@ -21,6 +21,9 @@
 //!                  probe fails ▲──────────┘
 //!                  (back to Open)
 //! ```
+//!
+//! [`CountError::Internal`]: presburger_counting::CountError::Internal
+//! [`CountError::Deadline`]: presburger_counting::CountError::Deadline
 
 use presburger_trace::{self as trace, Counter};
 use std::time::Instant;

@@ -39,8 +39,8 @@ pub enum ChaosSite {
     Delay,
 }
 
-/// Panic payload for [`ChaosSite::Kill`], filtered off stderr by
-/// [`install_chaos_hook`] the way governor [`Trip`]s are.
+/// Panic payload for [`ChaosSite::Kill`], filtered off stderr by the
+/// chaos panic hook the way governor [`Trip`]s are.
 ///
 /// [`Trip`]: presburger_trace::govern::Trip
 pub struct ChaosKill;

@@ -43,7 +43,8 @@
 //! about the cause match the prefix up to the first `:`
 //! ([`crate::retry::shed_cause`]).
 //!
-//! `why` on a bounded reply is the [`CountError::kind`] that degraded
+//! `why` on a bounded reply is the
+//! [`CountError::kind`](presburger_counting::CountError::kind) that degraded
 //! the exact pass (`budget`, `deadline`, …), `breaker_open` when the
 //! circuit breaker pre-degraded the request, `cancelled` when a drain
 //! deadline bounded in-flight work, `evicted` when its deadline lapsed

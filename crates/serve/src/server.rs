@@ -8,16 +8,19 @@
 //!    ([`crate::protocol::parse_request`]). Control verbs and protocol
 //!    errors are answered inline (`control_slot`); queries go to
 //!    [`PoolHandle::submit`].
-//! 2. The pool meters the client's quota, sheds if it is draining, and
-//!    routes the query to a shard, whose `Handle::try_enqueue` either
-//!    enqueues a job (bounded queue) or refuses it. Admission and the
-//!    shard's draining check happen under one lock, so a request can
-//!    never slip in behind a drain.
-//! 3. A worker pops the job and runs the whole computation — parsing
-//!    the formula, governing the count, rendering the reply — inside
+//! 2. The pool's front door parses the query once (`Work::parse`),
+//!    routes it by the bytes of that parse, meters the client's quota
+//!    and sheds if it is draining. A hit in the routed shard's result
+//!    cache is answered right there (`Handle::try_hit`) and never
+//!    queues. Anything else goes to the shard's `Handle::try_enqueue`,
+//!    which either enqueues a job carrying the parse (bounded queue) or
+//!    refuses it. Both check the shard's draining flag under its queue
+//!    lock, so a request can never slip in behind a drain.
+//! 3. A worker pops the job and runs the computation over the parse it
+//!    carries — governing the count, rendering the reply — inside
 //!    `catch_unwind`. A panic poisons only that request (`ERR …
 //!    internal`), never the worker.
-//! 4. The typed [`Reply`] is published through the job's one-shot
+//! 4. The typed [`Reply`] is published through the request's one-shot
 //!    [`Slot`]; the connection's writer thread renders slots in its
 //!    codec, in admission order, so responses on a connection are FIFO
 //!    even with many workers.
@@ -35,9 +38,9 @@ use crate::breaker::{Breaker, Plan};
 use crate::cache::ResultCache;
 use crate::chaos::{self, Chaos, ChaosSite};
 use crate::protocol::{parse_request, Query, Request, ServeError, Verb};
-use crate::shard::{PoolHandle, ShardPool, ShardPoolConfig};
+use crate::shard::{self, PoolHandle, ShardPool, ShardPoolConfig};
 use crate::sync::{lock_ok, wait_ok};
-use crate::telemetry::{RequestTelemetry, Telemetry, TelemetrySettings};
+use crate::telemetry::{FormulaSource, RequestTelemetry, Telemetry, TelemetrySettings};
 use crate::wire::Reply;
 use presburger_counting::{
     try_sum_polynomial_bounds, try_sum_polynomial_governed, Budgets, CountError, CountOptions,
@@ -153,6 +156,11 @@ impl Gate {
         self.cv.notify_all();
     }
 
+    /// Closes the gate: workers stop at it before their next pop.
+    pub fn close(&self) {
+        *lock_ok(&self.open) = false;
+    }
+
     fn wait(&self) {
         let mut open = lock_ok(&self.open);
         while !*open {
@@ -220,9 +228,77 @@ impl Slot {
     }
 }
 
+/// A query as the pool's front door prepared it: its text, parsed
+/// exactly once. The front door routes by this parse and looks it up in
+/// the routed shard's cache; a worker counts over it; a §4.6 rescue
+/// bounds it. Nothing downstream parses the text again.
+pub(crate) struct Work {
+    /// The request as it arrived.
+    pub(crate) query: Query,
+    /// The parse, or the `ERR <id> parse …` reply a query that does not
+    /// parse is answered with.
+    parsed: Result<Parsed, Reply>,
+    /// The cached payload of a hit that verify mode recomputes: the
+    /// worker compares its fresh answer against it. `None` for a miss.
+    cached: Option<String>,
+}
+
+impl Work {
+    /// Parses `query` once. Returns the work and its routing hash,
+    /// computed from the bytes of this same parse — the value
+    /// [`crate::shard::routing_hash`] gives.
+    pub(crate) fn parse(query: Query) -> (Work, u64) {
+        let mut space = Space::new();
+        for v in &query.vars {
+            space.var(v);
+        }
+        let (parsed, route) = match parse_formula(&query.formula_text, &mut space) {
+            Err(e) => (
+                Err(Reply::err(&query.id, "parse", &e.to_string())),
+                shard::route_hash(&query, None),
+            ),
+            Ok(formula) => {
+                let mut formula_key = Vec::with_capacity(64);
+                presburger_omega::intern::formula_push_key_bytes(&formula, &mut formula_key);
+                let route = shard::route_hash(&query, Some(&formula_key));
+                (Parsed::new(&query, space, formula, &formula_key), route)
+            }
+        };
+        let work = Work {
+            query,
+            parsed,
+            cached: None,
+        };
+        (work, route)
+    }
+
+    /// Whether the query parsed.
+    #[cfg(test)]
+    pub(crate) fn parses(&self) -> bool {
+        self.parsed.is_ok()
+    }
+
+    /// Where a flight record's formula text comes from: the canonical
+    /// rendering of the parse, or the raw text of a query that did not
+    /// parse.
+    fn formula_source(&self) -> FormulaSource<'_> {
+        match &self.parsed {
+            Ok(p) => FormulaSource::Parsed(&p.formula, &p.space),
+            Err(_) => FormulaSource::Raw(&self.query.formula_text),
+        }
+    }
+}
+
+/// Work that needs a worker, with the slot its reply goes to. Shared
+/// between the shard queue and the pool's tracking, so a request that
+/// outlives its shard is re-dispatched without being parsed again.
+pub(crate) struct Ticket {
+    pub(crate) work: Work,
+    pub(crate) slot: Arc<Slot>,
+}
+
 struct Job {
-    query: Query,
-    slot: Arc<Slot>,
+    ticket: Arc<Ticket>,
     /// The priority lane the job was admitted on.
     lane: Lane,
     /// Admission time, for the queue-wait histogram and expired-request
@@ -262,6 +338,14 @@ impl Refusal {
 pub(crate) struct Refused {
     pub reason: Refusal,
     pub retry_after_ms: u64,
+}
+
+/// What [`Handle::try_enqueue`] made of a batch of tickets.
+pub(crate) struct Enqueued {
+    /// The tickets now queued on the shard, in input order.
+    pub admitted: Vec<Arc<Ticket>>,
+    /// The tickets handed back, each with the shard's refusal.
+    pub refused: Vec<(Arc<Ticket>, Refused)>,
 }
 
 /// Why a request is answered with budgeted §4.6 bounds instead of an
@@ -324,7 +408,8 @@ impl Stats {
         self.shed_queue.load(Ordering::Relaxed) + self.shed_drain.load(Ordering::Relaxed)
     }
 
-    /// Requests admitted to the queue.
+    /// Requests admitted: queued for a worker, answered from the result
+    /// cache at the front door, or evicted at admission with bounds.
     pub fn admitted(&self) -> u64 {
         self.admitted.load(Ordering::Relaxed)
     }
@@ -493,47 +578,109 @@ impl Server {
 }
 
 impl Handle {
-    /// Enqueues each `(query, slot)` in input order under **one**
-    /// queue-lock reservation, so a batch never interleaves with other
-    /// submitters; returns one result per job. Once the shard is
-    /// draining or the queue fills, every later job is refused too.
+    /// Answers `work` from this shard's result cache, at the front door:
+    /// tallied as admitted, `ok` and a cache hit, its telemetry recorded
+    /// (with no queue wait), and the reply returned for a ready slot.
+    /// Returns `None` — and the caller queues the work — on a miss, for
+    /// a query that did not parse, on a draining shard (whose
+    /// `try_enqueue` refuses it in turn), and for a hit that verify mode
+    /// recomputes, whose cached payload then rides in `work.cached`.
+    ///
+    /// The drain check, the lookup and the tallies share one queue-lock
+    /// critical section, so a hit is either counted before a drain's
+    /// final `STATS` line or refused as draining.
+    pub(crate) fn try_hit(&self, work: &mut Work) -> Option<Reply> {
+        let Ok(p) = &work.parsed else {
+            return None;
+        };
+        let inner = &self.inner;
+        let started = Instant::now();
+        let query = &work.query;
+        let lane = query.lane();
+        let reply = {
+            let q = lock_ok(&inner.queue);
+            if q.draining || q.shutdown {
+                return None;
+            }
+            let (value, ordinal) = lock_ok(&inner.cache).get(&p.key)?;
+            if inner.verify_due(ordinal) {
+                work.cached = Some(value);
+                return None;
+            }
+            let stats = &inner.stats;
+            stats.bump(&stats.admitted);
+            stats.bump(&stats.cache_hits);
+            stats.bump(&stats.ok);
+            drop(q);
+            Reply::exact(&query.id, &value)
+        };
+        trace::bump(Counter::ServeRequests);
+        trace::bump(Counter::ServeCacheHits);
+        let telemetry = &inner.telemetry;
+        telemetry
+            .metrics
+            .observe_admission(req_lane(lane), AdmitDecision::Admit);
+        if telemetry.active() {
+            telemetry.record(RequestTelemetry {
+                id: query.id.clone(),
+                verb: req_verb(query.verb),
+                outcome: ReqOutcome::CacheHit,
+                lane: req_lane(lane),
+                queue_wait: Duration::ZERO,
+                total: started.elapsed(),
+                engine: Duration::ZERO,
+                counters: telemetry.settings().capture_counters.then(Default::default),
+                governor_tripped: false,
+                formula: work.formula_source(),
+                spans: None,
+            });
+        }
+        Some(reply)
+    }
+
+    /// Enqueues each ticket in input order under **one** queue-lock
+    /// reservation, so a batch never interleaves with other submitters.
+    /// Once the shard is draining or the queue fills, every later
+    /// ticket is refused too. Returns the admitted tickets (for the
+    /// pool's tracking) and hands the refused ones back by value, each
+    /// with its refusal.
     ///
     /// A refusal leaves its slot untouched and is not tallied: only a
-    /// shed actually *delivered* to a client counts
-    /// ([`Handle::note_shed`]), and the pool re-routes `Draining`
-    /// refusals (a condemned shard) instead of delivering them.
-    pub(crate) fn try_enqueue(&self, jobs: Vec<(Query, Arc<Slot>)>) -> Vec<Result<(), Refused>> {
+    /// shed actually *delivered* to a client counts ([`Handle::shed`]),
+    /// and the pool re-routes `Draining` refusals (a condemned shard)
+    /// instead of delivering them.
+    pub(crate) fn try_enqueue(&self, tickets: Vec<Arc<Ticket>>) -> Enqueued {
         let inner = &self.inner;
-        let mut results = Vec::with_capacity(jobs.len());
-        let mut admitted = 0usize;
+        let mut admitted = Vec::with_capacity(tickets.len());
+        let mut refused = Vec::new();
         {
             let mut q = lock_ok(&inner.queue);
-            for (query, slot) in jobs {
-                let lane = query.lane();
-                if q.draining || q.shutdown {
-                    results.push(Err(Refused {
-                        reason: Refusal::Draining,
+            for ticket in tickets {
+                let lane = ticket.work.query.lane();
+                let reason = if q.draining || q.shutdown {
+                    Some(Refusal::Draining)
+                } else if q.jobs.len() >= inner.cfg.queue_depth {
+                    Some(Refusal::QueueFull)
+                } else {
+                    None
+                };
+                if let Some(reason) = reason {
+                    let refusal = Refused {
+                        reason,
                         retry_after_ms: RETRY_AFTER_MS,
-                    }));
-                    continue;
-                }
-                if q.jobs.len() >= inner.cfg.queue_depth {
-                    results.push(Err(Refused {
-                        reason: Refusal::QueueFull,
-                        retry_after_ms: RETRY_AFTER_MS,
-                    }));
+                    };
+                    refused.push((ticket, refusal));
                     continue;
                 }
                 q.jobs.push(
                     lane,
                     Job {
-                        query,
-                        slot,
+                        ticket: ticket.clone(),
                         lane,
                         enqueued: Instant::now(),
                     },
                 );
-                admitted += 1;
+                admitted.push(ticket);
                 let depth = q.jobs.len() as u64;
                 inner.stats.bump(&inner.stats.admitted);
                 inner
@@ -546,22 +693,21 @@ impl Handle {
                     .telemetry
                     .metrics
                     .observe_admission(req_lane(lane), AdmitDecision::Admit);
-                results.push(Ok(()));
             }
         }
         // Wakeups ride outside the critical section.
-        match admitted {
+        match admitted.len() {
             0 => {}
             1 => inner.queue_cv.notify_one(),
             _ => inner.queue_cv.notify_all(),
         }
-        results
+        Enqueued { admitted, refused }
     }
 
-    /// Answers `query` with the budgeted §4.6 bounds (see
+    /// Answers `work` with the budgeted §4.6 bounds (see
     /// [`Inner::rescue`]), tallied on this shard.
-    pub(crate) fn rescue(&self, query: &Query, why: Rescue) -> Reply {
-        let reply = self.inner.rescue(query, why);
+    pub(crate) fn rescue(&self, work: &Work, why: Rescue) -> Reply {
+        let reply = self.inner.rescue(work, why);
         self.inner.tally(&reply);
         reply
     }
@@ -718,14 +864,15 @@ impl Handle {
 }
 
 impl Inner {
-    /// The one §4.6 rescue: a fresh budgeted bound pass for `query`
-    /// (`OK <id> bounded <why> lo ; hi`, or `ERR` when even the bounds
-    /// fail or the query does not parse). It tallies what is particular
-    /// to each rescue — `degraded_first`, `drain_bounded`, `admitted`
-    /// for a request that never reached the queue, and the `evicted`
-    /// admission decision — but not `ok`/`errors`, which the caller
-    /// tallies from the reply ([`Inner::tally`]). Never cached.
-    fn rescue(&self, query: &Query, why: Rescue) -> Reply {
+    /// The one §4.6 rescue: a fresh budgeted bound pass over `work`'s
+    /// parse (`OK <id> bounded <why> lo ; hi`, or `ERR` when even the
+    /// bounds fail or the query does not parse). It tallies what is
+    /// particular to each rescue — `degraded_first`, `drain_bounded`,
+    /// `admitted` for a request that never reached the queue, and the
+    /// `evicted` admission decision — but not `ok`/`errors`, which the
+    /// caller tallies from the reply ([`Inner::tally`]). Never cached.
+    fn rescue(&self, work: &Work, why: Rescue) -> Reply {
+        let query = &work.query;
         let stats = &self.stats;
         match why {
             Rescue::BreakerOpen(_) => stats.bump(&stats.degraded_first),
@@ -749,8 +896,8 @@ impl Inner {
                 ..query.overrides.budgets(&self.cfg.default_budgets)
             },
         };
-        let reply = match Parsed::new(query) {
-            Err(reply) => reply,
+        let reply = match &work.parsed {
+            Err(reply) => reply.clone(),
             Ok(p) => match p.bounds(budgets) {
                 Ok((lo, hi)) => Reply::bounded(&query.id, why.label(), &lo, &hi),
                 Err(_) if matches!(why, Rescue::Cancelled(_)) => {
@@ -765,6 +912,11 @@ impl Inner {
                 .observe_admission(req_lane(query.lane()), AdmitDecision::Evicted);
         }
         reply
+    }
+
+    /// Whether verify mode recomputes the cache hit with this ordinal.
+    fn verify_due(&self, ordinal: u64) -> bool {
+        matches!(self.cfg.verify_every, Some(n) if n > 0 && ordinal.is_multiple_of(n))
     }
 
     /// Tallies a delivered reply as `ok` or `errors`, by its variant.
@@ -800,6 +952,11 @@ pub(crate) fn effective_deadline_ms(cfg: &ServeConfig, query: &Query) -> Option<
     query.overrides.deadline_ms.or(cfg.default_deadline_ms)
 }
 
+/// One worker: pops jobs and answers each over the parse its [`Work`]
+/// carries — a front-door miss, a hit that verify mode recomputes, a
+/// query that did not parse, or a job whose deadline lapsed in the
+/// queue. Hits resident when a request arrives never get here: the
+/// front door answers them ([`Handle::try_hit`]).
 fn worker_loop(inner: &Arc<Inner>, worker: usize) {
     inner.telemetry.worker_init();
     let telemetry_on = inner.telemetry.active();
@@ -820,7 +977,8 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
                 q = wait_ok(&inner.queue_cv, q);
             }
         };
-        if let Some(d) = effective_deadline_ms(&inner.cfg, &job.query) {
+        let work = &job.ticket.work;
+        if let Some(d) = effective_deadline_ms(&inner.cfg, &work.query) {
             let now = inner.started.elapsed().as_millis() as u64;
             governed_until.store(now.saturating_add(d.saturating_mul(2)), Ordering::SeqCst);
         }
@@ -855,28 +1013,27 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
         // Expired in queue: answer immediately with the budgeted §4.6
         // bounds instead of burning a governed run on a reply the client
         // has given up on.
-        let evict = effective_deadline_ms(&inner.cfg, &job.query)
+        let evict = effective_deadline_ms(&inner.cfg, &work.query)
             .is_some_and(|d| queue_wait >= Duration::from_millis(d));
         // The outer unwind boundary: a panic anywhere in processing —
         // including inside rendering — poisons only this request.
         let answer = catch_unwind(AssertUnwindSafe(|| {
             if evict {
-                let reply = inner.rescue(&job.query, Rescue::EvictedInQueue);
-                Answer::uncached(reply, &job.query)
+                Answer::uncached(inner.rescue(work, Rescue::EvictedInQueue))
             } else {
-                process(inner, &job.query, queue_wait)
+                process(inner, work, queue_wait)
             }
         }))
         .unwrap_or_else(|_| {
-            let reply = Reply::err(&job.query.id, "internal", "request processing panicked");
-            Answer::uncached(reply, &job.query)
+            let reply = Reply::err(&work.query.id, "internal", "request processing panicked");
+            Answer::uncached(reply)
         });
         inner.tally(&answer.reply);
         let outcome = answer.outcome();
         let total = started.elapsed();
         // Fulfil first: telemetry rides behind the response, never in
         // front of it.
-        job.slot.fulfil(answer.reply);
+        job.ticket.slot.fulfil(answer.reply);
         if telemetry_on {
             let counters = baseline.map(|base| trace::snapshot().delta(&base));
             let governor_tripped = counters
@@ -884,8 +1041,8 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
                 .is_some_and(|d| d.get(Counter::GovernorTrips) > 0);
             let spans = inner.telemetry.take_spans();
             inner.telemetry.record(RequestTelemetry {
-                id: job.query.id.clone(),
-                verb: req_verb(job.query.verb),
+                id: work.query.id.clone(),
+                verb: req_verb(work.query.verb),
                 outcome,
                 lane: req_lane(job.lane),
                 queue_wait,
@@ -893,7 +1050,7 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
                 engine: answer.engine,
                 counters,
                 governor_tripped,
-                formula: answer.formula,
+                formula: work.formula_source(),
                 spans,
             });
         }
@@ -907,23 +1064,21 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
 /// telemetry the reply alone does not carry.
 struct Answer {
     reply: Reply,
-    /// Served from the result cache.
+    /// Answered from the result cache, or a hit that verify mode
+    /// recomputed.
     cache_hit: bool,
     /// Time inside the governed engine (zero for cache hits, parse
     /// errors and evictions).
     engine: Duration,
-    /// Canonically re-rendered formula (raw text when parsing failed).
-    formula: String,
 }
 
 impl Answer {
-    /// An answer that ran no engine and parsed no formula.
-    fn uncached(reply: Reply, query: &Query) -> Answer {
+    /// An answer that ran no engine.
+    fn uncached(reply: Reply) -> Answer {
         Answer {
             reply,
             cache_hit: false,
             engine: Duration::ZERO,
-            formula: query.formula_text.clone(),
         }
     }
 
@@ -938,41 +1093,41 @@ impl Answer {
     }
 }
 
-/// A query's text parsed into a fresh space: what the governed run and
-/// a §4.6 rescue both count over.
+/// A query's text parsed into a fresh space: what the cache lookup,
+/// the governed run and a §4.6 rescue all work from.
 struct Parsed {
     space: Space,
     formula: Formula,
     /// The counted variables, interned first (indices 0..n).
     vars: Vec<VarId>,
-    /// The `sum` polynomial as parsed (`None` for `count`).
-    affine: Option<Affine>,
     poly: QPoly,
+    /// The canonical result-cache key ([`Parsed::cache_key`]).
+    key: Vec<u8>,
 }
 
 impl Parsed {
-    /// Parses `query`'s formula and polynomial, or answers `ERR <id>
-    /// parse …`.
-    fn new(query: &Query) -> Result<Parsed, Reply> {
-        let parse_err = |detail: String| Reply::err(&query.id, "parse", &detail);
-        let mut space = Space::new();
-        for v in &query.vars {
-            space.var(v);
-        }
-        let formula =
-            parse_formula(&query.formula_text, &mut space).map_err(|e| parse_err(e.to_string()))?;
+    /// Completes the parse of `query` from its already-parsed `formula`
+    /// (over `space`, counted variables interned first) and the
+    /// formula's canonical key bytes: parses the polynomial and builds
+    /// the cache key, or answers `ERR <id> parse …`.
+    fn new(
+        query: &Query,
+        mut space: Space,
+        formula: Formula,
+        formula_key: &[u8],
+    ) -> Result<Parsed, Reply> {
         let affine = match &query.poly_text {
             None => None,
             Some(text) => Some(
                 parse_affine(text, &mut space)
-                    .map_err(|e| parse_err(format!("in polynomial: {e}")))?,
+                    .map_err(|e| Reply::err(&query.id, "parse", &format!("in polynomial: {e}")))?,
             ),
         };
         let poly = affine
             .as_ref()
             .map(QPoly::from_affine)
             .unwrap_or_else(QPoly::one);
-        let vars = query
+        let vars: Vec<VarId> = query
             .vars
             .iter()
             .map(|v| {
@@ -981,12 +1136,13 @@ impl Parsed {
                     .expect("invariant: counted variables were interned above")
             })
             .collect();
+        let key = Parsed::cache_key(query, &space, &vars, formula_key, affine.as_ref());
         Ok(Parsed {
             space,
             formula,
             vars,
-            affine,
             poly,
+            key,
         })
     }
 
@@ -999,9 +1155,14 @@ impl Parsed {
     /// in appearance order, do surface in symbolic answers, so their
     /// (index, name) table is part of the key. Budget overrides are
     /// keyed too (they change whether an answer is exact or bounded).
-    fn cache_key(&self, query: &Query) -> Vec<u8> {
-        let (space, vars) = (&self.space, &self.vars);
-        let mut key = Vec::with_capacity(128);
+    fn cache_key(
+        query: &Query,
+        space: &Space,
+        vars: &[VarId],
+        formula_key: &[u8],
+        affine: Option<&Affine>,
+    ) -> Vec<u8> {
+        let mut key = Vec::with_capacity(64 + formula_key.len());
         key.push(match query.verb {
             Verb::Count => 0u8,
             Verb::Sum => 1,
@@ -1020,8 +1181,8 @@ impl Parsed {
         let over = query.overrides.cache_key_part();
         key.extend_from_slice(&(over.len() as u32).to_le_bytes());
         key.extend_from_slice(over.as_bytes());
-        presburger_omega::intern::formula_push_key_bytes(&self.formula, &mut key);
-        match &self.affine {
+        key.extend_from_slice(formula_key);
+        match affine {
             None => key.push(0),
             Some(a) => {
                 key.push(1);
@@ -1056,48 +1217,60 @@ impl Parsed {
     }
 }
 
-/// Computes the answer for one query. Runs on a worker, inside its
-/// unwind boundary. `queue_wait` is how long the request sat queued;
-/// it shrinks the governed deadline so queue wait cannot overshoot the
-/// client's budget.
-fn process(inner: &Arc<Inner>, query: &Query, queue_wait: Duration) -> Answer {
-    let p = match Parsed::new(query) {
+/// Computes the answer for one queued job over the front door's parse:
+/// a front-door miss, or a hit that verify mode recomputes and checks
+/// against the cached payload it carries. A miss is looked up once
+/// more, by key: an equal request queued just ahead of it may have
+/// filled the entry meanwhile, and answering it from the cache keeps
+/// pipelined repeats hits, as they are when the shard's one worker
+/// takes them in order. Tallies the job's cache hit or miss here, where
+/// it is answered, and stores a fresh exact answer (a miss, or a verify
+/// mismatch). Runs on a worker, inside its unwind boundary.
+/// `queue_wait` is how long the request sat queued; it shrinks the
+/// governed deadline so queue wait cannot overshoot the client's
+/// budget.
+fn process(inner: &Arc<Inner>, work: &Work, queue_wait: Duration) -> Answer {
+    let query = &work.query;
+    let p = match &work.parsed {
         Ok(p) => p,
-        Err(reply) => return Answer::uncached(reply, query),
+        Err(reply) => return Answer::uncached(reply.clone()),
     };
-    let formula = p.formula.to_string(&p.space);
-    let cache_key = p.cache_key(query);
-    let cached = lock_ok(&inner.cache).get(&cache_key);
-    match &cached {
-        Some((value, ordinal)) => {
+    let looked_up = match &work.cached {
+        Some(_) => None,
+        None => lock_ok(&inner.cache).get(&p.key),
+    };
+    if let Some((value, ordinal)) = &looked_up {
+        if !inner.verify_due(*ordinal) {
             inner.stats.bump(&inner.stats.cache_hits);
             trace::bump(Counter::ServeCacheHits);
-            // Verify mode recomputes every n-th hit and alarms on a
-            // mismatch.
-            if !matches!(inner.cfg.verify_every, Some(n) if n > 0 && ordinal % n == 0) {
-                return Answer {
-                    reply: Reply::exact(&query.id, value),
-                    cache_hit: true,
-                    engine: Duration::ZERO,
-                    formula,
-                };
-            }
+            return Answer {
+                reply: Reply::exact(&query.id, value),
+                cache_hit: true,
+                engine: Duration::ZERO,
+            };
         }
-        None => {
-            inner.stats.bump(&inner.stats.cache_misses);
-            trace::bump(Counter::ServeCacheMisses);
-        }
+    }
+    let cached = work
+        .cached
+        .as_ref()
+        .or(looked_up.as_ref().map(|(value, _)| value));
+    if cached.is_some() {
+        inner.stats.bump(&inner.stats.cache_hits);
+        trace::bump(Counter::ServeCacheHits);
+    } else {
+        inner.stats.bump(&inner.stats.cache_misses);
+        trace::bump(Counter::ServeCacheMisses);
     }
 
     let engine_start = Instant::now();
-    let reply = compute(inner, query, queue_wait, &p);
+    let reply = compute(inner, work, queue_wait, p);
     let engine = engine_start.elapsed();
     let fresh = match &reply {
         Reply::OkExact { value, .. } => Some(value),
         _ => None,
     };
-    let mismatch = match &cached {
-        Some((value, _)) if fresh != Some(value) => {
+    let mismatch = match cached {
+        Some(value) if fresh != Some(value) => {
             inner.stats.bump(&inner.stats.verify_mismatches);
             eprintln!(
                 "serve: CACHE VERIFY MISMATCH for request {}: cached {value:?} vs recomputed {reply:?}",
@@ -1108,19 +1281,19 @@ fn process(inner: &Arc<Inner>, query: &Query, queue_wait: Duration) -> Answer {
         _ => false,
     };
     if let Some(fresh) = fresh.filter(|_| cached.is_none() || mismatch) {
-        lock_ok(&inner.cache).put(&cache_key, fresh);
+        lock_ok(&inner.cache).put(&p.key, fresh);
     }
     Answer {
         reply,
         cache_hit: cached.is_some(),
         engine,
-        formula,
     }
 }
 
 /// Runs the governed computation per the breaker's plan: the exact
 /// reply, a bounded one (budget trip or §4.6 rescue), or an `ERR`.
-fn compute(inner: &Arc<Inner>, query: &Query, queue_wait: Duration, p: &Parsed) -> Reply {
+fn compute(inner: &Arc<Inner>, work: &Work, queue_wait: Duration, p: &Parsed) -> Reply {
+    let query = &work.query;
     let id = &query.id;
     let plan = lock_ok(&inner.breaker).plan(Instant::now());
 
@@ -1140,7 +1313,7 @@ fn compute(inner: &Arc<Inner>, query: &Query, queue_wait: Duration, p: &Parsed) 
         // Breaker open: skip the exact path entirely, answer with the
         // §4.6 bounds — still governed by the request's budgets, so a
         // degraded reply cannot run away either.
-        return inner.rescue(query, Rescue::BreakerOpen(budgets));
+        return inner.rescue(work, Rescue::BreakerOpen(budgets));
     }
 
     let mut gov = Governor::new(budgets).with_cancel_token(inner.drain_cancel.clone());
@@ -1196,7 +1369,7 @@ fn compute(inner: &Arc<Inner>, query: &Query, queue_wait: Duration, p: &Parsed) 
         // Drain-deadline cancellation: rescue the request with the
         // budgeted §4.6 bounds so it still gets an answer.
         Err(CountError::Cancelled) if inner.drain_cancel.load(Ordering::Relaxed) => {
-            inner.rescue(query, Rescue::Cancelled(budgets))
+            inner.rescue(work, Rescue::Cancelled(budgets))
         }
         Err(e) => Reply::err(id, e.kind(), &e.to_string()),
     }

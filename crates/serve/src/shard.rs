@@ -57,7 +57,9 @@
 use crate::admission::{self, QuotaDecision, QuotaLedger};
 use crate::chaos::Chaos;
 use crate::protocol::{Query, ServeError, Verb};
-use crate::server::{self, Handle, Refusal, Refused, Rescue, ServeConfig, Server, Slot};
+use crate::server::{
+    self, Enqueued, Handle, Refusal, Refused, Rescue, ServeConfig, Server, Slot, Ticket, Work,
+};
 use crate::sync::lock_ok;
 use presburger_omega::{parse_formula, Space};
 use presburger_trace::metrics::{ReqCodec, RequestMetrics};
@@ -127,10 +129,18 @@ const VNODES: usize = 64;
 /// charset, so it can never collide with a real client.
 const ANON_CLIENT: &str = "@anon";
 
+/// FNV-1a's offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a, the crate's routing hash primitive (stable across runs and
 /// platforms, unlike `DefaultHasher`).
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`: hashing pieces in turn
+/// equals hashing their concatenation.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0100_0000_01b3);
@@ -156,30 +166,47 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 /// function of the query. Overrides are deliberately *not* keyed: the
 /// same formula at different budgets should hit the same shard's cache
 /// path.
+///
+/// The pool's front door does not call this: it hashes the bytes of
+/// the one parse it makes anyway, with the same result.
 pub fn routing_hash(query: &Query) -> u64 {
-    let mut key = Vec::with_capacity(96);
-    key.push(match query.verb {
-        Verb::Count => 0u8,
-        Verb::Sum => 1,
-    });
-    key.extend_from_slice(&(query.vars.len() as u32).to_le_bytes());
     let mut space = Space::new();
     for v in &query.vars {
         space.var(v);
     }
-    match parse_formula(&query.formula_text, &mut space) {
-        Ok(f) => presburger_omega::intern::formula_push_key_bytes(&f, &mut key),
-        Err(_) => {
-            key.extend_from_slice(query.formula_text.as_bytes());
+    let formula_key = parse_formula(&query.formula_text, &mut space)
+        .ok()
+        .map(|f| {
+            let mut key = Vec::with_capacity(64);
+            presburger_omega::intern::formula_push_key_bytes(&f, &mut key);
+            key
+        });
+    route_hash(query, formula_key.as_deref())
+}
+
+/// [`routing_hash`] over a formula the caller already parsed:
+/// `formula_key` holds its canonical key bytes, `None` when the formula
+/// does not parse.
+pub(crate) fn route_hash(query: &Query, formula_key: Option<&[u8]>) -> u64 {
+    let verb = match query.verb {
+        Verb::Count => 0u8,
+        Verb::Sum => 1,
+    };
+    let mut h = fnv1a_extend(FNV_OFFSET, &[verb]);
+    h = fnv1a_extend(h, &(query.vars.len() as u32).to_le_bytes());
+    match formula_key {
+        Some(key) => h = fnv1a_extend(h, key),
+        None => {
+            h = fnv1a_extend(h, query.formula_text.as_bytes());
             for v in &query.vars {
-                key.extend_from_slice(v.as_bytes());
+                h = fnv1a_extend(h, v.as_bytes());
             }
         }
     }
     if let Some(p) = &query.poly_text {
-        key.extend_from_slice(p.as_bytes());
+        h = fnv1a_extend(h, p.as_bytes());
     }
-    fnv1a(&key)
+    h
 }
 
 /// A consistent-hash ring: 64 points per shard, a key routes to
@@ -225,8 +252,7 @@ impl Ring {
 
 /// An admitted-but-unanswered request a shard is responsible for.
 struct Tracked {
-    query: Query,
-    slot: Arc<Slot>,
+    ticket: Arc<Ticket>,
     /// Re-dispatch hops already spent on this request.
     attempts: u32,
     /// Admission to the *pool* (for `rescue_after_ms`).
@@ -235,8 +261,7 @@ struct Tracked {
 
 /// A request whose shard was condemned before it answered.
 struct Orphan {
-    query: Query,
-    slot: Arc<Slot>,
+    ticket: Arc<Ticket>,
     /// The shard that lost it (re-dispatch prefers its ring successor;
     /// its row is charged for the re-dispatch or rescue).
     origin: usize,
@@ -414,38 +439,45 @@ impl PoolHandle {
     /// Routes and admits a batch of queries; returns one slot per query,
     /// in input order, each (or later) fulfilled with exactly one reply.
     ///
-    /// The front door (DESIGN.md §16) runs once per query, in order:
-    /// the per-client quota is metered against the pool-shared ledger
-    /// (so a failover hop can never double-charge), then a draining pool
-    /// sheds, then a request whose effective deadline is already zero is
-    /// answered at once with §4.6 bounds. Each decision is tallied on the
-    /// routed shard, keeping `shards`/`STATS` rows a pure function of the
-    /// request stream at any shard count. The surviving queries are
-    /// grouped by routed shard and each group is admitted under that
-    /// shard's single queue-lock reservation (`Handle::try_enqueue`):
-    /// when its queue fills mid-batch, the rest of the group sheds *in
-    /// position* while earlier admissions stand.
+    /// The front door (DESIGN.md §16) runs once per query, in order. It
+    /// parses the query once and routes it by the bytes of that parse.
+    /// Then the per-client quota is metered against the pool-shared
+    /// ledger (so a failover hop can never double-charge), a draining
+    /// pool sheds, and a request whose effective deadline is already
+    /// zero is answered at once with §4.6 bounds. A hit in the routed
+    /// shard's result cache is answered right here, on a ready slot
+    /// (`Handle::try_hit`): it never queues, so lanes, queue-full
+    /// sheds and eviction do not apply to it. Each decision is tallied
+    /// on the routed shard, keeping `shards`/`STATS` rows a pure
+    /// function of the request stream at any shard count. The rest —
+    /// misses, hits that verify mode recomputes, queries that do not
+    /// parse — are grouped by routed shard and each group is admitted
+    /// under that shard's single queue-lock reservation
+    /// (`Handle::try_enqueue`): when its queue fills mid-batch, the rest
+    /// of the group sheds *in position* while earlier admissions stand.
     pub fn submit_batch(&self, queries: Vec<Query>) -> Vec<Arc<Slot>> {
         let inner = &self.inner;
+        let handles = self.handles();
         let mut slots = Vec::with_capacity(queries.len());
-        let mut groups: Vec<Vec<(Query, Arc<Slot>)>> = vec![Vec::new(); inner.rows.len()];
+        let mut groups: Vec<Vec<Arc<Ticket>>> = vec![Vec::new(); inner.rows.len()];
         for query in queries {
-            let target = inner.ring.route(routing_hash(&query));
-            let shard = || lock_ok(&inner.shards)[target].handle.clone();
-            let refused = self.check_quota(&query).or_else(|| {
+            let (mut work, hash) = Work::parse(query);
+            let target = inner.ring.route(hash);
+            let shard = &handles[target];
+            let refused = self.check_quota(&work.query).or_else(|| {
                 let draining = inner.draining.load(Ordering::Relaxed);
                 draining.then(|| self.draining())
             });
             if let Some(refused) = refused {
-                slots.push(Slot::ready(shard().shed(&query, refused)));
-            } else if server::effective_deadline_ms(&inner.cfg.shard_cfg, &query) == Some(0) {
-                slots.push(Slot::ready(
-                    shard().rescue(&query, Rescue::EvictedAtAdmission),
-                ));
+                slots.push(Slot::ready(shard.shed(&work.query, refused)));
+            } else if server::effective_deadline_ms(&inner.cfg.shard_cfg, &work.query) == Some(0) {
+                slots.push(Slot::ready(shard.rescue(&work, Rescue::EvictedAtAdmission)));
+            } else if let Some(reply) = shard.try_hit(&mut work) {
+                slots.push(Slot::ready(reply));
             } else {
                 let slot = Slot::new();
                 slots.push(slot.clone());
-                groups[target].push((query, slot));
+                groups[target].push(Arc::new(Ticket { work, slot }));
             }
         }
         for (target, group) in groups.into_iter().enumerate() {
@@ -464,7 +496,7 @@ impl PoolHandle {
     /// orphaned, and the supervisor places it on the first replacement
     /// (or rescues it after `rescue_after_ms`); only a draining pool
     /// sheds it instead.
-    fn admit(&self, target: usize, mut group: Vec<(Query, Arc<Slot>)>) {
+    fn admit(&self, target: usize, mut group: Vec<Arc<Ticket>>) {
         let inner = &self.inner;
         let n = inner.rows.len();
         for off in 0..n {
@@ -480,16 +512,13 @@ impl PoolHandle {
                 }
                 (st.handle.clone(), st.epoch)
             };
-            let results = handle.try_enqueue(group.clone());
-            let (mut admitted, mut rerouted) = (Vec::new(), Vec::new());
-            for ((query, slot), result) in group.into_iter().zip(results) {
-                match result {
-                    Ok(()) => admitted.push((query, slot)),
-                    Err(Refused {
-                        reason: Refusal::Draining,
-                        ..
-                    }) => rerouted.push((query, slot)),
-                    Err(refused) => slot.fulfil(handle.shed(&query, refused)),
+            let Enqueued { admitted, refused } = handle.try_enqueue(group);
+            let mut rerouted = Vec::new();
+            for (ticket, refused) in refused {
+                if refused.reason == Refusal::Draining {
+                    rerouted.push(ticket);
+                } else {
+                    ticket.slot.fulfil(handle.shed(&ticket.work.query, refused));
                 }
             }
             inner.rows[i]
@@ -503,8 +532,10 @@ impl PoolHandle {
         }
         if inner.draining.load(Ordering::Relaxed) {
             let handle = lock_ok(&inner.shards)[target].handle.clone();
-            for (query, slot) in group {
-                slot.fulfil(handle.shed(&query, self.draining()));
+            for ticket in group {
+                ticket
+                    .slot
+                    .fulfil(handle.shed(&ticket.work.query, self.draining()));
             }
             return;
         }
@@ -512,9 +543,8 @@ impl PoolHandle {
         inner.rows[target]
             .routed
             .fetch_add(group.len() as u64, Ordering::Relaxed);
-        lock_ok(&inner.orphans).extend(group.into_iter().map(|(query, slot)| Orphan {
-            query,
-            slot,
+        lock_ok(&inner.orphans).extend(group.into_iter().map(|ticket| Orphan {
+            ticket,
             origin: target,
             attempts: 0,
             since,
@@ -583,10 +613,9 @@ impl PoolHandle {
             let mut v = Vec::new();
             for (i, st) in shards.iter_mut().enumerate() {
                 for t in st.pending.drain(..) {
-                    if !t.slot.is_done() {
+                    if !t.ticket.slot.is_done() {
                         v.push(Orphan {
-                            query: t.query,
-                            slot: t.slot,
+                            ticket: t.ticket,
                             origin: i,
                             attempts: t.attempts,
                             since: t.since,
@@ -743,7 +772,7 @@ fn backoff_ms(cfg: &ShardPoolConfig, consecutive: u32) -> u64 {
 /// in between, its pendings were orphaned without these and its queue
 /// may never run, so they are orphaned too (a late answer from the old
 /// queue is a harmless duplicate: replies are pure).
-fn track(inner: &PoolInner, i: usize, epoch: u64, admitted: Vec<(Query, Arc<Slot>)>) {
+fn track(inner: &PoolInner, i: usize, epoch: u64, admitted: Vec<Arc<Ticket>>) {
     if admitted.is_empty() {
         return;
     }
@@ -752,18 +781,16 @@ fn track(inner: &PoolInner, i: usize, epoch: u64, admitted: Vec<(Query, Arc<Slot
     let st = &mut shards[i];
     if st.epoch == epoch && st.restart_at.is_none() {
         st.pending
-            .extend(admitted.into_iter().map(|(query, slot)| Tracked {
-                query,
-                slot,
+            .extend(admitted.into_iter().map(|ticket| Tracked {
+                ticket,
                 attempts: 0,
                 since,
             }));
         return;
     }
     drop(shards);
-    lock_ok(&inner.orphans).extend(admitted.into_iter().map(|(query, slot)| Orphan {
-        query,
-        slot,
+    lock_ok(&inner.orphans).extend(admitted.into_iter().map(|ticket| Orphan {
+        ticket,
         origin: i,
         attempts: 1,
         since,
@@ -785,12 +812,11 @@ fn condemn(
     st.consecutive_restarts += 1;
     st.restart_at = Some(now + Duration::from_millis(backoff_ms(cfg, st.consecutive_restarts)));
     for t in st.pending.drain(..) {
-        if t.slot.is_done() {
+        if t.ticket.slot.is_done() {
             continue;
         }
         orphans.push(Orphan {
-            query: t.query,
-            slot: t.slot,
+            ticket: t.ticket,
             origin: i,
             attempts: t.attempts + 1,
             since: t.since,
@@ -810,7 +836,7 @@ fn supervise_tick(inner: &Arc<PoolInner>) {
     {
         let mut shards = lock_ok(&inner.shards);
         for (i, st) in shards.iter_mut().enumerate() {
-            st.pending.retain(|t| !t.slot.is_done());
+            st.pending.retain(|t| !t.ticket.slot.is_done());
             if let Some(at) = st.restart_at {
                 if now >= at && !pool_draining {
                     let server = Server::start(cfg.shard_cfg.clone(), i, cfg.chaos.clone());
@@ -893,7 +919,7 @@ fn place_orphans(inner: &Arc<PoolInner>, now: Instant) {
     }
     let mut keep: Vec<Orphan> = Vec::new();
     for o in orphans.drain(..) {
-        if o.slot.is_done() {
+        if o.ticket.slot.is_done() {
             continue;
         }
         if o.attempts > inner.cfg.redispatch_budget || now.duration_since(o.since) >= rescue_after {
@@ -904,8 +930,7 @@ fn place_orphans(inner: &Arc<PoolInner>, now: Instant) {
         for off in 1..=n {
             let i = (o.origin + off) % n;
             if let Some(h) = &accepting[i] {
-                let job = vec![(o.query.clone(), o.slot.clone())];
-                if h.try_enqueue(job).remove(0).is_ok() {
+                if h.try_enqueue(vec![o.ticket.clone()]).refused.is_empty() {
                     placed = Some(i);
                     break;
                 }
@@ -915,8 +940,7 @@ fn place_orphans(inner: &Arc<PoolInner>, now: Instant) {
             Some(i) => {
                 ShardRow::bump(&inner.rows[o.origin].redispatched);
                 lock_ok(&inner.shards)[i].pending.push(Tracked {
-                    query: o.query,
-                    slot: o.slot,
+                    ticket: o.ticket,
                     attempts: o.attempts,
                     since: o.since,
                 });
@@ -933,12 +957,13 @@ fn place_orphans(inner: &Arc<PoolInner>, now: Instant) {
 /// rescue (`OK … bounded failover lo ; hi`, or `ERR`), tallied on the
 /// origin shard's current server.
 fn rescue(inner: &PoolInner, o: Orphan) {
-    if o.slot.is_done() {
+    let Ticket { work, slot } = &*o.ticket;
+    if slot.is_done() {
         return;
     }
     ShardRow::bump(&inner.rows[o.origin].rescued);
     let origin = lock_ok(&inner.shards)[o.origin].handle.clone();
-    o.slot.fulfil(origin.rescue(&o.query, Rescue::Failover));
+    slot.fulfil(origin.rescue(work, Rescue::Failover));
 }
 
 /// A TCP front-end for a shard pool: accepts connections and serves
@@ -1020,6 +1045,50 @@ mod tests {
         let c = query("count r3 {x : 1 <= x && x <= 10}");
         assert_eq!(routing_hash(&a), routing_hash(&b));
         assert_ne!(routing_hash(&a), routing_hash(&c));
+    }
+
+    #[test]
+    fn front_door_routes_by_the_routing_hash() {
+        // The front door hashes the bytes of the one parse it makes;
+        // `routing_hash` parses on its own. They must agree on every
+        // query — generated counts and sums, the same lines with an
+        // unparsable formula, and hand-written sums whose polynomial
+        // has free symbols or does not parse — or a query would change
+        // shard.
+        let generated =
+            presburger_gen::request_lines(29, 400, &presburger_gen::GenConfig::default());
+        let mut lines: Vec<String> = Vec::new();
+        for r in generated {
+            lines.push(r.line.replacen(" : ", " : <= ", 1));
+            lines.push(r.line);
+        }
+        lines.extend(
+            [
+                "sum p1 2x + 3n {x : 1 <= x <= n}",
+                "sum p2 x + y + m {x, y : 0 <= x <= y <= m}",
+                "sum p3 2x + + 1 {x : 1 <= x <= 4}",
+                "sum p4 x {x : 1 <=}",
+                "count p5 {x : x = }",
+                "count p6 max_splinters=2 {x, y : 1 <= x <= 9 && y = 2x}",
+            ]
+            .map(String::from),
+        );
+        let (mut parsed, mut unparsed) = (0, 0);
+        for line in &lines {
+            let q = query(line);
+            let want = routing_hash(&q);
+            let (work, hash) = Work::parse(q);
+            assert_eq!(hash, want, "{line}");
+            if work.parses() {
+                parsed += 1;
+            } else {
+                unparsed += 1;
+            }
+        }
+        assert!(
+            parsed >= 400 && unparsed >= 400,
+            "{parsed} parsed, {unparsed} not"
+        );
     }
 
     #[test]
@@ -1123,13 +1192,18 @@ mod tests {
         let inner = &pool.inner;
         // `PoolHandle::submit`, with the supervisor condemning the shard
         // between the enqueue and the tracking.
-        let q = query("count q0 {x : 1 <= x && x <= 9}");
+        let (work, _) = Work::parse(query("count q0 {x : 1 <= x && x <= 9}"));
         let slot = Slot::new();
+        let ticket = Arc::new(Ticket {
+            work,
+            slot: slot.clone(),
+        });
         let (handle, epoch) = {
             let shards = lock_ok(&inner.shards);
             (shards[0].handle.clone(), shards[0].epoch)
         };
-        assert!(handle.try_enqueue(vec![(q.clone(), slot.clone())])[0].is_ok());
+        let enqueued = handle.try_enqueue(vec![ticket]);
+        assert!(enqueued.refused.is_empty());
         let mut orphans = Vec::new();
         condemn(
             &inner.cfg,
@@ -1139,7 +1213,7 @@ mod tests {
             &mut orphans,
         );
         assert!(orphans.is_empty(), "the request is not tracked yet");
-        track(inner, 0, epoch, vec![(q, slot.clone())]);
+        track(inner, 0, epoch, enqueued.admitted);
         let give_up = Instant::now() + Duration::from_secs(10);
         while !slot.is_done() && Instant::now() < give_up {
             thread::sleep(Duration::from_millis(1));

@@ -6,8 +6,10 @@
 //! end-to-end latency, governed-engine time, outcome class, and — when
 //! counter capture is on — the pipeline-counter delta attributable to
 //! just that request (a snapshot diff of the worker thread's counters
-//! around the run; the engine runs the whole query on that thread). [`Telemetry::record`] fans the
-//! observation out to three consumers:
+//! around the run; the engine runs the whole query on that thread). A
+//! cache hit answered at the pool's front door produces one too, with
+//! no queue wait, no engine time and an empty counter delta.
+//! [`Telemetry::record`] fans the observation out to three consumers:
 //!
 //! 1. the histogram/counter registry
 //!    ([`presburger_trace::metrics::RequestMetrics`]), exposed by the
@@ -31,6 +33,7 @@
 //! it enabled (`serve_stress` phase 1 runs with the defaults on).
 
 use crate::sync::lock_ok;
+use presburger_omega::{Formula, Space};
 use presburger_trace::metrics::{ReqLane, ReqOutcome, ReqVerb, RequestMetrics, RequestObservation};
 use presburger_trace::{self as trace, json::JsonObject, PipelineStats, SpanTree};
 use std::collections::VecDeque;
@@ -99,11 +102,32 @@ impl TelemetrySettings {
     }
 }
 
-/// Everything measured about one request, assembled on the worker after
-/// the reply is rendered (telemetry rides behind the response, never in
-/// front of it).
+/// The formula a flight record replays from. It is rendered only when a
+/// record is actually kept, so a request that leaves no record never
+/// pays for the rendering.
+#[derive(Clone, Copy, Debug)]
+pub enum FormulaSource<'a> {
+    /// The raw request text (the query did not parse).
+    Raw(&'a str),
+    /// A parsed formula, rendered canonically over its space.
+    Parsed(&'a Formula, &'a Space),
+}
+
+impl FormulaSource<'_> {
+    /// The formula text.
+    pub fn render(self) -> String {
+        match self {
+            FormulaSource::Raw(text) => text.to_string(),
+            FormulaSource::Parsed(formula, space) => formula.to_string(space),
+        }
+    }
+}
+
+/// Everything measured about one request, assembled after the reply is
+/// rendered (telemetry rides behind the response, never in front of
+/// it): on the worker, or at the pool's front door for a cache hit.
 #[derive(Debug)]
-pub struct RequestTelemetry {
+pub struct RequestTelemetry<'a> {
     /// The request id (echoed on the wire).
     pub id: String,
     /// Request verb.
@@ -126,9 +150,9 @@ pub struct RequestTelemetry {
     /// The governor tripped a budget/deadline/cancel during this
     /// request (derived from the counter delta).
     pub governor_tripped: bool,
-    /// The canonically re-rendered formula (or the raw text when
-    /// parsing failed) — what a flight record replays from.
-    pub formula: String,
+    /// The formula a flight record replays from: the canonical
+    /// rendering, or the raw text when parsing failed.
+    pub formula: FormulaSource<'a>,
     /// Span tree collected on the worker, when span capture is on.
     pub spans: Option<SpanTree>,
 }
@@ -300,7 +324,7 @@ impl Telemetry {
                 engine_us,
                 governor_tripped: telem.governor_tripped,
                 trigger,
-                formula: telem.formula.clone(),
+                formula: telem.formula.render(),
                 counters: telem
                     .counters
                     .as_ref()
@@ -444,7 +468,7 @@ mod tests {
     use super::*;
     use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
-    fn telem(id: &str, total_us: u64, tripped: bool) -> RequestTelemetry {
+    fn telem(id: &str, total_us: u64, tripped: bool) -> RequestTelemetry<'static> {
         RequestTelemetry {
             id: id.to_string(),
             verb: ReqVerb::Count,
@@ -455,7 +479,7 @@ mod tests {
             engine: Duration::from_micros(total_us / 2),
             counters: None,
             governor_tripped: tripped,
-            formula: "1 <= x <= 9".to_string(),
+            formula: FormulaSource::Raw("1 <= x <= 9"),
             spans: None,
         }
     }

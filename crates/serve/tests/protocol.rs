@@ -586,6 +586,62 @@ fn verify_mode_detects_poisoned_cache_entries() {
     server.shutdown();
 }
 
+#[test]
+fn a_cache_hit_needs_no_worker() {
+    // The front door answers a hit from the routed shard's cache, so a
+    // hit is answered while the shard's only worker is stuck. Closing
+    // the gate sticks the worker within one job: it is either stopped
+    // at the gate already or waiting for a job, in which case it
+    // answers the filler w2 and then stops at the gate. A hit that had
+    // to queue would wait behind w2 forever.
+    let gate = Gate::new(false);
+    let cfg = ServeConfig {
+        hold: Some(gate.clone()),
+        ..base_cfg()
+    };
+    let pool = ShardPool::start(one_shard(cfg));
+    let handle = pool.handle();
+    let submit = |line: &str| match parse_request(line).expect("parse") {
+        Request::Query(q) => handle.submit(q),
+        _ => unreachable!(),
+    };
+    assert_eq!(
+        submit("count w1 {x : 1 <= x <= 9}").wait().to_text(),
+        "OK w1 exact 9"
+    );
+    gate.close();
+    let filler = submit("count w2 {y : 2 <= y <= 9}");
+    // A second spelling of w1's formula, over a renamed variable.
+    let hit = submit("count w3 {z : 1<=z&&z<=9}");
+    let give_up = std::time::Instant::now() + Duration::from_secs(5);
+    while !hit.is_done() {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "the cache hit waited for the held worker"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(hit.wait().to_text(), "OK w3 exact 9");
+    gate.open();
+    assert_eq!(filler.wait().to_text(), "OK w2 exact 8");
+    assert_eq!(stat(&handle, "cache_hits"), 1);
+
+    // After the drain, a hit is shed like any other request: its shed
+    // is the only tally after the final drain `STATS` line.
+    let drained = handle.drain();
+    assert_eq!(
+        submit("count w4 {x : 1 <= x <= 9}").wait().to_text(),
+        "SHED w4 retry_after_ms=50 reason=draining"
+    );
+    let shed_drain = stat(&handle, "shed_drain");
+    let want = drained.replace(
+        &format!(" shed_drain={} ", shed_drain - 1),
+        &format!(" shed_drain={shed_drain} "),
+    );
+    assert_eq!(handle.stats_line(), want, "final drain line: {drained}");
+    pool.shutdown();
+}
+
 /// One counter off a one-shard pool's `STATS` line.
 fn stat(handle: &PoolHandle, key: &str) -> u64 {
     let line = handle.stats_line();

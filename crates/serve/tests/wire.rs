@@ -840,7 +840,9 @@ fn golden_binary_normal_session() {
     // An interactive binary session whose raw reply byte stream —
     // preamble echo plus every reply frame — is pinned as a hexdump.
     // Interactive awaits keep `queue_depth_peak` deterministic; the
-    // batch step's atomic 3-deep admission is deterministic too.
+    // batch step's atomic admission is deterministic too: g2 and g3
+    // queue 2 deep, while g4, a cache hit, is answered at the front
+    // door and never queues.
     // Re-record with PRESBURGER_SERVE_RECORD=1.
     let server = PoolTcpServer::bind("127.0.0.1:0", one_shard(base_cfg())).expect("bind loopback");
     let mut stream = TcpStream::connect(server.addr()).expect("connect");

@@ -9,9 +9,9 @@
 //! - [`counters`]: a thread-local [`Counter`] registry with a
 //!   [`PipelineStats`] snapshot type. Collection is off by default;
 //!   every hook is a single thread-local boolean load when disabled.
-//! - [`span`]: an RAII span stack with monotonic timings, rendered as
+//! - [`span`](mod@span): an RAII span stack with monotonic timings, rendered as
 //!   an indented tree or hand-rolled JSON (no serde).
-//! - [`explain`][span::explain]: human-readable derivation steps
+//! - [`explain`]: human-readable derivation steps
 //!   attached to the innermost open span.
 //! - [`metrics`]: process-wide serving metrics — lock-free log-bucketed
 //!   histograms and `{verb, outcome}` counter families with Prometheus

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: build, tests, lints, formatting, the experiments
-# counter baseline, and the trace-overhead smoke check.
+# Full local gate: build, tests, lints, formatting, API docs, the
+# experiments counter baseline, and the trace-overhead smoke check.
 # Run from the repository root.
 #
 #   bash scripts/check.sh                    run every gate
@@ -48,6 +48,14 @@ for workload in paper-cold splinter-cold; do
     cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seconds 1 --scale smoke --trace 0 > /dev/null
 done
+# On the serving workloads perfbench compares every reply byte for byte
+# with the library's answer to the same text: one short run per codec
+# checks the pool's front door, cache hits included.
+for workload in serve-hot-binary serve-hot-text; do
+    echo "==> perfbench answer check: $workload"
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 > /dev/null
+done
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
@@ -57,6 +65,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> cargo doc --no-deps --workspace (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "==> experiments counters and answers match $baseline"
 # The checked-in table is the counter baseline: any change to a
