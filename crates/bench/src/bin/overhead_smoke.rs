@@ -134,37 +134,16 @@ fn main() {
     let per_wire_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(WIRE_LOOPS);
 
     // 2f. Per-request cost of the admission layer (DESIGN.md §16): one
-    //     quota-ledger check (a token-bucket tick under the ledger
-    //     lock, cycling four client identities so the bucket map is
-    //     exercised), one lane push + strict-priority pop, and one
-    //     detailed shed reason. Reasons are only rendered on sheds, so
-    //     charging one to every request is conservative. Admission runs
-    //     once per request, before the engine — like routing, its full
-    //     cost is gated directly against E3.
-    let ledger = presburger_serve::QuotaLedger::new(
-        presburger_serve::QuotaConfig {
-            burst: 1,
-            refill_milli: 1000,
-            tick_ms: 100,
-        },
-        1024,
-    );
+    //     lane push + strict-priority pop. Admission runs once per
+    //     request, before the engine — like routing, its full cost is
+    //     gated directly against E3.
     let mut lanes = presburger_serve::admission::LaneQueues::new(8);
-    let clients = ["c0", "c1", "c2", "c3"];
     const ADMIT_LOOPS: u32 = 100_000;
     let t = Instant::now();
     for i in 0..ADMIT_LOOPS {
-        let client = clients[(i % 4) as usize];
-        std::hint::black_box(ledger.check(std::hint::black_box(client)));
         let lane = presburger_serve::Lane::ALL[(i % 3) as usize];
         lanes.push(lane, std::hint::black_box(i));
         std::hint::black_box(lanes.pop());
-        std::hint::black_box(presburger_serve::admission::shed_reason(
-            "queue_full",
-            lane,
-            std::hint::black_box(u64::from(i % 64)),
-            true,
-        ));
     }
     let per_admit_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(ADMIT_LOOPS);
 
@@ -194,8 +173,8 @@ fn main() {
     // Likewise a binary request is framed and unframed exactly once per
     // direction; the loop above already measures both directions.
     let wire_overhead_ms = per_wire_ns / 1e6;
-    // And a request is admitted exactly once (pool failover re-enqueues
-    // bypass metering), so the admission multiplier is also 1.
+    // And a request passes admission once per enqueue, so the
+    // admission multiplier is also 1.
     let admit_overhead_ms = per_admit_ns / 1e6;
     let pct = 100.0 * overhead_ms / median_ms;
     let gauge_pct = 100.0 * gauge_overhead_ms / median_ms;

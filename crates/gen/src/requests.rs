@@ -51,8 +51,8 @@ fn var_list(case: &GenCase) -> String {
 }
 
 /// Admission-option mix for [`admission_request_lines`]: how often
-/// generated requests carry explicit `prio=` / `client=` options
-/// (DESIGN.md §16). Draws for these options happen *after* every draw
+/// generated requests carry an explicit `prio=` option (DESIGN.md
+/// §16). Draws for these options happen *after* every draw
 /// [`request_lines`] makes, so a stream with a mix shares its formulas,
 /// budgets and verbs with the plain stream of the same seed — only the
 /// admission options differ.
@@ -62,20 +62,11 @@ pub struct AdmissionMix {
     /// uniformly over `interactive`/`batch`/`background`); the rest
     /// ride the default lane. At least 1 (= every request).
     pub prio_one_in: u64,
-    /// One in this many requests carries an explicit `client=`; the
-    /// rest fall back to the connection-scoped identity. At least 1.
-    pub client_one_in: u64,
-    /// Distinct client identities (`c0`…`c{clients-1}`) to draw from.
-    pub clients: u64,
 }
 
 impl Default for AdmissionMix {
     fn default() -> AdmissionMix {
-        AdmissionMix {
-            prio_one_in: 2,
-            client_one_in: 2,
-            clients: 4,
-        }
+        AdmissionMix { prio_one_in: 2 }
     }
 }
 
@@ -87,8 +78,8 @@ pub fn request_lines(seed: u64, n: usize, cfg: &GenConfig) -> Vec<GenRequest> {
     request_stream(seed, n, cfg, None)
 }
 
-/// [`request_lines`] plus deterministic `prio=` / `client=` admission
-/// options per `mix`. Same seed ⇒ same underlying requests as the
+/// [`request_lines`] plus deterministic `prio=` admission options per
+/// `mix`. Same seed ⇒ same underlying requests as the
 /// plain stream; the admission draws ride after them.
 pub fn admission_request_lines(
     seed: u64,
@@ -137,9 +128,6 @@ fn request_stream(
                         "prio={} ",
                         LANES[rng.below(LANES.len() as u64) as usize]
                     ));
-                }
-                if rng.chance(1, mix.client_one_in.max(1)) {
-                    opts.push_str(&format!("client=c{} ", rng.below(mix.clients.max(1))));
                 }
             }
             let line = if is_sum {
@@ -238,21 +226,19 @@ mod tests {
             again.iter().map(|r| &r.line).collect::<Vec<_>>()
         );
         let mut saw_prio = false;
-        let mut saw_client = false;
         for (p, m) in plain.iter().zip(&mixed) {
             // Stripping the admission options recovers the plain line:
             // the admission draws never perturb the base stream.
             let stripped: String = m
                 .line
                 .split(' ')
-                .filter(|tok| !tok.starts_with("prio=") && !tok.starts_with("client="))
+                .filter(|tok| !tok.starts_with("prio="))
                 .collect::<Vec<_>>()
                 .join(" ");
             assert_eq!(stripped, p.line);
             saw_prio |= m.line.contains("prio=");
-            saw_client |= m.line.contains("client=");
         }
-        assert!(saw_prio && saw_client, "mix must actually fire");
+        assert!(saw_prio, "mix must actually fire");
         // Every mixed line still parses under the serve grammar? That
         // is asserted end-to-end by serve_stress phase 8; here we keep
         // the crate dependency-free and check shape only.

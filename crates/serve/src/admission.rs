@@ -1,34 +1,26 @@
-//! Deadline-aware admission control: priority lanes and per-client
-//! quotas.
+//! Deadline-aware admission control: priority lanes.
 //!
 //! # Why admission is its own layer
 //!
-//! The worker queue ([`crate::server`]) is a bounded FIFO: one greedy
-//! client can fill it and starve everyone, and a request whose deadline
-//! expired while queued still burns a worker. This module supplies the
-//! pure, deterministic decision machinery the server threads in front
-//! of that queue:
+//! The worker queue ([`crate::server`]) is a bounded queue: a flood of
+//! bulk work can park a latency-sensitive request behind it, and a
+//! request whose deadline expired while queued still burns a worker.
+//! This module supplies the pure, deterministic scheduling the server
+//! keeps in front of its workers:
 //!
 //! * **Priority lanes** ([`Lane`], [`LaneQueues`]) — requests carry an
 //!   optional `prio=` override (`interactive` / `batch` / `background`,
 //!   default `batch`); pops are strict-priority with an anti-starvation
 //!   credit so a saturating interactive flood cannot park background
 //!   work forever.
-//! * **Per-client quotas** ([`QuotaConfig`], [`QuotaLedger`]) — a
-//!   `client=` identity metered by a token bucket whose refill is
-//!   driven by a *logical clock* advanced once per admission attempt of
-//!   that client, never by wall time. Decisions are therefore a pure
-//!   function of each client's attempt sequence: the same request
-//!   stream sheds the same requests at any shard count, chaos on or
-//!   off, which is what keeps golden transcripts byte-identical.
 //!
 //! Expired-request *eviction* (the other half of deadline-awareness)
 //! lives in the server's admission/pop paths, which own the clocks and
-//! the §4.6 bound fallback; this module only decides and meters.
+//! the §4.6 bound fallback.
 //!
 //! See DESIGN.md §16 for the full architecture and rationale.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A request priority lane. Strict-priority scheduling: `Interactive`
 /// before `Batch` before `Background`, with an anti-starvation credit
@@ -99,166 +91,10 @@ impl Lane {
     }
 }
 
-/// Admission-control configuration, part of
-/// [`ServeConfig`](crate::server::ServeConfig).
-///
-/// The defaults are **legacy-preserving**: no quota and plain
-/// one-token shed reasons, so every pre-admission golden transcript
-/// replays byte-identically. The rest of the admission policy is fixed:
-/// expired requests are evicted to §4.6 bounds, queue wait comes out of
-/// the execution deadline, background work gets a credit of 4 pops
-/// and the quota ledger holds at most 1024 client buckets.
-#[derive(Clone, Debug, Default)]
-pub struct AdmissionConfig {
-    /// Per-client token-bucket quota; `None` disables quota metering.
-    pub quota: Option<QuotaConfig>,
-    /// Extend shed `reason=` tokens with the shedding lane and the
-    /// computed wait, e.g. `reason=quota:lane=batch:wait_ms=200`.
-    /// Off by default: golden transcripts pin the plain tokens.
-    pub detail: bool,
-}
-
 /// Anti-starvation credit of the server's lanes: after this many
 /// strict-priority pops that bypassed a waiting background request, the
 /// next pop takes the background lane.
 pub(crate) const BACKGROUND_CREDIT: u64 = 4;
-
-/// Quota-ledger capacity: at most this many distinct client buckets;
-/// clients beyond the cap share one overflow bucket (bounded memory
-/// under an identity flood, still deterministic).
-pub(crate) const MAX_CLIENTS: usize = 1024;
-
-/// Per-client token-bucket quota parameters. Costs are metered in
-/// *milli-tokens* (one request = 1000) so refill rates below one token
-/// per tick stay exact integers — no floats, no rounding drift.
-#[derive(Clone, Copy, Debug)]
-pub struct QuotaConfig {
-    /// Bucket capacity in whole tokens (burst size); also the initial
-    /// fill, so a fresh client can burst immediately.
-    pub burst: u64,
-    /// Milli-tokens refilled per logical tick (one tick = one
-    /// admission attempt by that client). `250` means a steady-state
-    /// rate of one admit per four attempts.
-    pub refill_milli: u64,
-    /// Milliseconds a logical tick is *advertised* as in
-    /// `retry_after_ms` hints. Purely a hint scale: the clock itself
-    /// never reads wall time.
-    pub tick_ms: u64,
-}
-
-/// One admission decision from the quota ledger.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QuotaDecision {
-    /// Under quota: one token consumed, admit the request.
-    Admit,
-    /// Over quota: shed with this computed backoff hint.
-    Shed {
-        /// Logical ticks until the bucket can afford a token,
-        /// converted to milliseconds via [`QuotaConfig::tick_ms`].
-        retry_after_ms: u64,
-    },
-}
-
-/// Milli-tokens per request.
-const TOKEN_MILLI: u64 = 1000;
-
-/// Cap on a computed quota hint (a zero-refill bucket would otherwise
-/// advertise an infinite wait).
-const QUOTA_HINT_CAP_MS: u64 = 60_000;
-
-/// One client's bucket. The logical clock is implicit: refill happens
-/// at the top of every [`Bucket::tick`], i.e. once per admission
-/// attempt by this client — so the token level after attempt `n` is a
-/// pure function of `n` and the config, independent of wall time,
-/// thread interleaving, or what other clients are doing.
-#[derive(Clone, Copy, Debug)]
-struct Bucket {
-    tokens_milli: u64,
-}
-
-impl Bucket {
-    fn new(cfg: &QuotaConfig) -> Bucket {
-        Bucket {
-            tokens_milli: cfg.burst.saturating_mul(TOKEN_MILLI),
-        }
-    }
-
-    /// One admission attempt: refill, then spend or shed.
-    fn tick(&mut self, cfg: &QuotaConfig) -> QuotaDecision {
-        let cap = cfg.burst.saturating_mul(TOKEN_MILLI);
-        self.tokens_milli = self.tokens_milli.saturating_add(cfg.refill_milli).min(cap);
-        if self.tokens_milli >= TOKEN_MILLI {
-            self.tokens_milli -= TOKEN_MILLI;
-            return QuotaDecision::Admit;
-        }
-        let deficit = TOKEN_MILLI - self.tokens_milli;
-        let ticks = if cfg.refill_milli == 0 {
-            u64::MAX
-        } else {
-            deficit.div_ceil(cfg.refill_milli)
-        };
-        QuotaDecision::Shed {
-            retry_after_ms: ticks
-                .saturating_mul(cfg.tick_ms)
-                .clamp(1, QUOTA_HINT_CAP_MS),
-        }
-    }
-}
-
-/// The per-client quota ledger. A [`ShardPool`](crate::shard::ShardPool)
-/// shares **one** ledger across all its shards (behind the pool's
-/// submit lock ordering), so quota decisions are identical at any
-/// shard count — the decision depends only on the client's attempt
-/// sequence, which the pool front door sees in arrival order.
-#[derive(Debug)]
-pub struct QuotaLedger {
-    cfg: QuotaConfig,
-    max_clients: usize,
-    buckets: std::sync::Mutex<HashMap<String, Bucket>>,
-}
-
-/// Key of the shared overflow bucket (outside the id charset, so it
-/// can never collide with a real `client=` identity).
-const OVERFLOW_CLIENT: &str = "@overflow";
-
-impl QuotaLedger {
-    /// A fresh ledger for `cfg` with at most `max_clients` distinct
-    /// buckets.
-    pub fn new(cfg: QuotaConfig, max_clients: usize) -> QuotaLedger {
-        QuotaLedger {
-            cfg,
-            max_clients: max_clients.max(1),
-            buckets: std::sync::Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Meters one admission attempt by `client`. Advances that
-    /// client's logical clock exactly once, whatever the decision.
-    pub fn check(&self, client: &str) -> QuotaDecision {
-        let mut buckets = self
-            .buckets
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let key = if buckets.contains_key(client) || buckets.len() < self.max_clients {
-            client
-        } else {
-            OVERFLOW_CLIENT
-        };
-        let cfg = self.cfg;
-        buckets
-            .entry(key.to_string())
-            .or_insert_with(|| Bucket::new(&cfg))
-            .tick(&cfg)
-    }
-
-    /// Number of distinct buckets currently held (observability).
-    pub fn clients(&self) -> usize {
-        self.buckets
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-}
 
 /// Per-lane deques with strict-priority pop and a background
 /// anti-starvation credit. Not itself thread-safe: the server keeps it
@@ -344,135 +180,9 @@ impl<T> LaneQueues<T> {
     }
 }
 
-/// Renders a shed `reason=` token: the plain cause, or — with
-/// [`AdmissionConfig::detail`] — the cause extended with the shedding
-/// lane and computed wait (`quota:lane=batch:wait_ms=200`). Colon-
-/// separated and space-free, so the token survives the binary wire
-/// codec's reason grammar and `retry` helpers can match the cause by
-/// prefix.
-pub fn shed_reason(cause: &str, lane: Lane, wait_ms: u64, detail: bool) -> String {
-    if detail {
-        format!("{cause}:lane={}:wait_ms={wait_ms}", lane.name())
-    } else {
-        cause.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const QUOTA: QuotaConfig = QuotaConfig {
-        burst: 2,
-        refill_milli: 250,
-        tick_ms: 100,
-    };
-
-    /// The worked example pinned by the golden quota session and the
-    /// serve_stress quota drill: burst 2, refill 250 milli/tick.
-    #[test]
-    fn token_bucket_follows_the_worked_example() {
-        let ledger = QuotaLedger::new(QUOTA, 16);
-        let decisions: Vec<QuotaDecision> = (0..6).map(|_| ledger.check("c1")).collect();
-        assert_eq!(
-            decisions,
-            vec![
-                QuotaDecision::Admit,
-                QuotaDecision::Admit,
-                QuotaDecision::Shed {
-                    retry_after_ms: 200
-                },
-                QuotaDecision::Shed {
-                    retry_after_ms: 100
-                },
-                QuotaDecision::Admit,
-                QuotaDecision::Shed {
-                    retry_after_ms: 300
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn quota_clients_are_independent() {
-        let ledger = QuotaLedger::new(QUOTA, 16);
-        // Drain c1 to a shed; c2's clock is untouched.
-        for _ in 0..3 {
-            ledger.check("c1");
-        }
-        assert_eq!(ledger.check("c2"), QuotaDecision::Admit);
-        assert_eq!(ledger.clients(), 2);
-    }
-
-    /// The tentpole determinism property: decisions are a pure function
-    /// of each client's attempt sequence — three independent ledgers
-    /// fed the same interleaved sequence agree decision-for-decision.
-    #[test]
-    fn quota_decisions_are_deterministic_across_runs() {
-        // A deterministic pseudo-random interleaving of 4 clients.
-        let seq: Vec<String> = (0..200u64)
-            .map(|i| format!("c{}", (i.wrapping_mul(2654435761) >> 7) % 4))
-            .collect();
-        let runs: Vec<Vec<QuotaDecision>> = (0..3)
-            .map(|_| {
-                let ledger = QuotaLedger::new(QUOTA, 16);
-                seq.iter().map(|c| ledger.check(c)).collect()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[1], runs[2]);
-        // And per-client subsequences are what a solo run would give:
-        // the ledger never couples clients.
-        for client in ["c0", "c1", "c2", "c3"] {
-            let solo = QuotaLedger::new(QUOTA, 16);
-            let expect: Vec<QuotaDecision> = seq
-                .iter()
-                .filter(|c| c.as_str() == client)
-                .map(|_| solo.check(client))
-                .collect();
-            let got: Vec<QuotaDecision> = runs[0]
-                .iter()
-                .zip(&seq)
-                .filter(|(_, c)| c.as_str() == client)
-                .map(|(d, _)| *d)
-                .collect();
-            assert_eq!(got, expect, "client {client} decisions are self-contained");
-        }
-    }
-
-    #[test]
-    fn ledger_cap_folds_excess_clients_into_one_bucket() {
-        let ledger = QuotaLedger::new(QUOTA, 2);
-        assert_eq!(ledger.check("a"), QuotaDecision::Admit);
-        assert_eq!(ledger.check("b"), QuotaDecision::Admit);
-        // c and d share the overflow bucket: two bursts of 2 drain it.
-        for _ in 0..2 {
-            assert_eq!(ledger.check("c"), QuotaDecision::Admit);
-        }
-        assert!(matches!(ledger.check("d"), QuotaDecision::Shed { .. }));
-        // Known clients keep their own buckets.
-        assert_eq!(ledger.check("a"), QuotaDecision::Admit);
-        assert_eq!(ledger.clients(), 3, "a, b, and the overflow bucket");
-    }
-
-    #[test]
-    fn zero_refill_sheds_with_the_capped_hint() {
-        let ledger = QuotaLedger::new(
-            QuotaConfig {
-                burst: 1,
-                refill_milli: 0,
-                tick_ms: 100,
-            },
-            4,
-        );
-        assert_eq!(ledger.check("c"), QuotaDecision::Admit);
-        assert_eq!(
-            ledger.check("c"),
-            QuotaDecision::Shed {
-                retry_after_ms: QUOTA_HINT_CAP_MS
-            }
-        );
-    }
 
     #[test]
     fn lanes_pop_in_strict_priority_order() {
@@ -567,19 +277,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Lane::Interactive, 10)));
         assert_eq!(q.pop(), Some((Lane::Background, 2)));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn shed_reasons_render_plain_and_detailed() {
-        assert_eq!(
-            shed_reason("queue_full", Lane::Batch, 50, false),
-            "queue_full"
-        );
-        assert_eq!(
-            shed_reason("quota", Lane::Background, 200, true),
-            "quota:lane=background:wait_ms=200"
-        );
-        assert!(!shed_reason("quota", Lane::Interactive, 1, true).contains(' '));
     }
 
     #[test]

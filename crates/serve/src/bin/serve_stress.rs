@@ -26,25 +26,22 @@
 //!    `delay` fault armed mid-stream: a killed or wedged shard's
 //!    requests are re-dispatched, never lost, never degraded (a
 //!    one-shard pool's submissions that race its restart wait for the
-//!    replacement); a `delay` never trips the supervisor. The
-//!    jittered-retry client helper rides out deterministic queue-full
-//!    sheds.
+//!    replacement); a `delay` never trips the supervisor.
 //! 7. **Binary codec** — the same request stream, re-framed as binary
 //!    batch frames, decodes to exactly the text transcript's reply
 //!    lines at 1, 2 and 4 shards, chaos off and with a kill drill
 //!    armed; batched-binary throughput must strictly beat line-by-line
-//!    text on a warm cache (framing cost dominates there), and the
-//!    batch retry helper rides out partial sheds. Recorded as the
-//!    `phase7` object of `BENCH_serve.json` (schema `serve_bench_v5`).
+//!    text on a warm cache (framing cost dominates there). Recorded as
+//!    the `phase7` object of `BENCH_serve.json` (schema
+//!    `serve_bench_v5`).
 //! 8. **Admission control** — the deadline-aware admission layer
 //!    (DESIGN.md §16): a background flood at 4× queue capacity must
-//!    not move the interactive lane's p99 past 3× its unloaded value
-//!    and must lose zero replies; the per-client quota drill replays
-//!    the worked token-bucket example with exact computed hints; the
-//!    eviction drill answers expired requests with §4.6 bounds at
-//!    admission and at pop time; and an admission-optioned request
-//!    stream replays byte-identically at 1, 2 and 4 shards, chaos off
-//!    and under a kill drill. Recorded as the `phase8` object.
+//!    not move the interactive lane's p99 past max(3× its unloaded
+//!    value, 20 ms) and must lose zero replies; the eviction drill
+//!    answers expired requests with §4.6 bounds at admission and at
+//!    pop time; and a `prio=`-optioned request stream replays
+//!    byte-identically at 1, 2 and 4 shards, chaos off and under a
+//!    kill drill. Recorded as the `phase8` object.
 //!
 //! Honours `PRESBURGER_FAULT` (parsed once at start, an invalid spec
 //! exits non-zero; armed as `fault_spec` on every pool that arms none
@@ -64,8 +61,7 @@ use presburger_gen::{
 };
 use presburger_serve::server::{serve_connection, Gate};
 use presburger_serve::{
-    routing_hash, wire, AdmissionConfig, Chaos, PoolHandle, QuotaConfig, RetryPolicy, Ring,
-    ServeConfig, ShardPool, ShardPoolConfig,
+    routing_hash, wire, Chaos, PoolHandle, Ring, ServeConfig, ShardPool, ShardPoolConfig,
 };
 use presburger_trace::govern::parse_fault;
 use presburger_trace::json::JsonObject;
@@ -882,48 +878,6 @@ fn phase_chaos(n: usize, conns: usize, env_chaos: Option<Arc<Chaos>>) {
         );
     }
 
-    // 6d: the retry helper rides out deterministic queue-full sheds.
-    let gate = Gate::new(true);
-    let server = one_shard(ServeConfig {
-        workers: 1,
-        queue_depth: 1,
-        hold: Some(gate.clone()),
-        default_deadline_ms: None,
-        ..ServeConfig::default()
-    });
-    let handle = server.handle();
-    let held = match presburger_serve::parse_request(&format!("count r0 {{x : {CLEAN}}}")).unwrap()
-    {
-        presburger_serve::Request::Query(q) => handle.submit(q),
-        _ => unreachable!(),
-    };
-    let opener = thread::spawn({
-        let gate = gate.clone();
-        move || {
-            thread::sleep(Duration::from_millis(30));
-            gate.open();
-        }
-    });
-    let policy = RetryPolicy {
-        max_attempts: 10,
-        base_delay_ms: 15,
-        max_delay_ms: 120,
-    };
-    let mut attempts = 0u32;
-    let line = presburger_serve::submit_with_retry(&policy, "r1", || {
-        attempts += 1;
-        submit_line(&handle, &format!("count r1 {{x : {CLEAN}}}"))
-    });
-    assert!(
-        line.starts_with("OK r1 exact "),
-        "retry never landed: {line}"
-    );
-    assert!(attempts > 1, "the first attempt should have shed");
-    assert!(held.wait().to_text().starts_with("OK r0 "));
-    opener.join().expect("gate opener");
-    server.shutdown();
-    println!("    retry helper: landed after {attempts} attempts");
-
     // Record for BENCH_serve.json (consumed by phase 5's writer).
     PHASE6_REQUESTS.store((n * 8) as u64, Ordering::Relaxed);
     let drills =
@@ -1105,71 +1059,7 @@ fn phase_binary_protocol(n: usize) {
         bin_rps / text_rps
     );
 
-    // 7c: the batch retry helper rides out a *partial* shed — a 4-deep
-    // batch against a 2-deep gated queue admits two in position and
-    // sheds two; only the shed indices are re-sent.
-    let gate = Gate::new(true);
-    let server = one_shard(ServeConfig {
-        workers: 1,
-        queue_depth: 2,
-        hold: Some(gate.clone()),
-        default_deadline_ms: None,
-        ..ServeConfig::default()
-    });
-    let handle = server.handle();
-    let opener = thread::spawn({
-        let gate = gate.clone();
-        move || {
-            thread::sleep(Duration::from_millis(30));
-            gate.open();
-        }
-    });
-    let retry_ids: Vec<String> = (0..4).map(|i| format!("t{i}")).collect();
-    let policy = RetryPolicy {
-        max_attempts: 10,
-        base_delay_ms: 15,
-        max_delay_ms: 120,
-    };
-    let mut rounds = 0u32;
-    let mut first_round_sheds = 0usize;
-    let replies = presburger_serve::submit_batch_with_retry(&policy, &retry_ids, |want| {
-        rounds += 1;
-        let queries: Vec<_> = want
-            .iter()
-            .map(|&i| {
-                let line = format!("count {} {{x : {CLEAN}}}", retry_ids[i]);
-                match presburger_serve::parse_request(&line).unwrap() {
-                    presburger_serve::Request::Query(q) => q,
-                    _ => unreachable!(),
-                }
-            })
-            .collect();
-        let out: Vec<String> = handle
-            .submit_batch(queries)
-            .into_iter()
-            .map(|s| s.wait().to_text())
-            .collect();
-        if rounds == 1 {
-            first_round_sheds = out.iter().filter(|l| l.starts_with("SHED ")).count();
-        }
-        out
-    });
-    assert_eq!(
-        first_round_sheds, 2,
-        "a 4-deep batch on a 2-deep gated queue must shed exactly two"
-    );
-    assert!(rounds > 1, "the partial shed should have forced a retry");
-    for (i, line) in replies.iter().enumerate() {
-        assert!(
-            line.starts_with(&format!("OK t{i} exact ")),
-            "batch retry reply {i} wrong or out of position: {line}"
-        );
-    }
-    opener.join().expect("gate opener");
-    server.shutdown();
-    println!("    batch retry: 2/4 partial shed healed in {rounds} rounds");
-
-    PHASE7_REQUESTS.store((9 * n + 7 * total + 4) as u64, Ordering::Relaxed);
+    PHASE7_REQUESTS.store((9 * n + 7 * total) as u64, Ordering::Relaxed);
     let mut p7 = JsonObject::new();
     p7.field_u64("requests", total as u64)
         .field_u64("batch_size", wire::MAX_BATCH as u64)
@@ -1315,10 +1205,18 @@ fn phase_admission(n: usize) {
     );
     server.shutdown();
     let flooded_p99 = p99_us(&mut flooded);
-    // The 3× ratio is the invariant; the absolute floor absorbs
-    // scheduler jitter on oversubscribed CI boxes, where one
-    // descheduled wake-up costs more than three unloaded round trips.
-    let bound = (3 * unloaded_p99).max(20_000);
+    // The bound is max(3 × unloaded p99, 20 ms). The absolute floor
+    // absorbs scheduler jitter on oversubscribed CI boxes, where one
+    // descheduled wake-up costs more than three unloaded round trips;
+    // whenever the unloaded p99 is under 6.67 ms the floor, not the
+    // ratio, is what the run is held to, and the println says so.
+    const FLOOR_US: u64 = 20_000;
+    let ratio_us = 3 * unloaded_p99;
+    let (bound, binding) = if ratio_us >= FLOOR_US {
+        (ratio_us, "3x unloaded p99")
+    } else {
+        (FLOOR_US, "20 ms floor")
+    };
     assert!(
         flooded_p99 <= bound,
         "interactive p99 under flood: {flooded_p99}us > bound {bound}us \
@@ -1326,53 +1224,9 @@ fn phase_admission(n: usize) {
     );
     println!(
         "    lanes: unloaded p99={unloaded_p99}us flooded p99={flooded_p99}us \
+         <= {bound}us, the {binding} of max(3x unloaded p99, 20 ms) \
          ({flood_shed}/{flood_n} flood sheds, {probe_resubmits} probe re-submits)"
     );
-
-    // 8c: the quota worked example (DESIGN.md §16) end to end: burst 2
-    // tokens, 250 milli-tokens back per attempt, 100 ms advertised per
-    // tick. The admit/shed pattern and every computed hint are exact —
-    // the ledger runs on a logical clock, not wall time.
-    let server = one_shard(ServeConfig {
-        workers: 1,
-        default_deadline_ms: None,
-        admission: AdmissionConfig {
-            quota: Some(QuotaConfig {
-                burst: 2,
-                refill_milli: 250,
-                tick_ms: 100,
-            }),
-            ..AdmissionConfig::default()
-        },
-        ..ServeConfig::default()
-    });
-    let handle = server.handle();
-    for (id, shed_ms) in [
-        ("q1", None),
-        ("q2", None),
-        ("q3", Some(200u64)),
-        ("q4", Some(100)),
-        ("q5", None),
-        ("q6", Some(300)),
-    ] {
-        let line = submit_line(&handle, &format!("count {id} client=alice {{x : {CLEAN}}}"));
-        match shed_ms {
-            None => assert!(
-                line.starts_with(&format!("OK {id} exact ")),
-                "quota drill admit: {line}"
-            ),
-            Some(ms) => assert_eq!(
-                line,
-                format!("SHED {id} retry_after_ms={ms} reason=quota"),
-                "quota drill hint drifted"
-            ),
-        }
-    }
-    // A different identity meters independently: a fresh bucket bursts.
-    let line = submit_line(&handle, &format!("count q7 client=bob {{x : {CLEAN}}}"));
-    assert!(line.starts_with("OK q7 exact "), "fresh client: {line}");
-    server.shutdown();
-    println!("    quota: admit/shed pattern and computed hints exact");
 
     // 8d: eviction drill. The worker is gated, so only the admission
     // layer can answer: a request that arrives already expired is
@@ -1414,26 +1268,16 @@ fn phase_admission(n: usize) {
     server.shutdown();
     println!("    eviction: §4.6 bounds at admission time and at pop time");
 
-    // 8e: determinism. An admission-optioned stream (prio= and client=
-    // mixed in deterministically) replays byte-identically at 1, 2 and
-    // 4 shards, chaos off and under a kill drill. One connection pins
-    // the ledger's logical-clock order; deep queues keep queue_full —
-    // whose outcome depends on wall-clock drain speed — out of the
-    // decision space, so only lane and quota decisions fire.
+    // 8e: determinism. A stream with `prio=` mixed in deterministically
+    // replays byte-identically at 1, 2 and 4 shards, chaos off and
+    // under a kill drill. Deep queues keep queue_full — whose outcome
+    // depends on wall-clock drain speed — out of the decision space, so
+    // nothing sheds and only lane decisions fire.
     let requests =
         admission_request_lines(0xC0FFEE, n, &GenConfig::default(), &AdmissionMix::default());
     let ids: Vec<&str> = requests.iter().map(|r| r.id.as_str()).collect();
     let run_one = |shards: usize, chaos: Option<Arc<Chaos>>| -> String {
-        let mut cfg = chaos_pool_cfg(shards, requests.len() + 1, chaos);
-        cfg.shard_cfg.admission = AdmissionConfig {
-            quota: Some(QuotaConfig {
-                burst: 4,
-                refill_milli: 500,
-                tick_ms: 50,
-            }),
-            detail: true,
-        };
-        let pool = start_pool(cfg);
+        let pool = start_pool(chaos_pool_cfg(shards, requests.len() + 1, chaos));
         let handle = pool.handle();
         let input: String = requests.iter().map(|r| format!("{}\n", r.line)).collect();
         let out = SharedBuf::new();
@@ -1442,39 +1286,33 @@ fn phase_admission(n: usize) {
         pool.shutdown();
         out.take()
     };
-    let check_admission = |transcript: &str, label: &str| -> u64 {
+    let check_admission = |transcript: &str, label: &str| {
         let lines: Vec<&str> = transcript.lines().collect();
         assert_eq!(
             lines.len(),
             ids.len(),
             "{label}: lost or duplicated replies"
         );
-        let mut sheds = 0u64;
         for (line, want) in lines.iter().zip(&ids) {
             let mut tok = line.split_whitespace();
             let status = tok.next().unwrap_or("");
             assert!(
-                matches!(status, "OK" | "ERR" | "SHED"),
+                matches!(status, "OK" | "ERR"),
                 "{label}: unexpected status line {line:?}"
             );
-            if status == "SHED" {
-                assert!(
-                    line.contains("reason=quota:"),
-                    "{label}: only quota may shed here: {line}"
-                );
-                sheds += 1;
-            }
             assert_eq!(
                 tok.next().unwrap_or(""),
                 *want,
                 "{label}: out of order: {line:?}"
             );
         }
-        sheds
     };
     let baseline = run_one(1, None);
-    let quota_sheds = check_admission(&baseline, "admission shards=1");
-    assert!(quota_sheds > 0, "the admission mix must exercise the quota");
+    check_admission(&baseline, "admission shards=1");
+    assert!(
+        requests.iter().any(|r| r.line.contains(" prio=")),
+        "the admission mix must exercise the lanes"
+    );
     for shards in [2usize, 4] {
         let t = run_one(shards, None);
         check_admission(&t, &format!("admission shards={shards}"));
@@ -1490,16 +1328,12 @@ fn phase_admission(n: usize) {
     assert!(chaos.fired(), "admission kill drill: the fault never fired");
     assert_eq!(
         baseline, t,
-        "admission decisions drifted under the kill drill — \
-         failover re-metered the shared ledger"
+        "admission decisions drifted under the kill drill"
     );
-    println!(
-        "    determinism: {quota_sheds} quota sheds, byte-identical at 1/2/4 shards \
-         and under a kill drill"
-    );
+    println!("    determinism: byte-identical at 1/2/4 shards and under a kill drill");
 
     PHASE8_REQUESTS.store(
-        (2 * probes + flood_n + 7 + 3 + 4 * n) as u64 + probe_resubmits,
+        (2 * probes + flood_n + 3 + 4 * n) as u64 + probe_resubmits,
         Ordering::Relaxed,
     );
     let mut p8 = JsonObject::new();
@@ -1509,8 +1343,7 @@ fn phase_admission(n: usize) {
         .field_u64("flood_requests", flood_n as u64)
         .field_u64("flood_answered", flood_answered)
         .field_u64("flood_shed", flood_shed)
-        .field_u64("probe_resubmits", probe_resubmits)
-        .field_u64("quota_sheds", quota_sheds);
+        .field_u64("probe_resubmits", probe_resubmits);
     *PHASE8_BENCH.lock().unwrap() = Some(p8.finish());
 }
 

@@ -19,11 +19,9 @@
 //!   of queueing unboundedly. In front of it sits a deadline-aware
 //!   admission layer ([`admission`], DESIGN.md §16): strict-priority
 //!   lanes (`prio=interactive|batch|background`) with a background
-//!   anti-starvation credit, per-client token-bucket quotas
-//!   (`client=…`, refilled by a deterministic logical clock so
-//!   transcripts stay byte-identical), eviction of requests whose
-//!   deadline expired while queued (answered with §4.6 bounds instead
-//!   of burning a worker).
+//!   anti-starvation credit, and eviction of requests whose deadline
+//!   expired while queued (answered with §4.6 bounds instead of
+//!   burning a worker).
 //! * **Panic isolation** — every request runs under `catch_unwind`; a
 //!   poisoned request answers `ERR … internal` and the worker lives.
 //! * **Circuit breaking** — after K consecutive internal/deadline
@@ -47,8 +45,7 @@
 //!   re-dispatches orphaned requests to siblings or the replacement
 //!   (falling back to §4.6 bounds) so an admitted request never loses
 //!   its response — even with armed chaos ([`chaos`]) killing a shard
-//!   mid-run. Clients pair it with [`retry`]'s deterministic
-//!   jittered backoff on `SHED`. (DESIGN.md §14.)
+//!   mid-run. (DESIGN.md §14.)
 //!
 //! The wire protocol is newline-delimited text or, auto-detected per
 //! connection, the binary codec of [`wire`]; see [`protocol`] for the
@@ -65,19 +62,17 @@ pub mod breaker;
 pub mod cache;
 pub mod chaos;
 pub mod protocol;
-pub mod retry;
 pub mod server;
 pub mod shard;
 mod sync;
 pub mod telemetry;
 pub mod wire;
 
-pub use admission::{AdmissionConfig, Lane, QuotaConfig, QuotaDecision, QuotaLedger};
+pub use admission::Lane;
 pub use breaker::{Breaker, Plan};
 pub use cache::ResultCache;
 pub use chaos::{Chaos, ChaosSite};
 pub use protocol::{parse_request, Overrides, ProtocolError, Query, Request, ServeError, Verb};
-pub use retry::{submit_batch_with_retry, submit_with_retry, RetryPolicy};
 pub use server::{run_stdio, Gate, ServeConfig, Slot};
 pub use shard::{routing_hash, PoolHandle, PoolTcpServer, Ring, ShardPool, ShardPoolConfig};
 pub use telemetry::{FlightRecord, RequestTelemetry, Telemetry, TelemetrySettings};

@@ -16,11 +16,9 @@
 //!
 //! Blank lines and lines starting with `#` are ignored. Option keys:
 //! `deadline_ms`, `max_splinters`, `max_dnf_clauses`, `max_depth`,
-//! `max_pieces`, `max_coeff_bits`, `threads` (accepted and ignored: the
-//! engine sums on the worker's own thread), `prio` (a priority lane:
-//! `interactive`, `batch` or `background` — see [`crate::admission`]),
-//! and `client` (a quota identity, same charset as an id; defaults to
-//! a connection-scoped identity when quotas are on).
+//! `max_pieces`, `max_coeff_bits` and `prio` (a priority lane:
+//! `interactive`, `batch` or `background` — see [`crate::admission`]).
+//! Any other key is an `unknown option` protocol error.
 //!
 //! # Response grammar (exactly one line per request, in request order
 //! per connection)
@@ -31,17 +29,11 @@
 //!           | "ERR" SP id SP kind SP detail
 //!           | "SHED" SP id SP "retry_after_ms=" INT SP "reason=" reason
 //!           | "PONG" [SP id] | "STATS" SP counters | "BYE"
-//! reason   := cause (":" detail)*
-//! cause    := "queue_full" | "draining" | "quota"
+//! reason   := cause
+//! cause    := "queue_full" | "draining"
 //! ```
 //!
-//! A `reason` is always a single space-free token. Its first
-//! colon-separated segment is the shed *cause*; with
-//! [`AdmissionConfig::detail`](crate::admission::AdmissionConfig) the
-//! server appends the shedding lane and the computed wait
-//! (`reason=quota:lane=batch:wait_ms=200`). Clients that only care
-//! about the cause match the prefix up to the first `:`
-//! ([`crate::retry::shed_cause`]).
+//! Every shed carries the same fixed `retry_after_ms` hint.
 //!
 //! `why` on a bounded reply is the
 //! [`CountError::kind`](presburger_counting::CountError::kind) that degraded
@@ -124,9 +116,8 @@ impl Overrides {
     /// A canonical `key=value` rendering for the cache key (budget
     /// overrides change whether an answer is exact or bounded, so
     /// requests with different overrides must not share cache entries).
-    /// `prio` and `client` are deliberately excluded: admission
-    /// metadata never changes the answer, so all lanes and clients
-    /// share one cache entry per canonical query.
+    /// `prio` is deliberately excluded: the lane never changes the
+    /// answer, so all lanes share one cache entry per canonical query.
     pub fn cache_key_part(&self) -> String {
         let mut out = String::new();
         let mut push = |k: &str, v: Option<u64>| {
@@ -164,11 +155,6 @@ pub struct Query {
     pub formula_text: String,
     /// Per-request governor overrides.
     pub overrides: Overrides,
-    /// Quota identity (`client=`). `None` until the connection driver
-    /// injects its connection-scoped identity (only when quotas are
-    /// on), so requests without an explicit client still meter fairly
-    /// per connection. Never part of the cache or routing key.
-    pub client: Option<String>,
 }
 
 impl Query {
@@ -178,12 +164,9 @@ impl Query {
     }
 }
 
-/// One parsed request line. `Query` dominates the enum's size (the
-/// admission options widened it), but a parsed request is moved into
-/// the queue exactly once — boxing would add an allocation per request
-/// to save stack bytes nothing holds onto.
+/// One parsed request line. A parsed request is moved into the queue
+/// exactly once, so `Query` rides unboxed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[allow(clippy::large_enum_variant)]
 pub enum Request {
     /// A count/sum query.
     Query(Query),
@@ -343,59 +326,36 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
 
     // Options, then (for sum) the polynomial text.
     let mut overrides = Overrides::default();
-    let mut client: Option<String> = None;
     let mut poly_parts: Vec<&str> = Vec::new();
     for tok in &head[2..] {
         if let Some((key, value)) = tok.split_once('=') {
             if poly_parts.is_empty() {
-                // String-valued admission options come first; the rest
-                // are unsigned integers.
-                match key {
-                    "prio" => {
-                        overrides.prio = Some(Lane::parse(value).ok_or_else(|| {
-                            err(
-                                Some(id),
-                                format!(
-                                    "unknown priority {value:?} (expected interactive, batch \
-                                     or background)"
-                                ),
-                            )
-                        })?);
-                        continue;
-                    }
-                    "client" => {
-                        if !valid_id(value) {
-                            return Err(err(
-                                Some(id),
-                                format!(
-                                    "invalid client {value:?} (ASCII [A-Za-z0-9_.:-], at most \
-                                     {MAX_ID_LEN} bytes)"
-                                ),
-                            ));
-                        }
-                        client = Some(value.to_string());
-                        continue;
-                    }
-                    _ => {}
+                // `prio` takes a lane name; the rest are unsigned
+                // integers.
+                if key == "prio" {
+                    overrides.prio = Some(Lane::parse(value).ok_or_else(|| {
+                        err(
+                            Some(id),
+                            format!(
+                                "unknown priority {value:?} (expected interactive, batch or \
+                                 background)"
+                            ),
+                        )
+                    })?);
+                    continue;
                 }
-                let parsed: Result<u64, _> = value.parse();
                 let slot = match key {
-                    "deadline_ms" => Some(&mut overrides.deadline_ms),
-                    "max_splinters" => Some(&mut overrides.max_splinters),
-                    "max_dnf_clauses" => Some(&mut overrides.max_dnf_clauses),
-                    "max_depth" => Some(&mut overrides.max_depth),
-                    "max_pieces" => Some(&mut overrides.max_pieces),
-                    "max_coeff_bits" => Some(&mut overrides.max_coeff_bits),
-                    "threads" => None,
+                    "deadline_ms" => &mut overrides.deadline_ms,
+                    "max_splinters" => &mut overrides.max_splinters,
+                    "max_dnf_clauses" => &mut overrides.max_dnf_clauses,
+                    "max_depth" => &mut overrides.max_depth,
+                    "max_pieces" => &mut overrides.max_pieces,
+                    "max_coeff_bits" => &mut overrides.max_coeff_bits,
                     _ => return Err(err(Some(id), format!("unknown option {key:?}"))),
                 };
-                let value = parsed.map_err(|_| {
+                *slot = Some(value.parse().map_err(|_| {
                     err(Some(id), format!("option {key} needs an unsigned integer"))
-                })?;
-                // `threads=` is parsed like any option and then dropped.
-                if let Some(slot) = slot {
-                    *slot = Some(value);
-                }
+                })?);
                 continue;
             }
             return Err(err(Some(id), "options must precede the polynomial"));
@@ -445,7 +405,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         vars,
         formula_text: formula_text.to_string(),
         overrides,
-        client,
     }))
 }
 
@@ -483,43 +442,38 @@ mod tests {
     }
 
     #[test]
-    fn parses_prio_and_client_options() {
-        let q = query("count r1 prio=interactive client=alice {x : 1 <= x <= 9}");
+    fn parses_the_prio_option() {
+        let q = query("count r1 prio=interactive {x : 1 <= x <= 9}");
         assert_eq!(q.overrides.prio, Some(Lane::Interactive));
         assert_eq!(q.lane(), Lane::Interactive);
-        assert_eq!(q.client.as_deref(), Some("alice"));
         let q = query("sum s1 prio=background x {x : 1 <= x <= 3}");
         assert_eq!(q.lane(), Lane::Background);
-        assert!(q.client.is_none());
-        // The default lane is batch, and admission metadata never
-        // reaches the cache key.
+        // The default lane is batch, and the lane never reaches the
+        // cache key.
         let q = query("count r2 {x : x = 1}");
         assert_eq!(q.lane(), Lane::Batch);
-        let keyed = query("count r3 prio=interactive client=bob deadline_ms=7 {x : x = 1}");
+        let keyed = query("count r3 prio=interactive deadline_ms=7 {x : x = 1}");
         assert_eq!(keyed.overrides.cache_key_part(), "deadline_ms=7 ");
-        // Bad values are protocol errors with the id recovered.
-        for line in [
-            "count r4 prio=urgent {x : x = 1}",
-            "count r4 client=bad!id {x : x = 1}",
-            "count r4 client= {x : x = 1}",
-        ] {
-            let e = parse_request(line).unwrap_err();
-            assert_eq!(e.id.as_deref(), Some("r4"), "line {line:?}");
-        }
+        // A bad lane is a protocol error with the id recovered.
+        let e = parse_request("count r4 prio=urgent {x : x = 1}").unwrap_err();
+        assert_eq!(e.id.as_deref(), Some("r4"));
     }
 
+    /// Retired options are refused by name, never silently dropped:
+    /// `client=` (the per-client quota identity) and `threads=` (the
+    /// engine sums on the worker's own thread).
     #[test]
-    fn threads_is_accepted_and_dropped() {
-        // Any unsigned value parses (the old server clamped it to 16)
-        // and leaves no trace in the parsed request.
-        for line in [
-            "count r1 threads=4 {x : x = 1}",
-            "count r1 threads=999 {x : x = 1}",
+    fn retired_options_are_refused() {
+        for (line, key) in [
+            ("count r1 client=a {x : x = 1}", "client"),
+            ("count r1 threads=4 {x : x = 1}", "threads"),
+            ("count r1 threads=many {x : x = 1}", "threads"),
         ] {
-            assert_eq!(query(line), query("count r1 {x : x = 1}"), "{line}");
+            let e = parse_request(line).unwrap_err();
+            assert_eq!(e.id.as_deref(), Some("r1"), "{line}");
+            assert_eq!(e.kind, "protocol", "{line}");
+            assert_eq!(e.detail, format!("unknown option {key:?}"), "{line}");
         }
-        let e = parse_request("count r1 threads=many {x : x = 1}").unwrap_err();
-        assert_eq!(e.id.as_deref(), Some("r1"));
     }
 
     #[test]

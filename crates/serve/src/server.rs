@@ -9,12 +9,11 @@
 //!    errors are answered inline (`control_slot`); queries go to
 //!    [`PoolHandle::submit`].
 //! 2. The pool's front door parses the query once (`Work::parse`),
-//!    routes it by the bytes of that parse, meters the client's quota
-//!    and sheds if it is draining. A hit in the routed shard's result
-//!    cache is answered right there (`Handle::try_hit`) and never
-//!    queues. Anything else goes to the shard's `Handle::try_enqueue`,
-//!    which either enqueues a job carrying the parse (bounded queue) or
-//!    refuses it. Both check the shard's draining flag under its queue
+//!    routes it by the bytes of that parse and sheds if it is
+//!    draining. A hit in the routed shard's result cache is answered
+//!    right there (`Handle::try_hit`) and never queues. Anything else
+//!    goes to the shard's `Handle::try_enqueue`, which either enqueues
+//!    a job carrying the parse (bounded queue) or refuses it. Both check the shard's draining flag under its queue
 //!    lock, so a request can never slip in behind a drain.
 //! 3. A worker pops the job and runs the computation over the parse it
 //!    carries — governing the count, rendering the reply — inside
@@ -33,7 +32,7 @@
 //! per-connection FIFO writers fix the interleaving. `serve_stress`
 //! asserts byte-identical transcripts across runs and worker counts.
 
-use crate::admission::{self, AdmissionConfig, Lane, LaneQueues};
+use crate::admission::{self, Lane, LaneQueues};
 use crate::breaker::{Breaker, Plan};
 use crate::cache::ResultCache;
 use crate::chaos::{self, Chaos, ChaosSite};
@@ -98,11 +97,6 @@ pub struct ServeConfig {
     /// Test hook: when set, workers wait on this gate before popping
     /// each job, making queue-full sheds deterministic.
     pub hold: Option<Arc<Gate>>,
-    /// Deadline-aware admission control: priority lanes, per-client
-    /// quotas and expired-request eviction (see [`crate::admission`],
-    /// DESIGN.md §16). The defaults preserve the legacy single-FIFO
-    /// behavior byte-for-byte.
-    pub admission: AdmissionConfig,
 }
 
 impl Default for ServeConfig {
@@ -120,13 +114,11 @@ impl Default for ServeConfig {
             fault_spec: None,
             telemetry: TelemetrySettings::default(),
             hold: None,
-            admission: AdmissionConfig::default(),
         }
     }
 }
 
-/// The `retry_after_ms` hint on `queue_full` and `draining` sheds.
-/// Quota sheds compute their own from the client's logical clock.
+/// The `retry_after_ms` hint on every shed.
 pub(crate) const RETRY_AFTER_MS: u64 = 50;
 
 /// The result cache's byte bound (keys + payloads).
@@ -314,30 +306,16 @@ pub(crate) enum Refusal {
     Draining,
     /// The bounded admission queue is full — genuine backpressure.
     QueueFull,
-    /// The client is over its token-bucket quota
-    /// ([`crate::admission::QuotaLedger`]).
-    /// Only the pool's front door produces this (never
-    /// [`Handle::try_enqueue`]): metering happens once per arrival, so a
-    /// failover hop cannot double-charge the shared ledger.
-    Quota,
 }
 
 impl Refusal {
-    /// The shed cause, the first segment of `reason=`.
+    /// The shed cause, the `reason=` token.
     fn cause(self) -> &'static str {
         match self {
             Refusal::Draining => "draining",
             Refusal::QueueFull => "queue_full",
-            Refusal::Quota => "quota",
         }
     }
-}
-
-/// A refused enqueue: the reason plus the `retry_after_ms` hint of the
-/// `SHED` a caller may deliver ([`Handle::shed`]).
-pub(crate) struct Refused {
-    pub reason: Refusal,
-    pub retry_after_ms: u64,
 }
 
 /// What [`Handle::try_enqueue`] made of a batch of tickets.
@@ -345,7 +323,7 @@ pub(crate) struct Enqueued {
     /// The tickets now queued on the shard, in input order.
     pub admitted: Vec<Arc<Ticket>>,
     /// The tickets handed back, each with the shard's refusal.
-    pub refused: Vec<(Arc<Ticket>, Refused)>,
+    pub refused: Vec<(Arc<Ticket>, Refusal)>,
 }
 
 /// Why a request is answered with budgeted §4.6 bounds instead of an
@@ -403,7 +381,7 @@ impl Stats {
         field.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Sheds issued (queue-full, quota and draining).
+    /// Sheds issued (queue-full and draining).
     pub fn sheds(&self) -> u64 {
         self.shed_queue.load(Ordering::Relaxed) + self.shed_drain.load(Ordering::Relaxed)
     }
@@ -665,11 +643,7 @@ impl Handle {
                     None
                 };
                 if let Some(reason) = reason {
-                    let refusal = Refused {
-                        reason,
-                        retry_after_ms: RETRY_AFTER_MS,
-                    };
-                    refused.push((ticket, refusal));
+                    refused.push((ticket, reason));
                     continue;
                 }
                 q.jobs.push(
@@ -713,12 +687,10 @@ impl Handle {
     }
 
     /// The `SHED` reply delivered for a refused `query`, tallied on this
-    /// shard. Quota sheds fold into `shed_queue` on the pinned `STATS`
-    /// line; the Prometheus `presburger_admission_total` family keeps
-    /// the split.
-    pub(crate) fn shed(&self, query: &Query, refused: Refused) -> Reply {
+    /// shard.
+    pub(crate) fn shed(&self, query: &Query, refusal: Refusal) -> Reply {
         let inner = &self.inner;
-        let decision = match refused.reason {
+        let decision = match refusal {
             Refusal::Draining => {
                 inner.stats.bump(&inner.stats.shed_drain);
                 AdmitDecision::ShedDrain
@@ -727,26 +699,14 @@ impl Handle {
                 inner.stats.bump(&inner.stats.shed_queue);
                 AdmitDecision::ShedQueue
             }
-            Refusal::Quota => {
-                inner.stats.bump(&inner.stats.shed_queue);
-                AdmitDecision::ShedQuota
-            }
         };
         trace::bump(Counter::ServeSheds);
         inner.telemetry.metrics.observe_shed(req_verb(query.verb));
-        let lane = query.lane();
         inner
             .telemetry
             .metrics
-            .observe_admission(req_lane(lane), decision);
-        let hint = refused.retry_after_ms;
-        let reason = admission::shed_reason(
-            refused.reason.cause(),
-            lane,
-            hint,
-            inner.cfg.admission.detail,
-        );
-        Reply::shed(&query.id, hint, reason)
+            .observe_admission(req_lane(query.lane()), decision);
+        Reply::shed(&query.id, RETRY_AFTER_MS, refusal.cause().to_string())
     }
 
     /// Gracefully drains the server: stops admitting, waits for queued
@@ -1375,20 +1335,6 @@ fn compute(inner: &Arc<Inner>, work: &Work, queue_wait: Duration, p: &Parsed) ->
     }
 }
 
-/// Process-wide connection sequence for synthetic `@conn-<n>` quota
-/// identities.
-static CONN_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// The quota identity for a connection's queries that carry no
-/// `client=` option: a fresh `@conn-<n>` (outside the `client=`
-/// charset, so it can never collide) when the pool meters quotas, and
-/// nothing otherwise (so quota-free pools stay allocation-identical).
-pub(crate) fn conn_client(handle: &PoolHandle) -> Option<String> {
-    handle
-        .meters_quota()
-        .then(|| format!("@conn-{}", CONN_SEQ.fetch_add(1, Ordering::Relaxed)))
-}
-
 /// Answers a control request inline — the same replies on either codec.
 /// A `drain` sets `saw_drain`, so the driver stops reading.
 pub(crate) fn control_slot(handle: &PoolHandle, req: Request, saw_drain: &mut bool) -> Arc<Slot> {
@@ -1455,7 +1401,6 @@ pub fn serve_connection(
             },
         )?;
 
-    let conn_client = conn_client(handle);
     let mut saw_drain = false;
     for line in reader.lines() {
         let line = match line {
@@ -1472,12 +1417,7 @@ pub fn serve_connection(
         }
         handle.observe_wire(ReqCodec::Text, None);
         let slot = match parse_request(trimmed) {
-            Ok(Request::Query(mut q)) => {
-                if q.client.is_none() {
-                    q.client = conn_client.clone();
-                }
-                handle.submit(q)
-            }
+            Ok(Request::Query(q)) => handle.submit(q),
             Ok(req) => control_slot(handle, req, &mut saw_drain),
             Err(e) => Slot::ready(e.into()),
         };

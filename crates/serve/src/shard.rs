@@ -54,11 +54,10 @@
 //!
 //! See DESIGN.md §14 for the full design rationale.
 
-use crate::admission::{self, QuotaDecision, QuotaLedger};
 use crate::chaos::Chaos;
 use crate::protocol::{Query, ServeError, Verb};
 use crate::server::{
-    self, Enqueued, Handle, Refusal, Refused, Rescue, ServeConfig, Server, Slot, Ticket, Work,
+    self, Enqueued, Handle, Refusal, Rescue, ServeConfig, Server, Slot, Ticket, Work,
 };
 use crate::sync::lock_ok;
 use presburger_omega::{parse_formula, Space};
@@ -124,22 +123,13 @@ const RESTART_BACKOFF_MAX_MS: u64 = 1_000;
 /// Virtual nodes per shard on the consistent-hash ring.
 const VNODES: usize = 64;
 
-/// The quota identity of a query that reached the pool without a
-/// `client=` option or a connection-scoped identity. Outside the id
-/// charset, so it can never collide with a real client.
-const ANON_CLIENT: &str = "@anon";
-
 /// FNV-1a's offset basis: the hash of no bytes.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a, the crate's routing hash primitive (stable across runs and
-/// platforms, unlike `DefaultHasher`).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, bytes)
-}
-
 /// Continues an FNV-1a hash `h` over `bytes`: hashing pieces in turn
-/// equals hashing their concatenation.
+/// equals hashing their concatenation. FNV-1a is the crate's routing
+/// hash primitive (stable across runs and platforms, unlike
+/// `DefaultHasher`).
 fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
@@ -148,9 +138,9 @@ fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// splitmix64 finalizer: spreads structured inputs (vnode ids, retry
-/// attempts) over the full 64-bit space.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// splitmix64 finalizer: spreads structured inputs (vnode ids) over the
+/// full 64-bit space.
+fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -304,12 +294,6 @@ struct PoolInner {
     /// by shard. Lock-free so the hot submit path never contends with
     /// the supervisor.
     rows: Vec<Arc<ShardRow>>,
-    /// The pool-wide quota ledger (when `shard_cfg.admission.quota` is
-    /// set), outliving every shard restart so a client's token bucket
-    /// survives failover. Metered only at the pool front door
-    /// ([`PoolHandle::submit_batch`]) — never inside the routing loop,
-    /// where a failover hop would double-charge.
-    ledger: Option<Arc<QuotaLedger>>,
     draining: AtomicBool,
     drained: AtomicBool,
 }
@@ -334,11 +318,6 @@ impl ShardPool {
         let shards_n = cfg.shards.max(1);
         let ring = Ring::new(shards_n);
         let rows: Vec<Arc<ShardRow>> = (0..shards_n).map(|_| Arc::new(ShardRow::new())).collect();
-        let ledger = cfg
-            .shard_cfg
-            .admission
-            .quota
-            .map(|q| Arc::new(QuotaLedger::new(q, admission::MAX_CLIENTS)));
         let now = Instant::now();
         let states: Vec<ShardState> = (0..shards_n)
             .map(|i| {
@@ -363,7 +342,6 @@ impl ShardPool {
             shards: Mutex::new(states),
             orphans: Mutex::new(Vec::new()),
             rows,
-            ledger,
             draining: AtomicBool::new(false),
             drained: AtomicBool::new(false),
         });
@@ -441,10 +419,8 @@ impl PoolHandle {
     ///
     /// The front door (DESIGN.md §16) runs once per query, in order. It
     /// parses the query once and routes it by the bytes of that parse.
-    /// Then the per-client quota is metered against the pool-shared
-    /// ledger (so a failover hop can never double-charge), a draining
-    /// pool sheds, and a request whose effective deadline is already
-    /// zero is answered at once with §4.6 bounds. A hit in the routed
+    /// Then a draining pool sheds, and a request whose effective
+    /// deadline is already zero is answered at once with §4.6 bounds. A hit in the routed
     /// shard's result cache is answered right here, on a ready slot
     /// (`Handle::try_hit`): it never queues, so lanes, queue-full
     /// sheds and eviction do not apply to it. Each decision is tallied
@@ -464,12 +440,8 @@ impl PoolHandle {
             let (mut work, hash) = Work::parse(query);
             let target = inner.ring.route(hash);
             let shard = &handles[target];
-            let refused = self.check_quota(&work.query).or_else(|| {
-                let draining = inner.draining.load(Ordering::Relaxed);
-                draining.then(|| self.draining())
-            });
-            if let Some(refused) = refused {
-                slots.push(Slot::ready(shard.shed(&work.query, refused)));
+            if inner.draining.load(Ordering::Relaxed) {
+                slots.push(Slot::ready(shard.shed(&work.query, Refusal::Draining)));
             } else if server::effective_deadline_ms(&inner.cfg.shard_cfg, &work.query) == Some(0) {
                 slots.push(Slot::ready(shard.rescue(&work, Rescue::EvictedAtAdmission)));
             } else if let Some(reply) = shard.try_hit(&mut work) {
@@ -514,11 +486,11 @@ impl PoolHandle {
             };
             let Enqueued { admitted, refused } = handle.try_enqueue(group);
             let mut rerouted = Vec::new();
-            for (ticket, refused) in refused {
-                if refused.reason == Refusal::Draining {
+            for (ticket, refusal) in refused {
+                if refusal == Refusal::Draining {
                     rerouted.push(ticket);
                 } else {
-                    ticket.slot.fulfil(handle.shed(&ticket.work.query, refused));
+                    ticket.slot.fulfil(handle.shed(&ticket.work.query, refusal));
                 }
             }
             inner.rows[i]
@@ -535,7 +507,7 @@ impl PoolHandle {
             for ticket in group {
                 ticket
                     .slot
-                    .fulfil(handle.shed(&ticket.work.query, self.draining()));
+                    .fulfil(handle.shed(&ticket.work.query, Refusal::Draining));
             }
             return;
         }
@@ -549,34 +521,6 @@ impl PoolHandle {
             attempts: 0,
             since,
         }));
-    }
-
-    /// Meters one admission attempt against the quota ledger; returns
-    /// the refusal when the client is over quota.
-    fn check_quota(&self, query: &Query) -> Option<Refused> {
-        let ledger = self.inner.ledger.as_ref()?;
-        match ledger.check(query.client.as_deref().unwrap_or(ANON_CLIENT)) {
-            QuotaDecision::Admit => None,
-            QuotaDecision::Shed { retry_after_ms } => Some(Refused {
-                reason: Refusal::Quota,
-                retry_after_ms,
-            }),
-        }
-    }
-
-    /// The refusal of a query that reached a draining pool.
-    fn draining(&self) -> Refused {
-        Refused {
-            reason: Refusal::Draining,
-            retry_after_ms: server::RETRY_AFTER_MS,
-        }
-    }
-
-    /// Whether the pool meters per-client quotas. Connection drivers
-    /// then stamp a connection-scoped identity on queries that carry
-    /// none ([`server::conn_client`]).
-    pub(crate) fn meters_quota(&self) -> bool {
-        self.inner.ledger.is_some()
     }
 
     /// Observational hook: a connection driver saw one request frame

@@ -40,9 +40,7 @@
 //! bytes are an error), fixed field order, and a fixed presence-bitmask
 //! order for query overrides — so `encode(decode(bytes)) == bytes` for
 //! every valid frame, which lets caches and routers key on encoded
-//! frames directly. The one exception is the retired `threads`
-//! override bit: a decoder still accepts it (value at most 16) and
-//! drops it, so its re-encoding is the same frame without it.
+//! frames directly.
 //!
 //! # Batching
 //!
@@ -239,7 +237,6 @@ fn put_frame(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 /// One decoded frame on the request side of a connection: a single
 /// request, or a batch of them.
 #[derive(Clone, Debug, PartialEq)]
-#[allow(clippy::large_enum_variant)] // transient, like `Request` itself
 pub enum WireRequest {
     /// A single request (same set as the text protocol).
     One(Request),
@@ -249,10 +246,13 @@ pub enum WireRequest {
 }
 
 /// The override presence bitmask, in fixed field order (bit 0 first).
-/// Bit 6 is the retired `threads` override, never encoded and dropped
-/// on decode. Bit 7 is the priority lane (`prio=`), encoded as
+/// Bit 6 ([`RESERVED_OVERRIDE_BIT`]) is never encoded and rejected on
+/// decode. Bit 7 is the priority lane (`prio=`), encoded as
 /// [`Lane::wire`].
 const OVERRIDE_BITS: usize = 8;
+
+/// The reserved override bit (it once carried a `threads` override).
+const RESERVED_OVERRIDE_BIT: u8 = 1 << 6;
 
 fn override_values(q: &Query) -> [Option<u64>; OVERRIDE_BITS] {
     let o = &q.overrides;
@@ -292,13 +292,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             payload.push(mask);
             for v in values.iter().flatten() {
                 put_varint(&mut payload, *v);
-            }
-            // Optional trailing client section: emitted only when a
-            // quota identity is present (presence byte 1 + string), so
-            // every pre-admission encoding stays byte-identical.
-            if let Some(client) = &q.client {
-                payload.push(1);
-                put_str(&mut payload, client);
             }
             match q.verb {
                 Verb::Count => TAG_COUNT,
@@ -401,48 +394,28 @@ fn decode_query(tag: u8, payload: &[u8]) -> Result<Query, ProtocolError> {
         return Err(werr(format!("formula exceeds {MAX_LINE_LEN} bytes")));
     }
     let mask = cur.u8()?;
+    if mask & RESERVED_OVERRIDE_BIT != 0 {
+        return Err(werr("override bit 6 is reserved"));
+    }
     let mut values = [None; OVERRIDE_BITS];
     for (bit, slot) in values.iter_mut().enumerate() {
         if mask & (1 << bit) != 0 {
             *slot = Some(cur.varint()?);
         }
     }
-    // Optional trailing client section: present exactly when bytes
-    // remain (presence byte must be 1 — a 0 would be a non-canonical
-    // way to spell "no client", so it is rejected).
-    let client = if cur.pos < cur.buf.len() {
-        let presence = cur.u8()?;
-        if presence != 1 {
-            return Err(werr(format!(
-                "client presence byte must be 1, got {presence}"
-            )));
-        }
-        let c = cur.str_()?;
-        if !protocol::valid_id(&c) {
-            return Err(werr(format!("invalid client {c:?}")));
-        }
-        Some(c)
-    } else {
-        None
-    };
     cur.finish()?;
-    let mut overrides = crate::protocol::Overrides {
+    let prio = values[7]
+        .map(|p| Lane::from_wire(p).ok_or_else(|| werr(format!("unknown priority lane {p}"))))
+        .transpose()?;
+    let overrides = crate::protocol::Overrides {
         deadline_ms: values[0],
         max_splinters: values[1],
         max_dnf_clauses: values[2],
         max_depth: values[3],
         max_pieces: values[4],
         max_coeff_bits: values[5],
-        prio: None,
+        prio,
     };
-    // The retired `threads` override: older clients may still send it.
-    if let Some(t) = values[6].filter(|&t| t > 16) {
-        return Err(werr(format!("threads={t} exceeds the cap of 16")));
-    }
-    if let Some(p) = values[7] {
-        overrides.prio =
-            Some(Lane::from_wire(p).ok_or_else(|| werr(format!("unknown priority lane {p}")))?);
-    }
     Ok(Query {
         id,
         verb,
@@ -450,7 +423,6 @@ fn decode_query(tag: u8, payload: &[u8]) -> Result<Query, ProtocolError> {
         vars,
         formula_text,
         overrides,
-        client,
     })
 }
 
@@ -587,9 +559,8 @@ pub enum Reply {
         id: String,
         /// Server backoff hint.
         retry_after_ms: u64,
-        /// The shed reason token (`queue_full`, `draining`, `quota`,
-        /// optionally extended with `:lane=…:wait_ms=…` detail —
-        /// always space-free).
+        /// The shed reason token (`queue_full` or `draining`; always
+        /// space-free).
         reason: String,
     },
     /// `PONG [id]`.
@@ -926,21 +897,13 @@ enum Out {
 /// Fans a decoded batch out over the pool: queries are admitted via
 /// [`PoolHandle::submit_batch`], control requests are answered inline —
 /// and the reply slots come back in request order.
-fn dispatch_batch(
-    handle: &PoolHandle,
-    reqs: Vec<Request>,
-    saw_drain: &mut bool,
-    conn_client: &Option<String>,
-) -> Vec<Arc<Slot>> {
+fn dispatch_batch(handle: &PoolHandle, reqs: Vec<Request>, saw_drain: &mut bool) -> Vec<Arc<Slot>> {
     let mut slots: Vec<Option<Arc<Slot>>> = Vec::with_capacity(reqs.len());
     let mut queries = Vec::new();
     let mut query_pos = Vec::new();
     for (i, req) in reqs.into_iter().enumerate() {
         match req {
-            Request::Query(mut q) => {
-                if q.client.is_none() {
-                    q.client = conn_client.clone();
-                }
+            Request::Query(q) => {
                 query_pos.push(i);
                 queries.push(q);
                 slots.push(None);
@@ -995,10 +958,6 @@ pub fn serve_binary_connection(
     writer.write_all(&preamble())?;
     writer.flush()?;
 
-    // Quota identity for requests that carry no explicit `client`
-    // field: minted per connection, exactly like the text driver.
-    let conn_client = crate::server::conn_client(handle);
-
     // Per-connection FIFO writer, exactly like the text driver — but
     // emitting frames, and gathering whole batches into one write.
     let (tx, rx) = mpsc::channel::<Out>();
@@ -1042,19 +1001,14 @@ pub fn serve_binary_connection(
             match decode_batch_payload(&payload) {
                 Ok(reqs) => {
                     handle.observe_wire(ReqCodec::Binary, Some(reqs.len() as u64));
-                    Out::Many(dispatch_batch(handle, reqs, &mut saw_drain, &conn_client))
+                    Out::Many(dispatch_batch(handle, reqs, &mut saw_drain))
                 }
                 Err(e) => Out::One(Slot::ready(e.into())),
             }
         } else {
             handle.observe_wire(ReqCodec::Binary, None);
             match decode_request_payload(tag, &payload) {
-                Ok(Request::Query(mut q)) => {
-                    if q.client.is_none() {
-                        q.client = conn_client.clone();
-                    }
-                    Out::One(handle.submit(q))
-                }
+                Ok(Request::Query(q)) => Out::One(handle.submit(q)),
                 Ok(req) => Out::One(control_slot(handle, req, &mut saw_drain)),
                 Err(e) => Out::One(Slot::ready(e.into())),
             }
@@ -1178,10 +1132,10 @@ mod tests {
             "count r1 {x : 1 <= x && x <= 9}",
             "count r2 deadline_ms=500 max_splinters=8 {i,j : 1 <= i <= j <= n}",
             "sum s7 x + 2y {x,y : 0 <= x <= 3 && 0 <= y <= x}",
-            "sum s8 threads=4 max_depth=9 x {x : 1 <= x <= 5}",
+            "sum s8 max_depth=9 x {x : 1 <= x <= 5}",
             "count r3 prio=interactive {x : 1 <= x && x <= 9}",
-            "count r4 prio=background client=alice {x : x = 1}",
-            "sum s9 prio=batch client=c0 deadline_ms=9 x {x : 1 <= x <= 5}",
+            "count r4 prio=background {x : x = 1}",
+            "sum s9 prio=batch deadline_ms=9 x {x : 1 <= x <= 5}",
             "ping",
             "ping p1",
             "stats",
@@ -1333,31 +1287,27 @@ mod tests {
         assert_eq!(decode_wire_request(&padded).unwrap_err().kind, "wire");
     }
 
-    /// A frame as an older client sends it: `line`'s request with its
-    /// one override (`max_coeff_bits`, bit 5, the last two payload
-    /// bytes) moved to the retired `threads` bit 6.
-    fn with_threads_bit(line: &str) -> Vec<u8> {
-        let mut bytes = encode_request(&req(line));
-        let mask = bytes.len() - 2;
-        assert_eq!(bytes[mask], 1 << 5);
-        bytes[mask] = 1 << 6;
-        bytes
-    }
-
+    /// Retired query fields are refused, never silently dropped: the
+    /// `threads` override bit 6 and the trailing `client` section.
     #[test]
-    fn the_retired_threads_bit_is_accepted_and_dropped() {
-        let bytes = with_threads_bit("count r1 max_coeff_bits=16 {x : x = 1}");
-        let (decoded, used) = decode_wire_request(&bytes).expect("decodes");
-        assert_eq!(used, bytes.len());
-        let plain = req("count r1 {x : x = 1}");
-        assert_eq!(decoded, WireRequest::One(plain.clone()));
-        assert_eq!(
-            encode_wire_request(&decoded).unwrap(),
-            encode_request(&plain)
-        );
-        // Above the old cap of 16 the frame is still rejected.
-        let bytes = with_threads_bit("count r1 max_coeff_bits=17 {x : x = 1}");
-        assert_eq!(decode_wire_request(&bytes).unwrap_err().kind, "wire");
+    fn retired_query_fields_are_refused() {
+        // Bit 6 with a value in range of the old cap, moved from
+        // `max_coeff_bits` (bit 5, the last two payload bytes).
+        let mut threads = encode_request(&req("count r1 max_coeff_bits=4 {x : x = 1}"));
+        let mask = threads.len() - 2;
+        assert_eq!(threads[mask], 1 << 5);
+        threads[mask] = 1 << 6;
+        let e = decode_wire_request(&threads).unwrap_err();
+        assert_eq!(e.kind, "wire");
+        assert_eq!(e.detail, "override bit 6 is reserved");
+        // A client section after the overrides: presence byte 1, then
+        // the identity string "a".
+        let plain = encode_request(&req("count r1 {x : x = 1}"));
+        let mut payload = plain[2..].to_vec();
+        payload.extend_from_slice(&[1, 1, b'a']);
+        let mut client = Vec::new();
+        put_frame(&mut client, plain[0], &payload);
+        assert_eq!(decode_wire_request(&client).unwrap_err().kind, "wire");
     }
 
     #[test]
@@ -1370,48 +1320,15 @@ mod tests {
         q2.id = "bad id!".to_string();
         let bytes = encode_request(&Request::Query(q2));
         assert_eq!(decode_wire_request(&bytes).unwrap_err().kind, "wire");
-        // Invalid client identity.
-        let mut q3 = match req("count r1 client=ok {x : x = 1}") {
-            Request::Query(q) => q,
-            _ => unreachable!(),
-        };
-        q3.client = Some("bad client!".to_string());
-        let bytes = encode_request(&Request::Query(q3));
-        assert_eq!(decode_wire_request(&bytes).unwrap_err().kind, "wire");
     }
 
     #[test]
-    fn prio_and_client_sections_are_canonical() {
-        // An out-of-range lane value is rejected.
-        let q = match req("count r1 prio=background {x : x = 1}") {
-            Request::Query(q) => q,
-            _ => unreachable!(),
-        };
-        let good = encode_request(&Request::Query(q.clone()));
+    fn out_of_range_prio_values_are_rejected() {
+        let good = encode_request(&req("count r1 prio=background {x : x = 1}"));
         // Locate the prio varint: it is the last payload byte (lane 2).
         assert_eq!(*good.last().unwrap(), 2);
-        let mut bad = good.clone();
+        let mut bad = good;
         *bad.last_mut().unwrap() = 3;
         assert_eq!(decode_wire_request(&bad).unwrap_err().kind, "wire");
-        // A zero client-presence byte is non-canonical: "no client" is
-        // spelled by omitting the section entirely.
-        let with_client = match req("count r1 client=c0 {x : x = 1}") {
-            Request::Query(q) => q,
-            _ => unreachable!(),
-        };
-        let bytes = encode_request(&Request::Query(with_client));
-        let plain = encode_request(&Request::Query(q));
-        // presence byte sits right after the shared prefix... build a
-        // padded frame by hand instead: plain query + presence byte 0.
-        let (tag, payload) = (plain[0], &plain[2..]);
-        let mut padded_payload = payload.to_vec();
-        padded_payload.push(0);
-        let mut padded = Vec::new();
-        put_frame(&mut padded, tag, &padded_payload);
-        assert_eq!(decode_wire_request(&padded).unwrap_err().kind, "wire");
-        // And the real client section round-trips canonically.
-        let (decoded, used) = decode_wire_request(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(encode_wire_request(&decoded).unwrap(), bytes);
     }
 }

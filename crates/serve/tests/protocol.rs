@@ -17,8 +17,8 @@
 use presburger_counting::Budgets;
 use presburger_serve::server::Gate;
 use presburger_serve::{
-    parse_request, routing_hash, AdmissionConfig, Chaos, PoolHandle, PoolTcpServer, QuotaConfig,
-    Request, RetryPolicy, Ring, ServeConfig, ShardPool, ShardPoolConfig,
+    parse_request, routing_hash, Chaos, PoolHandle, PoolTcpServer, Request, Ring, ServeConfig,
+    ShardPool, ShardPoolConfig,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -434,47 +434,25 @@ fn golden_shard_wedge_restart_session() {
 }
 
 #[test]
-fn golden_quota_session() {
-    // Per-client quota (DESIGN.md §16): burst 2, refill 250 milli-
-    // tokens per logical tick, 100 ms advertised per tick. One
-    // connection = one client, and the bucket's logical clock advances
-    // once per request — so the admit/shed pattern and every computed
-    // `retry_after_ms` are pure functions of the request ordinals:
-    // admit, admit, shed(200), shed(100), admit, shed(300).
-    let cfg = ServeConfig {
-        admission: AdmissionConfig {
-            quota: Some(QuotaConfig {
-                burst: 2,
-                refill_milli: 250,
-                tick_ms: 100,
-            }),
-            detail: true,
-        },
-        ..base_cfg()
-    };
+fn retired_options_answer_unknown_option() {
+    // `client=` and `threads=` are no longer options: a server answers
+    // them like any unknown key and the connection carries on.
     let steps = [
-        Step("count q1 {x : 1 <= x <= 9}", 1),
-        Step("count q2 {x : 1 <= x <= 9}", 1),
-        Step("count q3 {x : 1 <= x <= 9}", 1),
-        Step("count q4 {x : 1 <= x <= 9}", 1),
-        Step("count q5 {x : 1 <= x <= 9}", 1),
-        Step("count q6 {x : 1 <= x <= 9}", 1),
-        Step("stats", 1),
+        Step("count r1 client=a {x : x = 1}", 1),
+        Step("count r2 threads=4 {x : x = 1}", 1),
+        Step("count r3 {x : x = 1}", 1),
         Step("drain", 0),
     ];
-    let got = run_session(cfg, &steps, None);
-    // Quota sheds fold into shed_queue on the pinned STATS line; the
-    // Prometheus admission family keeps the split.
-    let want = "OK q1 exact 9\n\
-OK q2 exact 9\n\
-SHED q3 retry_after_ms=200 reason=quota:lane=batch:wait_ms=200\n\
-SHED q4 retry_after_ms=100 reason=quota:lane=batch:wait_ms=100\n\
-OK q5 exact 9\n\
-SHED q6 retry_after_ms=300 reason=quota:lane=batch:wait_ms=300\n\
-STATS admitted=3 ok=3 errors=0 shed_queue=3 shed_drain=0 cache_hits=2 cache_misses=1 cache_entries=1 verify_mismatches=0 breaker=closed breaker_opens=0 degraded_first=0 drain_bounded=0 queue_depth_peak=1\n\
-STATS admitted=3 ok=3 errors=0 shed_queue=3 shed_drain=0 cache_hits=2 cache_misses=1 cache_entries=1 verify_mismatches=0 breaker=closed breaker_opens=0 degraded_first=0 drain_bounded=0 queue_depth_peak=1\n\
-BYE\n";
-    check("quota", &got, want);
+    let got = run_session(base_cfg(), &steps, None);
+    let head: Vec<&str> = got.lines().take(3).collect();
+    assert_eq!(
+        head,
+        [
+            r#"ERR r1 protocol unknown option "client""#,
+            r#"ERR r2 protocol unknown option "threads""#,
+            "OK r3 exact 1",
+        ]
+    );
 }
 
 #[test]
@@ -505,60 +483,6 @@ OK e2 exact 9\n\
 STATS admitted=3 ok=3 errors=0 shed_queue=0 shed_drain=0 cache_hits=0 cache_misses=1 cache_entries=1 verify_mismatches=0 breaker=closed breaker_opens=0 degraded_first=0 drain_bounded=0 queue_depth_peak=2\n\
 BYE\n";
     check("eviction", &got, want);
-}
-
-#[test]
-fn retry_helper_rides_out_queue_full_sheds() {
-    // A 1-deep queue behind a closed gate sheds the second pipelined
-    // request; `submit_with_retry` re-sends it after the jittered
-    // backoff and — once the gate opens — lands the exact answer. The
-    // client keeps the exactly-one-reply invariant from its own side.
-    let gate = Gate::new(true);
-    let cfg = ServeConfig {
-        queue_depth: 1,
-        hold: Some(gate.clone()),
-        ..base_cfg()
-    };
-    let server = ShardPool::start(one_shard(cfg));
-    let handle = server.handle();
-    let submit = |line: &str| match parse_request(line).expect("parse") {
-        Request::Query(q) => handle.submit(q).wait().to_text(),
-        _ => unreachable!(),
-    };
-    // Fill the queue while the gate is shut.
-    let held = match parse_request("count h1 {x : 1 <= x <= 3}").expect("parse") {
-        Request::Query(q) => handle.submit(q),
-        _ => unreachable!(),
-    };
-    assert!(!held.is_done(), "h1 must be queued behind the gate");
-    // A plain submit sheds...
-    assert_eq!(
-        submit("count h2 {x : 1 <= x <= 3}"),
-        "SHED h2 retry_after_ms=50 reason=queue_full"
-    );
-    // ...while the retry helper opens the gate mid-backoff and lands.
-    let opener = std::thread::spawn({
-        let gate = gate.clone();
-        move || {
-            std::thread::sleep(Duration::from_millis(30));
-            gate.open();
-        }
-    });
-    let policy = RetryPolicy {
-        max_attempts: 8,
-        base_delay_ms: 20,
-        max_delay_ms: 100,
-    };
-    let mut attempts = 0;
-    let line = presburger_serve::submit_with_retry(&policy, "h3", || {
-        attempts += 1;
-        submit("count h3 {x : 1 <= x <= 3}")
-    });
-    assert_eq!(line, "OK h3 exact 3");
-    assert!(attempts > 1, "the first attempt must have shed");
-    opener.join().expect("opener");
-    assert_eq!(held.wait().to_text(), "OK h1 exact 3");
-    server.shutdown();
 }
 
 #[test]

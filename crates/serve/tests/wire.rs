@@ -20,8 +20,7 @@ use presburger_gen::{batched_request_lines, request_lines, GenConfig};
 use presburger_serve::server::Gate;
 use presburger_serve::wire::{self, Reply};
 use presburger_serve::{
-    parse_request, AdmissionConfig, Chaos, PoolTcpServer, QuotaConfig, Request, RetryPolicy, Ring,
-    ServeConfig, ShardPool, ShardPoolConfig,
+    parse_request, Chaos, PoolTcpServer, Request, Ring, ServeConfig, ShardPool, ShardPoolConfig,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -490,40 +489,6 @@ fn differential_breaker_sessions() {
 }
 
 #[test]
-fn differential_quota_session() {
-    // The quota worked example (burst 2, refill 250, tick 100 ms) over
-    // both codecs: the connection-scoped client identity, the lane
-    // field and the detailed `reason=` token all survive the binary
-    // frames, so admit/shed decisions and hints replay byte-identically.
-    let steps = [
-        Step("count q1 {x : 1 <= x <= 9}", 1),
-        Step("count q2 {x : 1 <= x <= 9}", 1),
-        Step("count q3 {x : 1 <= x <= 9}", 1),
-        Step("count q4 {x : 1 <= x <= 9}", 1),
-        Step("count q5 {x : 1 <= x <= 9}", 1),
-        Step("count q6 {x : 1 <= x <= 9}", 1),
-        Step("stats", 1),
-        Step("drain", 0),
-    ];
-    assert_differential(
-        "quota",
-        || ServeConfig {
-            admission: AdmissionConfig {
-                quota: Some(QuotaConfig {
-                    burst: 2,
-                    refill_milli: 250,
-                    tick_ms: 100,
-                }),
-                detail: true,
-            },
-            ..base_cfg()
-        },
-        &steps,
-        |_| None,
-    );
-}
-
-#[test]
 fn differential_eviction_session() {
     // Admission-time (deadline_ms=0) and pop-time (deadline_ms=1 behind
     // a held worker) eviction produce the same `OK … bounded evicted`
@@ -742,7 +707,6 @@ fn batch_partial_shed_is_positional() {
     // the batch reply keeps one answer per inner request, in order. At
     // 2 shards the four queries (one formula) all route to one shard,
     // whose group is admitted under one queue-lock reservation.
-    let mut lines = Vec::new();
     for shards in [1, 2] {
         let gate = Gate::new(true);
         let cfg = ShardPoolConfig {
@@ -765,7 +729,7 @@ fn batch_partial_shed_is_positional() {
         std::thread::sleep(Duration::from_millis(50));
         gate.open();
         let reply = client.recv().expect("batch reply");
-        lines = reply.to_text().lines().map(str::to_string).collect();
+        let lines: Vec<String> = reply.to_text().lines().map(str::to_string).collect();
         assert_eq!(
             lines.len(),
             4,
@@ -783,25 +747,6 @@ fn batch_partial_shed_is_positional() {
         );
         server.shutdown();
     }
-
-    // And the batch retry helper heals exactly those positions.
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        base_delay_ms: 1,
-        max_delay_ms: 2,
-    };
-    let ids: Vec<String> = (0..4).map(|i| format!("q{i}")).collect();
-    let mut round = 0;
-    let healed = presburger_serve::submit_batch_with_retry(&policy, &ids, |want| {
-        round += 1;
-        match round {
-            1 => lines.clone(),
-            _ => want.iter().map(|&i| format!("OK q{i} exact 3")).collect(),
-        }
-    });
-    let want: Vec<String> = (0..4).map(|i| format!("OK q{i} exact 3")).collect();
-    assert_eq!(healed, want);
-    assert!(round > 1, "the shed positions must be resent");
 }
 
 // ---------------------------------------------------------------------

@@ -343,25 +343,22 @@ impl ReqLane {
 pub enum AdmitDecision {
     /// Admitted to the worker queue.
     Admit = 0,
-    /// Shed by the per-client token-bucket quota.
-    ShedQuota = 1,
     /// Shed because the bounded queue was full.
-    ShedQueue = 2,
+    ShedQueue = 1,
     /// Shed because the server was draining.
-    ShedDrain = 3,
+    ShedDrain = 2,
     /// Deadline elapsed in queue; answered with §4.6 bounds instead of
     /// burning a worker.
-    Evicted = 4,
+    Evicted = 3,
 }
 
 /// Number of admission-decision labels.
-pub const NUM_DECISIONS: usize = 5;
+pub const NUM_DECISIONS: usize = 4;
 
 impl AdmitDecision {
     /// Every decision, in stable exposition order.
     pub const ALL: [AdmitDecision; NUM_DECISIONS] = [
         AdmitDecision::Admit,
-        AdmitDecision::ShedQuota,
         AdmitDecision::ShedQueue,
         AdmitDecision::ShedDrain,
         AdmitDecision::Evicted,
@@ -371,7 +368,6 @@ impl AdmitDecision {
     pub fn label(self) -> &'static str {
         match self {
             AdmitDecision::Admit => "admit",
-            AdmitDecision::ShedQuota => "shed_quota",
             AdmitDecision::ShedQueue => "shed_queue",
             AdmitDecision::ShedDrain => "shed_drain",
             AdmitDecision::Evicted => "evicted",
@@ -1059,14 +1055,14 @@ mod tests {
         let m = RequestMetrics::new(true);
         m.observe_admission(ReqLane::Interactive, AdmitDecision::Admit);
         m.observe_admission(ReqLane::Interactive, AdmitDecision::Admit);
-        m.observe_admission(ReqLane::Batch, AdmitDecision::ShedQuota);
+        m.observe_admission(ReqLane::Batch, AdmitDecision::ShedQueue);
         m.observe_admission(ReqLane::Background, AdmitDecision::Evicted);
         assert_eq!(
             m.admission_total(ReqLane::Interactive, AdmitDecision::Admit),
             2
         );
         assert_eq!(
-            m.admission_total(ReqLane::Batch, AdmitDecision::ShedQuota),
+            m.admission_total(ReqLane::Batch, AdmitDecision::ShedQueue),
             1
         );
         let text = m.render_prometheus();
@@ -1074,7 +1070,7 @@ mod tests {
             text.contains("presburger_admission_total{lane=\"interactive\",decision=\"admit\"} 2")
         );
         assert!(
-            text.contains("presburger_admission_total{lane=\"batch\",decision=\"shed_quota\"} 1")
+            text.contains("presburger_admission_total{lane=\"batch\",decision=\"shed_queue\"} 1")
         );
         assert!(
             text.contains("presburger_admission_total{lane=\"background\",decision=\"evicted\"} 1")
