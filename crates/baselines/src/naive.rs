@@ -54,15 +54,7 @@ pub fn naive_sum(levels: &[SumSpec], z: &QPoly) -> QPoly {
         let coeffs = acc.coefficients_in(level.var);
         let lower = QPoly::from_affine(&level.lower);
         let upper = QPoly::from_affine(&level.upper);
-        let mut next = QPoly::zero();
-        for (p, cp) in coeffs.into_iter().enumerate() {
-            if cp.is_zero() {
-                continue;
-            }
-            next = next
-                + cp * presburger_polyq::faulhaber::sum_powers(p as u32, &lower, &upper, level.var);
-        }
-        acc = next;
+        acc = presburger_polyq::faulhaber::telescope(&coeffs, &lower, &upper);
     }
     acc
 }

@@ -138,20 +138,11 @@ fn rec(
     // single bounds: telescope, guarding non-emptiness up front
     let beta = &lowers[0].expr;
     let alpha = &uppers[0].expr;
-    let coeffs = z.coefficients_in(v);
-    let mut inner = QPoly::zero();
-    for (p, cp) in coeffs.into_iter().enumerate() {
-        if cp.is_zero() {
-            continue;
-        }
-        inner = inner
-            + cp * presburger_polyq::faulhaber::sum_powers(
-                p as u32,
-                &QPoly::from_affine(beta),
-                &QPoly::from_affine(alpha),
-                v,
-            );
-    }
+    let inner = presburger_polyq::faulhaber::telescope(
+        &z.coefficients_in(v),
+        &QPoly::from_affine(beta),
+        &QPoly::from_affine(alpha),
+    );
     let mut rest = Conjunct::new();
     for e in c.eqs() {
         rest.add_eq(e.clone());

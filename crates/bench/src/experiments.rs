@@ -1055,7 +1055,7 @@ pub fn s2_manyclause_wall_clock() -> Report {
 ///
 /// A serving process sees the same few queries over and over (a few hot
 /// formulas, a long tail). A fixed-seed stream of requests is drawn
-/// zipf-style over a pool of distinct splinter-heavy queries and
+/// zipf-style over a pool of distinct many-clause queries and
 /// counted cold, one request after another, five times. The row's
 /// counters are those of the first run; its wall time is the fastest
 /// run, so one noisy sample cannot decide it. The pass criterion is

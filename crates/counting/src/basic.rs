@@ -17,7 +17,7 @@
 
 use presburger_arith::{Int, Rat};
 use presburger_omega::{Affine, Conjunct, VarId};
-use presburger_polyq::faulhaber::power_sum;
+use presburger_polyq::faulhaber::{power_sum, power_sum_at, sum_powers};
 use presburger_polyq::{GuardedValue, QPoly};
 
 /// §4.1: `(Σ i : 1 ≤ i ≤ n : iᵖ)` — a Faulhaber polynomial guarded by
@@ -42,13 +42,7 @@ pub fn simple_sum(p: u32, n: VarId) -> GuardedValue {
 /// §4.2: `Σ_{i=L}^{U} iᵖ` for arbitrary affine bounds, via the paper's
 /// four-piece decomposition. Every piece's guard is affine; the pieces
 /// overlap additively (they are contributions, not cases).
-///
-/// `scratch` must be a variable not mentioned by `lower`/`upper`.
-pub fn basic_sum(p: u32, lower: &Affine, upper: &Affine, scratch: VarId) -> GuardedValue {
-    assert!(
-        !lower.mentions(scratch) && !upper.mentions(scratch),
-        "scratch variable must not appear in the bounds"
-    );
+pub fn basic_sum(p: u32, lower: &Affine, upper: &Affine) -> GuardedValue {
     let nonempty = upper - lower; // U − L ≥ 0
     let mut out = GuardedValue::zero();
     if p == 0 {
@@ -60,8 +54,7 @@ pub fn basic_sum(p: u32, lower: &Affine, upper: &Affine, scratch: VarId) -> Guar
         out.push(g, QPoly::from_affine(&range));
         return out;
     }
-    let f = power_sum(p, scratch);
-    let f_at = |x: QPoly| f.substitute(scratch, &x);
+    let f_at = |x: QPoly| power_sum_at(p, &x);
     let sign = if p.is_multiple_of(2) {
         Rat::one()
     } else {
@@ -111,24 +104,10 @@ pub fn basic_sum(p: u32, lower: &Affine, upper: &Affine, scratch: VarId) -> Guar
 /// The telescoped form of [`basic_sum`]: one piece
 /// `Fₚ(U) − Fₚ(L−1)` guarded by `L ≤ U` (valid for negative bounds too
 /// because `Fₚ(n) − Fₚ(n−1) = nᵖ` is a polynomial identity).
-pub fn basic_sum_telescoped(
-    p: u32,
-    lower: &Affine,
-    upper: &Affine,
-    scratch: VarId,
-) -> GuardedValue {
-    assert!(
-        !lower.mentions(scratch) && !upper.mentions(scratch),
-        "scratch variable must not appear in the bounds"
-    );
+pub fn basic_sum_telescoped(p: u32, lower: &Affine, upper: &Affine) -> GuardedValue {
     let mut g = Conjunct::new();
     g.add_geq(upper - lower);
-    let value = presburger_polyq::faulhaber::sum_powers(
-        p,
-        &QPoly::from_affine(lower),
-        &QPoly::from_affine(upper),
-        scratch,
-    );
+    let value = sum_powers(p, &QPoly::from_affine(lower), &QPoly::from_affine(upper));
     GuardedValue::piece(g, value)
 }
 
@@ -156,11 +135,10 @@ mod tests {
     #[test]
     fn four_piece_concrete() {
         let mut s = Space::new();
-        let scratch = s.var("t");
         let l = s.var("l");
         let u = s.var("u");
         for p in 0..=4u32 {
-            let v = basic_sum(p, &Affine::var(l), &Affine::var(u), scratch);
+            let v = basic_sum(p, &Affine::var(l), &Affine::var(u));
             for lv in -5i64..=5 {
                 for uv in -5i64..=5 {
                     let expected = if lv <= uv { brute(p, lv, uv) } else { 0 };
@@ -181,11 +159,10 @@ mod tests {
         #[test]
         fn four_piece_equals_telescoped(p in 0u32..=5, lv in -20i64..20, uv in -20i64..20) {
             let mut s = Space::new();
-            let scratch = s.var("t");
             let l = s.var("l");
             let u = s.var("u");
-            let four = basic_sum(p, &Affine::var(l), &Affine::var(u), scratch);
-            let tele = basic_sum_telescoped(p, &Affine::var(l), &Affine::var(u), scratch);
+            let four = basic_sum(p, &Affine::var(l), &Affine::var(u));
+            let tele = basic_sum_telescoped(p, &Affine::var(l), &Affine::var(u));
             let assign = |w: VarId| if w == l { Int::from(lv) } else { Int::from(uv) };
             prop_assert_eq!(four.eval(&s, &assign), tele.eval(&s, &assign));
         }
@@ -194,11 +171,10 @@ mod tests {
     #[test]
     fn piece_counts() {
         let mut s = Space::new();
-        let scratch = s.var("t");
         let l = s.var("l");
         let u = s.var("u");
-        let four = basic_sum(3, &Affine::var(l), &Affine::var(u), scratch);
-        let tele = basic_sum_telescoped(3, &Affine::var(l), &Affine::var(u), scratch);
+        let four = basic_sum(3, &Affine::var(l), &Affine::var(u));
+        let tele = basic_sum_telescoped(3, &Affine::var(l), &Affine::var(u));
         assert_eq!(four.pieces().len(), 4);
         assert_eq!(tele.pieces().len(), 1);
     }

@@ -11,8 +11,10 @@
 //!    * unit coefficients — telescope with Faulhaber polynomials,
 //!      guarding with `β ≤ α` (§4.2);
 //!    * non-unit with symbolic-only bound expressions — substitute
-//!      `⌊α/a⌋ = (α − (α mod a))/a`, producing mod atoms (§4.2.1), with
-//!      the guard obtained from exact disjoint elimination of `v`;
+//!      `⌊α/a⌋ = (α − (α mod a))/a`, producing mod atoms (§4.2.1),
+//!      guarded by the real shadow `a·β ≤ b·α` (exact for the value:
+//!      where it admits an empty range, the range is one short and
+//!      telescopes to zero);
 //!    * non-unit with bounds involving deeper summation variables —
 //!      splinter on `α mod a` (§4.2.1) and restart through the
 //!      projected-sum transform;
@@ -24,7 +26,7 @@ use crate::{CountError, Mode};
 use presburger_arith::{Int, Rat};
 use presburger_omega::eliminate::{eliminate, Shadow};
 use presburger_omega::{Affine, Conjunct, VarId};
-use presburger_polyq::faulhaber::sum_powers;
+use presburger_polyq::faulhaber;
 use presburger_polyq::{GuardedValue, QPoly};
 use presburger_trace::{self as trace, Counter};
 
@@ -147,8 +149,12 @@ pub(crate) fn sum_convex(
             let lq = ceil_q(&lo.expr, b);
             let uq = floor_q(&up.expr, a);
             let inner = telescope(z, v, &lq, &uq);
-            // Exact, disjoint guards: the projection of the clause.
-            let guards = eliminate(&c, v, ctx.space, Shadow::ExactDisjoint);
+            // The real shadow `b·α ≥ a·β` guards the value exactly: it
+            // gives `⌈β/b⌉ − 1 ≤ ⌊α/a⌋`, and on the one-short empty
+            // range `⌊α/a⌋ = ⌈β/b⌉ − 1` the telescoped value is
+            // `G(x) − G(x) = 0`. The set it describes may be larger
+            // than the projection, but not the sum; no splinters.
+            let guards = eliminate(&c, v, ctx.space, Shadow::Real);
             let mut acc = GuardedValue::zero();
             for g in guards.clauses {
                 acc.add(sum_clause(&g, &rest_vars, &inner, ctx)?);
@@ -327,18 +333,11 @@ fn without_var(c: &Conjunct, v: VarId) -> Conjunct {
     r
 }
 
-/// `Σ_{v=L}^{U} z(v)` by telescoping Faulhaber polynomials (§4.2–§4.3).
-/// Valid wherever `L ≤ U`; the caller supplies the guard.
+/// `Σ_{v=L}^{U} z(v)` by telescoping Faulhaber polynomials (§4.2–§4.3):
+/// one antidifference of `z` in `v`, evaluated at `U` and `L − 1`.
+/// Valid wherever `L ≤ U + 1`; the caller supplies the guard.
 pub(crate) fn telescope(z: &QPoly, v: VarId, lower: &QPoly, upper: &QPoly) -> QPoly {
-    let coeffs = z.coefficients_in(v);
-    let mut acc = QPoly::zero();
-    for (p, cp) in coeffs.into_iter().enumerate() {
-        if cp.is_zero() {
-            continue;
-        }
-        acc = acc + cp * sum_powers(p as u32, lower, upper, v);
-    }
-    acc
+    faulhaber::telescope(&z.coefficients_in(v), lower, upper)
 }
 
 /// Telescoping with integral affine bounds, returning `(extra guards,
@@ -386,7 +385,7 @@ fn telescope_pieces(
         } else {
             -Rat::one()
         };
-        let f_at = |x: &QPoly| presburger_polyq::faulhaber::power_sum(p, v).substitute(v, x);
+        let f_at = |x: &QPoly| faulhaber::power_sum_at(p, x);
         let u = QPoly::from_affine(alpha);
         let l = QPoly::from_affine(beta);
         p1 = p1 + cp.clone() * f_at(&u);

@@ -16,7 +16,7 @@
 //!    never overlap each other.
 
 use crate::conjunct::Conjunct;
-use crate::dnf::{negate_clause, prune_subsets};
+use crate::dnf::{negate_clause, prune_subsets_where};
 use crate::feasible::is_feasible;
 use crate::redundant::gist;
 use crate::space::Space;
@@ -27,103 +27,149 @@ const DISJOINT_FUEL: u64 = 500;
 
 /// Converts a list of possibly-overlapping clauses into an equivalent
 /// list of pairwise-disjoint clauses.
+///
+/// Every input clause must be feasible (as [`crate::dnf::simplify`]'s
+/// cleanup leaves them): step 1 tests implication only between clauses
+/// that meet, and an empty clause meets none.
 pub fn make_disjoint(clauses: Vec<Conjunct>, space: &mut Space) -> Vec<Conjunct> {
     let _span = presburger_trace::span("make_disjoint");
-    let clauses = prune_subsets(clauses, space);
-    let mut out = Vec::new();
-    let mut fuel = DISJOINT_FUEL;
-    for component in components(clauses, space) {
-        out.extend(disjoint_component(component, space, &mut fuel));
-    }
-    out
+    Overlaps::pruned(clauses, space).make_disjoint(space)
 }
 
-/// Groups clauses into connected components of the overlap graph
-/// (§5.3 step 2).
-fn components(clauses: Vec<Conjunct>, space: &mut Space) -> Vec<Vec<Conjunct>> {
-    let n = clauses.len();
-    let adj = overlap_graph(&clauses, space);
-    let mut comp = vec![usize::MAX; n];
-    let mut next = 0;
-    for start in 0..n {
-        if comp[start] != usize::MAX {
-            continue;
+/// Clauses with their overlap graph: `adj[i][j]` iff clauses `i` and
+/// `j` share an integer point. One conversion builds the graph once
+/// and keeps it up to date as extraction replaces clauses.
+pub(crate) struct Overlaps {
+    clauses: Vec<Conjunct>,
+    adj: Vec<Vec<bool>>,
+}
+
+impl Overlaps {
+    /// Builds the overlap graph of feasible `clauses` and drops the
+    /// clauses that are subsets of others (§5.3 step 1). A non-empty
+    /// clause is never a subset of a clause it does not meet, so
+    /// implication is tested only along the graph's edges.
+    pub(crate) fn pruned(clauses: Vec<Conjunct>, space: &mut Space) -> Overlaps {
+        let n = clauses.len();
+        let mut adj = vec![vec![false; n]; n];
+        for i in 0..n {
+            for j in i + 1..n {
+                let meet = meets(&clauses[i], &clauses[j], space);
+                adj[i][j] = meet;
+                adj[j][i] = meet;
+            }
         }
-        let mut stack = vec![start];
-        comp[start] = next;
-        while let Some(i) = stack.pop() {
-            for j in 0..n {
-                if adj[i][j] && comp[j] == usize::MAX {
-                    comp[j] = next;
-                    stack.push(j);
+        let (kept, clauses): (Vec<usize>, Vec<Conjunct>) =
+            prune_subsets_where(clauses, space, |i, j| adj[i][j])
+                .into_iter()
+                .unzip();
+        Overlaps {
+            adj: induced(&adj, &kept),
+            clauses,
+        }
+    }
+
+    /// The number of clauses.
+    pub(crate) fn len(&self) -> usize {
+        self.clauses.len()
+    }
+
+    /// §5.3 steps 2–4: the clauses as a pairwise-disjoint list.
+    pub(crate) fn make_disjoint(self, space: &mut Space) -> Vec<Conjunct> {
+        let mut out = Vec::new();
+        let mut fuel = DISJOINT_FUEL;
+        for component in self.components() {
+            out.extend(component.disjoint(space, &mut fuel));
+        }
+        out
+    }
+
+    /// Splits the clauses into the connected components of the overlap
+    /// graph (§5.3 step 2), each with its induced subgraph.
+    fn components(self) -> Vec<Overlaps> {
+        let n = self.clauses.len();
+        let mut seen = vec![false; n];
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for start in 0..n {
+            if seen[start] {
+                continue;
+            }
+            seen[start] = true;
+            let mut member = vec![start];
+            let mut next = 0;
+            while let Some(&i) = member.get(next) {
+                next += 1;
+                for (j, seen_j) in seen.iter_mut().enumerate() {
+                    if self.adj[i][j] && !*seen_j {
+                        *seen_j = true;
+                        member.push(j);
+                    }
                 }
             }
+            member.sort_unstable(); // keep each component in input order
+            members.push(member);
         }
-        next += 1;
+        let mut clauses: Vec<Option<Conjunct>> = self.clauses.into_iter().map(Some).collect();
+        members
+            .iter()
+            .map(|m| Overlaps {
+                adj: induced(&self.adj, m),
+                clauses: m
+                    .iter()
+                    .map(|&i| {
+                        clauses[i]
+                            .take()
+                            .expect("invariant: the components partition the clauses")
+                    })
+                    .collect(),
+            })
+            .collect()
     }
-    let mut groups: Vec<Vec<Conjunct>> = (0..next).map(|_| Vec::new()).collect();
-    for (c, k) in clauses.into_iter().zip(comp) {
-        groups[k].push(c);
-    }
-    groups
-}
 
-fn overlap_graph(clauses: &[Conjunct], space: &mut Space) -> Vec<Vec<bool>> {
-    let n = clauses.len();
-    let mut adj = vec![vec![false; n]; n];
-    for i in 0..n {
-        for j in i + 1..n {
-            let mut both = clauses[i].clone();
-            both.and(&clauses[j]);
-            if is_feasible(&both, space) {
-                adj[i][j] = true;
-                adj[j][i] = true;
+    /// Extracts clauses one at a time until the rest no longer overlap
+    /// (§5.3 steps 3–4).
+    fn disjoint(mut self, space: &mut Space, fuel: &mut u64) -> Vec<Conjunct> {
+        let mut out = Vec::new();
+        loop {
+            *fuel -= 1;
+            if *fuel == 0 {
+                // Input-reachable (§5.3 extraction can keep producing
+                // overlap on adversarial unions): unwind as a budget trip
+                // instead of aborting the process.
+                presburger_trace::govern::trip(
+                    "disjoint_conversion_fuel",
+                    DISJOINT_FUEL,
+                    DISJOINT_FUEL,
+                );
             }
+            // if the component has become disconnected, split it
+            if self.clauses.len() <= 1 || !self.adj.iter().flatten().any(|b| *b) {
+                out.extend(self.clauses);
+                return out;
+            }
+            // §5.3 step 3: pick an articulation point if one exists,
+            // otherwise the clause with the fewest constraints.
+            let pick =
+                articulation_point(&self.adj).unwrap_or_else(|| fewest_constraints(&self.clauses));
+            let (c1, rest) = self.extract(pick, space);
+            out.push(c1);
+            self = rest;
         }
     }
-    adj
-}
 
-fn disjoint_component(
-    mut clauses: Vec<Conjunct>,
-    space: &mut Space,
-    fuel: &mut u64,
-) -> Vec<Conjunct> {
-    let mut out = Vec::new();
-    loop {
-        *fuel -= 1;
-        if *fuel == 0 {
-            // Input-reachable (§5.3 extraction can keep producing
-            // overlap on adversarial unions): unwind as a budget trip
-            // instead of aborting the process.
-            presburger_trace::govern::trip(
-                "disjoint_conversion_fuel",
-                DISJOINT_FUEL,
-                DISJOINT_FUEL,
-            );
-        }
-        if clauses.len() <= 1 {
-            out.extend(clauses);
-            return out;
-        }
-        let adj = overlap_graph(&clauses, space);
-        // if the component has become disconnected, split it
-        let any_overlap = adj.iter().flatten().any(|b| *b);
-        if !any_overlap {
-            out.extend(clauses);
-            return out;
-        }
-        // §5.3 step 3: pick an articulation point if one exists,
-        // otherwise the clause with the fewest constraints.
-        let pick = articulation_point(&adj).unwrap_or_else(|| fewest_constraints(&clauses));
+    /// Removes clause `pick` as `C₁` and rewrites `C₁ ∨ rest` as
+    /// `C₁ + (¬C₁ ∧ rest)`, returning `C₁` and the new rest with its
+    /// overlap graph.
+    fn extract(self, pick: usize, space: &mut Space) -> (Conjunct, Overlaps) {
+        let Overlaps { mut clauses, adj } = self;
         let c1 = clauses.remove(pick);
-        // C₁ goes straight to the output; the rest become ¬C₁ ∧ Cⱼ.
-        let mut rest = Vec::new();
-        for cj in clauses.drain(..) {
-            let mut both = c1.clone();
-            both.and(&cj);
-            if !is_feasible(&both, space) {
-                rest.push(cj); // already disjoint from C₁
+        let parents: Vec<usize> = (0..adj.len()).filter(|&j| j != pick).collect();
+        // Each new clause with its parent's index in `adj` and whether
+        // it is that parent unchanged.
+        let mut rest: Vec<(usize, bool, Conjunct)> = Vec::new();
+        for (cj, j) in clauses.into_iter().zip(parents) {
+            if !adj[pick][j] {
+                rest.push((j, true, cj)); // already disjoint from C₁
                 continue;
             }
             // step 4: gist C₁ given Cⱼ before negating
@@ -137,13 +183,45 @@ fn disjoint_component(
                 piece.and(&neg);
                 piece.normalize();
                 if !piece.is_false() && is_feasible(&piece, space) {
-                    rest.push(piece);
+                    rest.push((j, false, piece));
                 }
             }
         }
-        out.push(c1);
-        clauses = rest;
+        // A piece lies inside its parent, and the pieces of one parent
+        // are disjoint (disjoint negation), so only pieces of two
+        // overlapping parents need a test.
+        let n = rest.len();
+        let mut next = vec![vec![false; n]; n];
+        for a in 0..n {
+            for b in a + 1..n {
+                let ((pa, whole_a, ca), (pb, whole_b, cb)) = (&rest[a], &rest[b]);
+                let meet =
+                    pa != pb && adj[*pa][*pb] && ((*whole_a && *whole_b) || meets(ca, cb, space));
+                next[a][b] = meet;
+                next[b][a] = meet;
+            }
+        }
+        let rest = Overlaps {
+            clauses: rest.into_iter().map(|(_, _, c)| c).collect(),
+            adj: next,
+        };
+        (c1, rest)
     }
+}
+
+/// Whether two clauses share an integer point.
+fn meets(a: &Conjunct, b: &Conjunct, space: &mut Space) -> bool {
+    let mut both = a.clone();
+    both.and(b);
+    is_feasible(&both, space)
+}
+
+/// The subgraph of `adj` induced by the vertices `keep`, renumbered in
+/// order.
+fn induced(adj: &[Vec<bool>], keep: &[usize]) -> Vec<Vec<bool>> {
+    keep.iter()
+        .map(|&i| keep.iter().map(|&j| adj[i][j]).collect())
+        .collect()
 }
 
 /// Finds a vertex whose removal disconnects the graph, if any.

@@ -10,6 +10,7 @@
 //! result to *disjoint* DNF (§5).
 
 use crate::conjunct::Conjunct;
+use crate::disjoint::Overlaps;
 use crate::eliminate::{eliminate, Shadow};
 use crate::eqelim::solve_wildcard_equalities;
 use crate::feasible::is_feasible;
@@ -74,7 +75,8 @@ impl Dnf {
 pub struct SimplifyOptions {
     /// Run the complete redundant-constraint elimination on each clause.
     pub complete_redundancy: bool,
-    /// Drop clauses subsumed by other clauses.
+    /// Drop clauses subsumed by other clauses. The disjoint conversion
+    /// (§5.3 step 1) always does.
     pub subset_pruning: bool,
     /// Convert the result to disjoint DNF (§5.3).
     pub disjoint: bool,
@@ -124,25 +126,34 @@ pub fn simplify(f: &Formula, space: &mut Space, opts: &SimplifyOptions) -> Dnf {
         }
         kept.push(c);
     }
-    if opts.subset_pruning {
-        kept = prune_subsets(kept, space);
-    }
-    trace::add(Counter::DnfClausesClean, kept.len() as u64);
-    trace::explain(|| format!("DNF cleanup: {} clause(s) kept", kept.len()));
-    if opts.disjoint {
-        let disjoint = crate::disjoint::make_disjoint(kept, space);
-        trace::add(Counter::DnfClausesDisjoint, disjoint.len() as u64);
-        trace::explain(|| format!("disjoint DNF: {} clause(s)", disjoint.len()));
-        Dnf {
-            clauses: disjoint,
-            disjoint: true,
+    let clean = |n: usize| {
+        trace::add(Counter::DnfClausesClean, n as u64);
+        trace::explain(|| format!("DNF cleanup: {n} clause(s) kept"));
+    };
+    if !opts.disjoint {
+        if opts.subset_pruning {
+            kept = prune_subsets(kept, space);
         }
-    } else {
+        clean(kept.len());
         let disjoint = kept.len() <= 1;
-        Dnf {
+        return Dnf {
             clauses: kept,
             disjoint,
-        }
+        };
+    }
+    // The §5.3 conversion prunes subsets on the overlap graph it needs
+    // anyway, testing implication only where two clauses meet.
+    let overlaps = Overlaps::pruned(kept, space);
+    clean(overlaps.len());
+    let disjoint = {
+        let _span = trace::span("make_disjoint");
+        overlaps.make_disjoint(space)
+    };
+    trace::add(Counter::DnfClausesDisjoint, disjoint.len() as u64);
+    trace::explain(|| format!("disjoint DNF: {} clause(s)", disjoint.len()));
+    Dnf {
+        clauses: disjoint,
+        disjoint: true,
     }
 }
 
@@ -182,20 +193,37 @@ pub fn formula_equivalent(p: &Formula, q: &Formula, space: &mut Space) -> bool {
 
 /// Drops clauses that are subsets of other clauses (§5.3 step 1).
 pub fn prune_subsets(clauses: Vec<Conjunct>, space: &mut Space) -> Vec<Conjunct> {
-    let mut kept: Vec<Conjunct> = Vec::new();
-    'outer: for c in clauses {
-        let mut i = 0;
-        while i < kept.len() {
-            if implies(&c, &kept[i], space) {
-                continue 'outer; // c ⊆ kept[i]
+    prune_subsets_where(clauses, space, |_, _| true)
+        .into_iter()
+        .map(|(_, c)| c)
+        .collect()
+}
+
+/// [`prune_subsets`], testing implication only between the clauses at
+/// input positions `i` and `j` for which `may_nest(i, j)`. Returns the
+/// survivors in input order, each with its input position.
+pub(crate) fn prune_subsets_where(
+    clauses: Vec<Conjunct>,
+    space: &mut Space,
+    may_nest: impl Fn(usize, usize) -> bool,
+) -> Vec<(usize, Conjunct)> {
+    let mut kept: Vec<(usize, Conjunct)> = Vec::new();
+    'outer: for (i, c) in clauses.into_iter().enumerate() {
+        let mut k = 0;
+        while k < kept.len() {
+            let (j, other) = &kept[k];
+            if may_nest(i, *j) {
+                if implies(&c, other, space) {
+                    continue 'outer; // c ⊆ kept[k]
+                }
+                if implies(other, &c, space) {
+                    kept.remove(k); // kept[k] ⊆ c
+                    continue;
+                }
             }
-            if implies(&kept[i], &c, space) {
-                kept.remove(i); // kept[i] ⊆ c
-            } else {
-                i += 1;
-            }
+            k += 1;
         }
-        kept.push(c);
+        kept.push((i, c));
     }
     kept
 }

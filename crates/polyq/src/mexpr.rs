@@ -126,13 +126,11 @@ impl MExpr {
 
 /// The Faulhaber polynomial `Fₖ` evaluated at an [`MExpr`] argument.
 pub fn faulhaber_mexpr(k: u32, at: &MExpr) -> MExpr {
-    let mut scratch = Space::new();
-    let t = scratch.var("t");
-    let f = crate::faulhaber::power_sum(k, t);
-    let coeffs = f.coefficients_in(t);
     let mut terms = Vec::new();
-    for (p, c) in coeffs.into_iter().enumerate() {
-        let Some(c) = c.as_constant() else { continue };
+    for (p, c) in crate::faulhaber::power_sum_coeffs(k)
+        .into_iter()
+        .enumerate()
+    {
         if c.is_zero() {
             continue;
         }

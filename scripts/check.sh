@@ -132,12 +132,12 @@ do
         > /dev/null
 done
 
-echo "==> fuzz smoke (generative differential harness, fixed seed)"
+echo "==> fuzz smoke (generative differential harness, fixed seeds)"
 # Four layers (see DESIGN.md §10):
 #   1. the seed corpus must exist and replay clean;
-#   2. 200 fixed-seed generated cases must pass all four oracle
-#      families (brute force, inclusion–exclusion + invariances,
-#      governed bracketing, baselines);
+#   2. 200 generated cases for each of seeds 1, 2 and 3 must pass all
+#      four oracle families (brute force, inclusion–exclusion +
+#      invariances, governed bracketing, baselines);
 #   3.+4. with each deliberate engine bug armed, the harness must
 #      CATCH it and shrink it to a ≤3-constraint counterexample (the
 #      test inverts its expectation when PRESBURGER_GEN_FAULT is set).
@@ -146,9 +146,11 @@ if [ "$corpus_count" -lt 3 ]; then
     echo "FAIL: seed corpus has only $corpus_count cases (< 3)" >&2
     exit 1
 fi
-echo "    corpus replay + 200 clean cases"
-PRESBURGER_GEN_SEED=1 PRESBURGER_GEN_CASES=200 \
-    cargo test --release -q --test fuzz_differential > /dev/null
+for seed in 1 2 3; do
+    echo "    corpus replay + 200 clean cases (PRESBURGER_GEN_SEED=$seed)"
+    PRESBURGER_GEN_SEED=$seed PRESBURGER_GEN_CASES=200 \
+        cargo test --release -q --test fuzz_differential > /dev/null
+done
 for fault in count_off_by_one miscount_stride; do
     echo "    PRESBURGER_GEN_FAULT=$fault (must be caught and shrunk)"
     PRESBURGER_GEN_FAULT=$fault PRESBURGER_GEN_SEED=1 PRESBURGER_GEN_CASES=40 \

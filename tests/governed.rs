@@ -10,6 +10,7 @@
 
 use presburger::prelude::*;
 use presburger::trace::govern::{parse_fault, FaultSite};
+use presburger::trace::{self, Counter, PipelineStats};
 use presburger_counting::{enumerate, Symbolic};
 use std::time::Duration;
 
@@ -74,6 +75,16 @@ fn union3(s: &mut Space) -> (Formula, Vec<VarId>) {
 
 fn governed(s: &Space, f: &Formula, vars: &[VarId], gov: &Governor) -> Result<Outcome, CountError> {
     try_count_solutions_governed(s, f, vars, &CountOptions::default(), gov)
+}
+
+/// Runs `f` with counters on and returns the counter delta it caused.
+fn metered<T>(f: impl FnOnce() -> T) -> (T, PipelineStats) {
+    trace::enable_counters(true);
+    let before = trace::snapshot();
+    let out = f();
+    let delta = trace::snapshot().delta(&before);
+    trace::enable_counters(false);
+    (out, delta)
 }
 
 /// Asserts `lower ≤ exact ≤ upper` pointwise over the sample bindings.
@@ -260,10 +271,11 @@ fn splinter_budget_degrades_e11() {
     }
 }
 
-/// The §5.2 projection `∃b : n ≤ 1001b ∧ 1002b ≤ n + 5000` guards the
-/// count of `b`: its one non-unit bound pair has gap
-/// `(1001−1)(1002−1) ≥ 10⁶` and offsets stepping by 1002, so the exact
-/// pass would build about 5·10⁸ splinters.
+/// The count of `b` over `n ≤ 1001b ∧ 1002b ≤ n + 5000`: one non-unit
+/// bound pair with gap `(1001−1)(1002−1) ≥ 10⁶` and offsets stepping
+/// by 1002. Its exact splinters would number about 5·10⁸; the convex
+/// sum guards the telescoped value with the real shadow instead and
+/// builds none.
 fn wide_52(s: &mut Space) -> (Formula, Vec<VarId>) {
     let b = s.var("b");
     let n = s.var("n");
@@ -277,22 +289,75 @@ fn wide_52(s: &mut Space) -> (Formula, Vec<VarId>) {
     (f, vec![b])
 }
 
+/// The same pair as a literal existential, counted over `0 ≤ a ≤ 10⁶`:
+/// projecting `b` out of the clause needs the exact §5.2 splinters, one
+/// or more for every region of the residue-stepped loop.
+fn wide_52_exists(s: &mut Space) -> (Formula, Vec<VarId>) {
+    let a = s.var("a");
+    let b = s.var("b");
+    let f = Formula::and(vec![
+        Formula::between(Affine::constant(0), a, Affine::constant(1_000_000)),
+        Formula::exists(
+            vec![b],
+            Formula::and(vec![
+                Formula::le(Affine::var(a), Affine::term(b, 1001)),
+                Formula::le(
+                    Affine::term(b, 1002),
+                    Affine::var(a) + Affine::constant(5000),
+                ),
+            ]),
+        ),
+    ]);
+    (f, vec![a])
+}
+
 #[test]
 fn splinter_budget_bounds_wide_disjoint_splintering() {
-    // Every region the residue-stepped loop visits builds at least one
-    // splinter, so the splinter cap still stops a loop over 10⁶
-    // regions; the §4.6 rerun uses the real and dark shadows and does
-    // not splinter at all.
+    let deadline = Duration::from_secs(2);
+    let capped = || {
+        Governor::new(Budgets {
+            max_splinters: Some(10_000),
+            deadline: Some(deadline),
+            ..Budgets::unlimited()
+        })
+    };
+
+    // The count of `b` is exact under the cap: no splinter at all.
     let mut s = Space::new();
     let (f, vars) = wide_52(&mut s);
-    let deadline = Duration::from_secs(2);
+    let (outcome, stats) = metered(|| governed(&s, &f, &vars, &capped()));
+    let exact = match outcome {
+        Ok(Outcome::Exact(r)) => r,
+        other => panic!("expected an exact count, got {other:?}"),
+    };
+    assert_eq!(stats.get(Counter::SplintersGenerated), 0, "{stats}");
+    for n in [
+        -5i64, 0, 1, 2, 5, 10, 100, 999, 1000, 4_004_000, 5_005_000, 5_005_001,
+    ] {
+        // b ∈ [⌈n/1001⌉, ⌊(n+5000)/1002⌋]
+        let expect = ((n + 5000).div_euclid(1002) + (-n).div_euclid(1001) + 1).max(0);
+        assert_eq!(exact.eval_i64(&[("n", n)]), Some(expect), "n={n}");
+    }
+
+    // A stride over non-unit coefficients still splinters in the exact
+    // pass (74 splinters); under a cap of 10 the clause degrades and the
+    // §4.6 rerun brackets the true count.
+    let mut s = Space::new();
+    let i = s.var("i");
+    let j = s.var("j");
+    let n = s.var("n");
+    let f = Formula::and(vec![
+        Formula::between(Affine::constant(0), i, Affine::var(n)),
+        Formula::between(Affine::constant(0), j, Affine::var(n)),
+        Formula::stride(7, Affine::from_terms(&[(i, 2), (j, 3), (n, 1)], 0)),
+    ]);
     let gov = Governor::new(Budgets {
-        max_splinters: Some(10_000),
+        max_splinters: Some(10),
         deadline: Some(deadline),
         ..Budgets::unlimited()
     });
     let started = std::time::Instant::now();
-    let outcome = governed(&s, &f, &vars, &gov);
+    let outcome = governed(&s, &f, &[i, j], &gov);
     let elapsed = started.elapsed();
     assert!(elapsed < deadline, "took {elapsed:?}");
     match outcome {
@@ -309,47 +374,31 @@ fn splinter_budget_bounds_wide_disjoint_splintering() {
                 ),
                 "unexpected why: {why}"
             );
-            for n in [-5i64, 0, 1, 999, 1000, 4_004_000, 5_005_000, 5_005_001] {
-                // b ∈ [⌈n/1001⌉, ⌊(n+5000)/1002⌋]
-                let exact = ((n + 5000).div_euclid(1002) + (-n).div_euclid(1001) + 1).max(0);
-                let binding = [("n", n)];
+            for nv in 0i64..=30 {
+                let truth = (0..=nv)
+                    .flat_map(|iv| (0..=nv).map(move |jv| 2 * iv + 3 * jv + nv))
+                    .filter(|e| e % 7 == 0)
+                    .count();
+                let truth = Rat::from(truth as i64);
+                let binding = [("n", nv)];
                 let (l, u) = (lower.eval_rat(&binding), upper.eval_rat(&binding));
                 assert!(
-                    l <= Rat::from(exact) && Rat::from(exact) <= u,
-                    "bracket violated at n={n}: {l} <= {exact} <= {u}"
+                    l <= truth && truth <= u,
+                    "bracket violated at n={nv}: {l} <= {truth} <= {u}"
                 );
             }
         }
         other => panic!("expected the splinter budget to bound the count, got {other:?}"),
     }
 
-    // The same pair as a literal existential: under DegradePolicy::Error
-    // the exact pass's splinter trip is the answer, so this times the
-    // capped loop alone.
+    // The literal existential over `a` still splinters widely: projecting
+    // `b` out exactly needs the §5.2 loop over ~10⁶ regions.
+    // Under DegradePolicy::Error the exact pass's splinter trip is the
+    // answer, so this times the capped loop alone.
     let mut s = Space::new();
-    let a = s.var("a");
-    let b = s.var("b");
-    let f = Formula::and(vec![
-        Formula::between(Affine::constant(0), a, Affine::constant(1_000_000)),
-        Formula::exists(
-            vec![b],
-            Formula::and(vec![
-                Formula::le(Affine::var(a), Affine::term(b, 1001)),
-                Formula::le(
-                    Affine::term(b, 1002),
-                    Affine::var(a) + Affine::constant(5000),
-                ),
-            ]),
-        ),
-    ]);
-    let gov = Governor::new(Budgets {
-        max_splinters: Some(10_000),
-        deadline: Some(deadline),
-        ..Budgets::unlimited()
-    })
-    .with_degrade(DegradePolicy::Error);
+    let (f, vars) = wide_52_exists(&mut s);
     let started = std::time::Instant::now();
-    let outcome = governed(&s, &f, &[a], &gov);
+    let outcome = governed(&s, &f, &vars, &capped().with_degrade(DegradePolicy::Error));
     let elapsed = started.elapsed();
     assert!(elapsed < deadline, "took {elapsed:?}");
     assert!(

@@ -71,6 +71,56 @@ fn e4_free_order_beats_tawbi_by_counters() {
     assert_eq!(tawbi.get(Counter::TawbiSplits), 3, "{tawbi}");
 }
 
+/// §6 Example 2 (from [HP93a]): 1 ≤ i ≤ n ∧ 3 ≤ j ≤ i ∧ j ≤ k ≤ 5.
+fn example2(s: &mut Space) -> (Formula, [VarId; 3]) {
+    let i = s.var("i");
+    let j = s.var("j");
+    let k = s.var("k");
+    let n = s.var("n");
+    let f = Formula::and(vec![
+        Formula::between(Affine::constant(1), i, Affine::var(n)),
+        Formula::between(Affine::constant(3), j, Affine::var(i)),
+        Formula::between(Affine::var(j), k, Affine::constant(5)),
+    ]);
+    (f, [i, j, k])
+}
+
+/// One `FaulhaberDeg*` count per non-zero power of a telescoped
+/// summand: pinned on §6 Examples 1 and 2 so the degree histogram (and
+/// perfbench's `polyq.faulhaber.calls`, its sum) cannot drift when the
+/// telescoping is reorganized.
+#[test]
+fn faulhaber_degree_counters_of_examples_1_and_2() {
+    let mut s = Space::new();
+    let (c, vars) = example1(&mut s);
+    let (_, ex1) = metered(|| {
+        presburger_counting::try_count_solutions(
+            &s,
+            &c.to_formula(),
+            &vars,
+            &CountOptions::default(),
+        )
+        .expect("countable")
+    });
+    assert_eq!(
+        ex1.faulhaber_histogram(),
+        [("0", 4), ("1", 2), ("2", 2), ("3", 0), ("4+", 0)],
+        "{ex1}"
+    );
+
+    let mut s = Space::new();
+    let (f, vars) = example2(&mut s);
+    let (_, ex2) = metered(|| {
+        presburger_counting::try_count_solutions(&s, &f, &vars, &CountOptions::default())
+            .expect("countable")
+    });
+    assert_eq!(
+        ex2.faulhaber_histogram(),
+        [("0", 4), ("1", 2), ("2", 2), ("3", 0), ("4+", 0)],
+        "{ex2}"
+    );
+}
+
 /// The §5.2 system: 0 ≤ 3β − α ≤ 7 ∧ 1 ≤ α − 2β ≤ 5.
 fn section52_system(s: &mut Space) -> (Conjunct, VarId) {
     let alpha = s.var("alpha");
